@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import TuckerState
+from .fitting import TuckerState, mode_product
 from .lorentzian import LorentzianBasisSpec, overlap_1d
 
 __all__ = [
@@ -184,13 +184,14 @@ def cp_decompose(d, R: int, options: CpdOptions | None = None) -> CpResult:
                     restart_errors=errors, flags=tuple(sorted(flags)))
 
 
-def normalize_factors(v, spec: LorentzianBasisSpec):
+def normalize_factors(v, spec: LorentzianBasisSpec, S1=None):
     """Metric-normalize factor rows and collect canonical coefficients.
 
     Returns (u, lambdas) with u_r . S^(v) u_r = 1 per direction, lambdas
     positive and sorted descending, and the reconstruction unchanged.  Rows
     whose metric norm vanishes are dropped (the effective rank shrinks),
-    with a warning.
+    with a warning.  ``S1`` holds the spec's three ``overlap_1d`` matrices
+    when the caller has them already.
     """
     v = [np.asarray(m, dtype=np.float64) for m in v]
     if len(v) != 3 or any(m.ndim != 2 for m in v):
@@ -201,7 +202,8 @@ def normalize_factors(v, spec: LorentzianBasisSpec):
     if tuple(m.shape[1] for m in v) != spec.n_l:
         raise ValueError(
             f"factor columns {tuple(m.shape[1] for m in v)} do not match spec {spec.n_l}")
-    S1 = [overlap_1d(spec, axis) for axis in range(3)]
+    if S1 is None:
+        S1 = [overlap_1d(spec, axis) for axis in range(3)]
 
     norms = np.empty((3, R))
     for axis in range(3):
@@ -237,26 +239,28 @@ def tucker_canon_overlap(tucker: TuckerState, canon: CanonicalState):
     """
     if canon.spec is not tucker.spec and not canon.spec.same_layout(tucker.spec):
         raise ValueError("Tucker and canonical states use different LF specs")
-    return _overlap_terms(tucker.spec, tucker.core, canon.lambdas, canon.u)
+    S1 = [overlap_1d(tucker.spec, axis) for axis in range(3)]
+    return _overlap_terms(S1, tucker.core, canon.lambdas, canon.u)
 
 
-def _overlap_terms(spec, core, lambdas, u):
-    S1 = [overlap_1d(spec, axis) for axis in range(3)]
+def _overlap_terms(S1, core, lambdas, u):
     e = np.einsum("r,ra,rb,rc->abc", lambdas, u[0], u[1], u[2])
-    d_s = np.einsum("abc,aA,bB,cC->ABC", core, S1[0], S1[1], S1[2], optimize=True)
-    e_s = np.einsum("abc,aA,bB,cC->ABC", e, S1[0], S1[1], S1[2], optimize=True)
+    d_s = mode_product(core, S1)
+    e_s = mode_product(e, S1)
     overlap = float(np.sum(d_s * e))
     canon_norm2 = float(np.sum(e_s * e))
     tucker_norm2 = float(np.sum(d_s * core))
-    deviation = 1.0 - overlap * overlap / (tucker_norm2 * canon_norm2)
+    # rounding can push 1 - cos^2 just outside [0, 1]
+    deviation = float(np.clip(1.0 - overlap * overlap / (tucker_norm2 * canon_norm2), 0.0, 1.0))
     return overlap, canon_norm2, deviation
 
 
 def decompose_core(tucker: TuckerState, R: int, options: CpdOptions | None = None) -> CanonicalState:
     """cp_decompose + normalize_factors + deviation, bundled."""
     result = cp_decompose(tucker.core, R, options)
-    u, lam = normalize_factors(result.v, tucker.spec)
-    _, canon_norm2, deviation = _overlap_terms(tucker.spec, tucker.core, lam, u)
+    S1 = [overlap_1d(tucker.spec, axis) for axis in range(3)]
+    u, lam = normalize_factors(result.v, tucker.spec, S1)
+    _, canon_norm2, deviation = _overlap_terms(S1, tucker.core, lam, u)
     flags = list(result.flags)
     if lam.size < R:
         flags.append("rank-reduced")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpd import CanonicalState
-from .fitting import TuckerState
+from .fitting import TuckerState, mode_product
 from .lorentzian import LorentzianBasisSpec, lf_state, overlap_1d
 
 __all__ = [
@@ -149,7 +149,7 @@ def success_prob_tucker(tucker: TuckerState) -> float:
     spec = tucker.spec
     d = tucker.core
     S1 = [overlap_1d(spec, v) for v in range(3)]
-    d_s = np.einsum("abc,aA,bB,cC->ABC", d, S1[0], S1[1], S1[2], optimize=True)
+    d_s = mode_product(d, S1)
     s_quad = float(np.sum(d_s * d))
     return s_quad / (spec.n_prod * float(np.sum(d * d)))
 
@@ -170,7 +170,7 @@ def success_prob_canonical(canon: CanonicalState) -> float:
         lam_t = lam_t * np.linalg.norm(u[axis], axis=1)
     S1 = [overlap_1d(spec, v) for v in range(3)]
     e = np.einsum("r,ra,rb,rc->abc", canon.lambdas, u[0], u[1], u[2])
-    e_s = np.einsum("abc,aA,bB,cC->ABC", e, S1[0], S1[1], S1[2], optimize=True)
+    e_s = mode_product(e, S1)
     canon_norm2 = float(np.sum(e_s * e))
     return canon_norm2 / (canon.R * spec.n_prod * float(np.sum(lam_t * lam_t)))
 

@@ -32,7 +32,15 @@ import numpy as np
 from . import basis as _basis
 from .basis import MolecularOrbital, SimulationCell, build_ideal_state, sample_ao_1d
 from .exceptions import ConditioningError
-from .lorentzian import AXES, LorentzianBasisSpec, _axis_index, boundary_mass, lf_state, overlap_1d
+from .lorentzian import (
+    AXES,
+    AxisProfiles,
+    LorentzianBasisSpec,
+    _axis_index,
+    boundary_mass,
+    lf_state,
+    overlap_1d,
+)
 
 __all__ = [
     "TTensor",
@@ -46,6 +54,7 @@ __all__ = [
     "penalty",
     "solve_core",
     "fidelity_gradient",
+    "mode_product",
     "optimize_widths",
     "box_centers",
     "tucker_statevector",
@@ -170,8 +179,14 @@ class _Engine:
 
     Primitive pairs (mu, s) are flattened to one axis p with weights
     w_p = c_mu * b_{mu s}; the h-sample tables H_v[p, k] never change during
-    width optimization, so each evaluation only rebuilds LF profiles and the
-    small per-direction matrices.
+    width optimization.  Neither do the per-direction shift tables
+    (``AxisLayout``: sin^2 and parity on the unshifted grid, the gather index
+    of each center) or the groups of LFs that share a center, so they are
+    built once here.  Each evaluation then runs one vectorized profile build
+    per direction and the small per-direction matrices; the gradient reuses
+    that build's raw profiles, denominators and norms.  Trial widths are not
+    wrapped in a validated ``LorentzianBasisSpec``; ``spec_for`` builds one
+    for a returned state only.
     """
 
     def __init__(self, problem: FitProblem):
@@ -183,15 +198,24 @@ class _Engine:
                 weights.append(c * ao.coefficients[s])
                 for v in range(3):
                     tables[v].append(sample_ao_1d(ao, v, s, cell))
-        self.weights = np.asarray(weights)
         self.h = [np.stack(tables[v]) for v in range(3)]
         self.n = spec.n
         self.centers = spec.centers
         self.n_l = spec.n_l
+        self.splits = np.cumsum(self.n_l)[:2]
+        self.layouts = spec.layouts
+        # LFs sharing a center differ only by width; equal widths there make
+        # the metric singular, so those groups are checked on every evaluation
+        self.shared_centers = []
+        for v, centers in enumerate(spec.centers):
+            _, inverse, counts = np.unique(centers, return_inverse=True, return_counts=True)
+            for g in np.nonzero(counts > 1)[0]:
+                self.shared_centers.append((v, np.nonzero(inverse == g)[0]))
         self.alpha = problem.alpha_pen
         L = cell.edge_lengths
         self.col_pref = L / math.sqrt(cell.N_qe)
         self.pref = problem.norm_factor / math.sqrt(float(np.prod(L)))
+        self.wpref = self.pref * np.asarray(weights)
 
     def spec_for(self, widths: np.ndarray) -> LorentzianBasisSpec:
         nx, ny, nz = self.n_l
@@ -201,48 +225,65 @@ class _Engine:
             centers=self.centers,
         )
 
+    def _split_widths(self, widths: np.ndarray) -> list[np.ndarray]:
+        if widths.size != sum(self.n_l):
+            raise ValueError(f"expected {sum(self.n_l)} widths, got {widths.size}")
+        if not np.all((widths > 0.0) & (widths < math.inf)):
+            raise ValueError("widths must be positive and finite")
+        parts = np.split(widths, self.splits)
+        for v, group in self.shared_centers:
+            if np.unique(parts[v][group]).size != group.size:
+                raise ValueError(
+                    f"direction {AXES[v]}: duplicate (a, k_c) pair "
+                    "makes the overlap matrix singular")
+        return parts
+
     def assemble(self, widths: np.ndarray):
-        """Width-dependent pieces: spec, LF states, 1D metrics, M tables, T."""
-        spec = self.spec_for(np.asarray(widths, dtype=np.float64))
-        V = [spec.state_matrix(v) for v in range(3)]
+        """Width-dependent pieces: LF profiles and states, 1D metrics, M tables, T."""
+        parts = self._split_widths(widths)
+        prof = [AxisProfiles(self.layouts[v], parts[v]) for v in range(3)]
+        V = [p.states() for p in prof]
         S1 = []
         for v in range(3):
             s = V[v] @ V[v].T
             S1.append(0.5 * (s + s.T))
         M = [self.col_pref[v] * (V[v] @ self.h[v].T) for v in range(3)]
-        T = self.pref * np.einsum("p,xp,yp,zp->xyz", self.weights, M[0], M[1], M[2])
-        return spec, V, S1, M, T
+        # T[x, y, z] = pref sum_p w_p M_x[x, p] M_y[y, p] M_z[z, p], through
+        # the Khatri-Rao product of the x and y tables, rows (x, y)
+        kr_xy = (M[0][:, None, :] * M[1]).reshape(-1, self.wpref.size)
+        T = ((kr_xy * self.wpref) @ M[2].T).reshape(self.n_l)
+        return prof, V, S1, M, kr_xy, T
 
     def evaluate(self, widths: np.ndarray) -> "_Eval":
-        spec, V, S1, M, T = self.assemble(widths)
+        widths = np.array(widths, dtype=np.float64).ravel()
+        prof, V, S1, M, kr_xy, T = self.assemble(widths)
         d, kappa, pen, degenerate, discarded = _solve_core_factored(T, S1, self.alpha)
         f = float(np.sum(T * d))
-        return _Eval(spec=spec, widths=np.asarray(widths, dtype=np.float64).copy(),
-                     V=V, S1=S1, M=M, T=T, core=d, kappa=kappa, pen=pen,
+        return _Eval(profiles=prof, widths=widths,
+                     V=V, S1=S1, M=M, kr_xy=kr_xy, T=T, core=d, kappa=kappa, pen=pen,
                      fidelity=kappa - pen, f=f, degenerate=degenerate,
                      discarded=discarded)
 
     def gradient(self, ev: "_Eval") -> np.ndarray:
-        spec = ev.spec
-        dV = [spec.state_da_matrix(v) for v in range(3)]
+        dV = [p.states_da() for p in ev.profiles]
         dM = [self.col_pref[v] * (dV[v] @ self.h[v].T) for v in range(3)]
-        w, M, d = self.weights, ev.M, ev.core
-        Td = [
-            self.pref * np.einsum("p,xp,yp,zp->xyz", w, dM[0], M[1], M[2]),
-            self.pref * np.einsum("p,xp,yp,zp->xyz", w, M[0], dM[1], M[2]),
-            self.pref * np.einsum("p,xp,yp,zp->xyz", w, M[0], M[1], dM[2]),
+        M, d = ev.M, ev.core
+        # g_v[l] = sum over the other axes of d times dT/da_l, where dT/da_l
+        # swaps M_v for dM_v in T; P_v[l, p] holds d contracted with the
+        # other two M tables, so g_v = (dM_v * P_v) @ (pref w)
+        dz = d @ M[2]
+        P = [
+            np.sum(dz * M[1], axis=1),
+            np.sum(dz * M[0][:, None, :], axis=0),
+            d.reshape(-1, self.n_l[2]).T @ ev.kr_xy,
         ]
-        g = [
-            np.einsum("abc,abc->a", Td[0], d),
-            np.einsum("abc,abc->b", Td[1], d),
-            np.einsum("abc,abc->c", Td[2], d),
-        ]
+        g = [(dM[v] * P[v]) @ self.wpref for v in range(3)]
         Sx, Sy, Sz = ev.S1
         # D_v[i, j]: core contracted with the metric on the other two axes
         D = [
-            np.einsum("abc,ABC,bB,cC->aA", d, d, Sy, Sz, optimize=True),
-            np.einsum("abc,ABC,aA,cC->bB", d, d, Sx, Sz, optimize=True),
-            np.einsum("abc,ABC,aA,bB->cC", d, d, Sx, Sy, optimize=True),
+            _unfold(d, 0) @ _unfold(mode_product(d, (None, Sy, Sz)), 0).T,
+            _unfold(d, 1) @ _unfold(mode_product(d, (Sx, None, Sz)), 1).T,
+            _unfold(d, 2) @ _unfold(mode_product(d, (Sx, Sy, None)), 2).T,
         ]
         q = [dV[v] @ ev.V[v].T for v in range(3)]
         tr1 = [float(np.trace(s)) for s in ev.S1]
@@ -264,11 +305,12 @@ class _Engine:
 
 @dataclass
 class _Eval:
-    spec: LorentzianBasisSpec
+    profiles: list
     widths: np.ndarray
     V: list
     S1: list
     M: list
+    kr_xy: np.ndarray
     T: np.ndarray
     core: np.ndarray
     kappa: float
@@ -277,6 +319,25 @@ class _Eval:
     f: float
     degenerate: bool
     discarded: int
+
+
+def _unfold(t: np.ndarray, axis: int) -> np.ndarray:
+    """Mode-``axis`` unfolding; the other axes keep one fixed order."""
+    return np.swapaxes(t, 0, axis).reshape(t.shape[axis], -1)
+
+
+def mode_product(t: np.ndarray, mats) -> np.ndarray:
+    """Multiply each axis of a 3-way tensor by a matrix.
+
+    out[A, B, C] = sum t[a, b, c] m0[a, A] m1[b, B] m2[c, C]; a ``None``
+    matrix leaves its axis as it is.  Each step contracts the leading axis
+    and appends the new one, so after three steps the axis order is back.
+    """
+    for m in mats:
+        lead, *rest = t.shape
+        flat = t.reshape(lead, -1).T
+        t = (flat if m is None else flat @ m).reshape(*rest, -1)
+    return t
 
 
 def _penalty_from_s1(S1, alpha: float, n_prod: int) -> float:
@@ -310,13 +371,13 @@ def _solve_core_factored(T: np.ndarray, S1, alpha: float):
                                 discarded=T.size)
     keep = lam >= EIG_CUTOFF * lam_max
     discarded = int(T.size - np.count_nonzero(keep))
-    tt = np.einsum("abc,ai,bj,ck->ijk", T, Q[0], Q[1], Q[2])
+    tt = mode_product(T, Q)
     kappa = float(np.sum(np.where(keep, tt * tt / np.where(keep, lam, 1.0), 0.0)))
     pen = _penalty_from_s1(S1, alpha, T.size)
     if kappa <= 0.0:
         return _degenerate_core(lam, Q), 0.0, pen, True, discarded
     dt = np.where(keep, tt / np.where(keep, lam, 1.0), 0.0)
-    d = np.einsum("ijk,ai,bj,ck->abc", dt, Q[0], Q[1], Q[2]) / math.sqrt(kappa)
+    d = mode_product(dt, [q.T for q in Q]) / math.sqrt(kappa)
     if float(np.sum(T * d)) < 0.0:
         d = -d
     return d, kappa, pen, False, discarded
@@ -489,8 +550,9 @@ def optimize_widths(
             best = result
     ev, iterations, grad_norm, converged, flags, history = best
 
+    spec = engine.spec_for(ev.widths)
     for v in range(3):
-        mass = boundary_mass(ev.spec, v)
+        mass = boundary_mass(spec, v)
         for l in np.nonzero(mass > 1e-3)[0]:
             flags = list(flags) + [f"boundary-{AXES[v]}{l}"]
     diag = OptimizeDiagnostics(
@@ -503,7 +565,7 @@ def optimize_widths(
         discarded_dim=ev.discarded,
     )
     return TuckerState(
-        spec=ev.spec,
+        spec=spec,
         core=ev.core,
         fidelity=ev.fidelity,
         squared_overlap=ev.f * ev.f,

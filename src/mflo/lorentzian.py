@@ -14,6 +14,13 @@ Basis functions used for fitting are cyclic shifts of this profile to integer
 centers k_c.  The shift wraps mod N, consistent with generating the state by
 a QFT acting on a periodic register.
 
+Every LF, single or a whole direction of a basis, is built the same way:
+``AxisProfiles`` evaluates the formula for all widths of a direction at once
+on the unshifted grid, and the shift to each center is an index gather
+through the precomputed tables of an ``AxisLayout`` (sin^2(pi j / N), the
+parity of j, and the flat index of (k - k_c) mod N).  Those tables depend
+only on n and the centers, so a fit builds them once.
+
 Notes
 -----
 The numerically delicate factors are evaluated with ``expm1`` and
@@ -25,10 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
+    "AxisLayout",
+    "AxisProfiles",
     "Lorentzian1D",
     "LorentzianBasisSpec",
     "lf_profile",
@@ -57,37 +67,82 @@ def _check_width(a: float) -> float:
     return a
 
 
-def _raw_profile(n: int, a: float) -> np.ndarray:
-    """Unnormalized LF profile (the formula without C_S/sqrt(N))."""
-    N = 1 << n
-    k = np.arange(N)
-    em = math.exp(-a)
-    amp = -math.expm1(-2.0 * a)  # 1 - e^{-2a}
-    edge = math.exp(-0.5 * a * N)  # e^{-aN/2}
-    # 1 - (-1)^k e^{-aN/2}, kept accurate when a*N/2 is tiny
-    alt = np.where(k % 2 == 0, -math.expm1(-0.5 * a * N), 1.0 + edge)
-    den = math.expm1(-a) ** 2 + 4.0 * em * np.sin(np.pi * k / N) ** 2
-    return amp * alt / den
+class AxisLayout:
+    """Width-independent shift tables of one direction's LFs on a 2^n grid.
+
+    The profile depends on the grid index only through sin^2(pi j / N) and
+    the parity of j, with j = (k - k_c) mod N.  Both are tabulated once on
+    the unshifted grid j = 0..N-1, and ``gather`` maps row l, entry k of the
+    shifted states to flat index l*N + (k - k_c[l]) mod N of the unshifted
+    profiles, so a shift is one index gather.
+    """
+
+    def __init__(self, n: int, centers):
+        N = 1 << n
+        j = np.arange(N)
+        centers = np.asarray(centers, dtype=np.int64).ravel()
+        self.N = N
+        self.s2 = np.sin(np.pi * j / N) ** 2
+        self.even = j % 2 == 0
+        self.gather = np.arange(centers.size)[:, None] * N + (j - centers[:, None]) % N
 
 
-def _raw_profile_da(n: int, a: float) -> np.ndarray:
-    """Width derivative of the unnormalized profile."""
-    N = 1 << n
-    k = np.arange(N)
-    em = math.exp(-a)
-    cos = np.cos(2.0 * np.pi * k / N)
-    sgn = np.where(k % 2 == 0, 1.0, -1.0)
-    edge = math.exp(-0.5 * a * N)
+class AxisProfiles:
+    """All normalized shifted LFs of one direction at fixed widths.
 
-    amp = -math.expm1(-2.0 * a)
-    d_amp = 2.0 * math.exp(-2.0 * a)
-    alt = 1.0 - sgn * edge
-    d_alt = sgn * (0.5 * N) * edge
-    den = math.expm1(-a) ** 2 + 4.0 * em * np.sin(np.pi * k / N) ** 2
-    d_den = 2.0 * em * (cos - em)
+    One pass of the raw formula over the unshifted grid builds every profile
+    of the direction.  The raw values, denominators and norms are kept, so
+    the width derivatives reuse them instead of evaluating the formula again.
+    Inputs are not validated here; callers pass positive finite widths.
+    """
 
-    raw = amp * alt / den
-    return (d_amp * alt + amp * d_alt) / den - raw * d_den / den
+    def __init__(self, layout: AxisLayout, widths):
+        a = np.asarray(widths, dtype=np.float64).reshape(-1, 1)
+        half_n = 0.5 * layout.N
+        self.layout = layout
+        self._em = np.exp(-a)
+        self._em1 = np.expm1(-a)
+        self._amp = -np.expm1(-2.0 * a)  # 1 - e^{-2a}
+        self._edge = np.exp(-half_n * a)  # e^{-aN/2}
+        # 1 - (-1)^k e^{-aN/2}, kept accurate when a*N/2 is tiny
+        self._alt = np.where(layout.even, -np.expm1(-half_n * a), 1.0 + self._edge)
+        self._den = self._em1 ** 2 + (4.0 * self._em) * layout.s2
+        self.raw = self._amp * self._alt / self._den
+        self.norm = np.sqrt((self.raw * self.raw).sum(axis=1, keepdims=True))
+
+    def profiles(self) -> np.ndarray:
+        """Unit-norm profiles centered at k = 0, shape (n_L, N)."""
+        return self.raw / self.norm
+
+    def states(self) -> np.ndarray:
+        """Rows are the shifted LF statevectors, shape (n_L, N)."""
+        return np.take(self.profiles(), self.layout.gather)
+
+    def profiles_da(self) -> np.ndarray:
+        """Width derivatives of the unit-norm profiles centered at k = 0.
+
+        Includes the chain-rule term through the norm constant: with l the
+        raw profile, d(l/|l|)/da = l'/|l| - l (l.l')/|l|^3, which keeps the
+        derivative orthogonal to the profile (unit norm is preserved along a).
+        """
+        half_n = 0.5 * self.layout.N
+        em, den, raw = self._em, self._den, self.raw
+        d_amp = 2.0 * em * em
+        d_alt = np.where(self.layout.even, half_n * self._edge, -half_n * self._edge)
+        d_den = -2.0 * em * (self._em1 + 2.0 * self.layout.s2)
+        d_raw = (d_amp * self._alt + self._amp * d_alt) / den - raw * d_den / den
+        proj = (raw * d_raw).sum(axis=1, keepdims=True)
+        return d_raw / self.norm - raw * (proj / self.norm ** 3)
+
+    def states_da(self) -> np.ndarray:
+        """Rows are the width derivatives of the shifted states (shift commutes with d/da)."""
+        return np.take(self.profiles_da(), self.layout.gather)
+
+
+def _single(n: int, a: float, k_c: int = 0) -> AxisProfiles:
+    if n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
+    return AxisProfiles(AxisLayout(n, [_check_center(n, k_c)]), [_check_width(a)])
 
 
 def lf_profile(n: int, a: float) -> tuple[np.ndarray, float]:
@@ -96,28 +151,13 @@ def lf_profile(n: int, a: float) -> tuple[np.ndarray, float]:
     Returns a length-2^n vector with unit 2-norm and the constant C_S such
     that the vector equals C_S/sqrt(N) times the raw formula.
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    a = _check_width(a)
-    raw = _raw_profile(n, a)
-    nrm = float(np.linalg.norm(raw))
-    return raw / nrm, math.sqrt(1 << n) / nrm
+    lf = _single(n, a)
+    return lf.profiles()[0], math.sqrt(1 << n) / float(lf.norm[0, 0])
 
 
 def lf_profile_da(n: int, a: float) -> np.ndarray:
-    """Analytic width derivative of the normalized profile.
-
-    Includes the chain-rule term through the norm constant: with l the raw
-    profile, d(l/|l|)/da = l'/|l| - l (l.l')/|l|^3, which keeps the
-    derivative orthogonal to the profile (unit norm is preserved along a).
-    """
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    a = _check_width(a)
-    raw = _raw_profile(n, a)
-    d_raw = _raw_profile_da(n, a)
-    nrm = float(np.linalg.norm(raw))
-    return d_raw / nrm - raw * (float(raw @ d_raw) / nrm**3)
+    """Analytic width derivative of the normalized profile."""
+    return _single(n, a).profiles_da()[0]
 
 
 def _check_center(n: int, k_c: int) -> int:
@@ -129,13 +169,12 @@ def _check_center(n: int, k_c: int) -> int:
 
 def lf_state(n: int, a: float, k_c: int) -> np.ndarray:
     """Shifted LF statevector: entry k equals the profile at (k - k_c) mod N."""
-    values, _ = lf_profile(n, a)
-    return np.roll(values, _check_center(n, k_c))
+    return _single(n, a, k_c).states()[0]
 
 
 def lf_state_da(n: int, a: float, k_c: int) -> np.ndarray:
     """Width derivative of the shifted state (shift commutes with d/da)."""
-    return np.roll(lf_profile_da(n, a), _check_center(n, k_c))
+    return _single(n, a, k_c).states_da()[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +189,9 @@ class Lorentzian1D:
 
     @classmethod
     def build(cls, n: int, a: float, k_c: int) -> "Lorentzian1D":
-        profile, c_s = lf_profile(n, a)
-        return cls(n=n, a=float(a), k_c=_check_center(n, k_c),
-                   values=np.roll(profile, int(k_c)), norm_const=c_s)
+        lf = _single(n, a, k_c)
+        return cls(n=n, a=float(a), k_c=int(k_c), values=lf.states()[0],
+                   norm_const=math.sqrt(1 << n) / float(lf.norm[0, 0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,17 +252,22 @@ class LorentzianBasisSpec:
         nx, ny, nz = self.n_l
         return nx * ny * nz
 
+    @cached_property
+    def layouts(self) -> tuple[AxisLayout, AxisLayout, AxisLayout]:
+        """Shift tables of the three directions, built on first use."""
+        return tuple(AxisLayout(self.n, c) for c in self.centers)
+
+    def _profiles(self, axis) -> AxisProfiles:
+        v = _axis_index(axis)
+        return AxisProfiles(self.layouts[v], self.widths[v])
+
     def state_matrix(self, axis) -> np.ndarray:
         """Rows are the shifted LF statevectors of one direction, shape (n_Lv, N)."""
-        v = _axis_index(axis)
-        return np.stack([lf_state(self.n, a, k)
-                         for a, k in zip(self.widths[v], self.centers[v])])
+        return self._profiles(axis).states()
 
     def state_da_matrix(self, axis) -> np.ndarray:
         """Rows are the width derivatives of the shifted states."""
-        v = _axis_index(axis)
-        return np.stack([lf_state_da(self.n, a, k)
-                         for a, k in zip(self.widths[v], self.centers[v])])
+        return self._profiles(axis).states_da()
 
     def with_widths(self, widths_flat: np.ndarray) -> "LorentzianBasisSpec":
         """New spec with widths replaced from a flat (x then y then z) vector."""

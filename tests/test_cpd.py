@@ -216,7 +216,7 @@ class TestDecomposeCore:
         tucker = _tucker(rng.normal(size=(2, 2, 2)), spec)
         for R in (1, 2, 3):
             canon = decompose_core(tucker, R, CpdOptions(n_restarts=3, seed=0))
-            assert -1e-12 <= canon.deviation <= 1.0
+            assert 0 <= canon.deviation <= 1.0
 
     def test_deviation_non_increasing_in_rank(self):
         spec = _spec((2, 2, 2))

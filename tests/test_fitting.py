@@ -9,6 +9,7 @@ from mflo.basis import MolecularOrbital, SimulationCell, gaussian_ao
 from mflo.exceptions import ConditioningError
 from mflo.fitting import (
     EIG_CUTOFF,
+    _Engine,
     FitProblem,
     OptimizeOptions,
     TTensor,
@@ -280,6 +281,54 @@ class TestGradient:
         problem = _problem()
         with pytest.raises(ValueError, match="core shape"):
             fidelity_gradient(problem, np.ones((3, 1, 1)), 1.0)
+
+
+def _h2_box_problem():
+    """H2 bonding MO on a 6x4x4 LF box at n_qe=7 (STO-3G H 1s on each atom)."""
+    cell = SimulationCell(origin=[0.0, 0.0, 0.0], edge_lengths=[8.0, 8.0, 8.0], n_qe=7)
+    aos = tuple(gaussian_ao([3.42525091, 0.62391373, 0.1688554],
+                            [0.15432897, 0.53532814, 0.44463454], (0, 0, 0), [x, 4.0, 4.0])
+                for x in (3.3, 4.7))
+    mo = MolecularOrbital(ao_list=aos, coefficients=[1.0, 1.0])
+    centers = box_centers(cell, (2.5, 3.0, 3.0), (3.0, 2.0, 2.0), (6, 4, 4))
+    spec = LorentzianBasisSpec(n=7, widths=tuple(np.full(c.size, 0.3) for c in centers),
+                               centers=centers)
+    return FitProblem.build(mo, cell, spec)
+
+
+class TestEngine:
+    def test_matches_dense_path_on_box(self):
+        problem = _h2_box_problem()
+        engine = _Engine(problem)
+        rng = np.random.default_rng(2024)
+        for _ in range(5):
+            a = rng.uniform(0.15, 0.45, size=sum(problem.spec.n_l))
+            ev = engine.evaluate(a)
+            spec = problem.spec.with_widths(a)
+            _, _, F = solve_core(t_tensor(problem.with_spec(spec)), overlap_3d(spec))
+            assert ev.discarded == 0
+            assert ev.fidelity == pytest.approx(F, rel=0, abs=1e-12)
+            grad = engine.gradient(ev)
+            for i in range(a.size):
+                h = 1e-5 * a[i]
+                ap = a.copy(); ap[i] += h
+                am = a.copy(); am[i] -= h
+                fd = (_fidelity_at(problem, ap) - _fidelity_at(problem, am)) / (2 * h)
+                assert grad[i] == pytest.approx(fd, rel=5e-6, abs=1e-9)
+
+    def test_shared_center_width_collision_rejected(self):
+        # two LFs on one center are a valid basis until their widths meet
+        spec = _spec(widths=((0.8, 1.3), (1.0,), (0.9,)), centers=((7, 7), (8,), (8,)))
+        engine = _Engine(_problem(spec=spec))
+        assert engine.evaluate(np.array([0.8, 1.3, 1.0, 0.9])).fidelity > 0.0
+        with pytest.raises(ValueError, match="duplicate"):
+            engine.evaluate(np.array([1.1, 1.1, 1.0, 0.9]))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+    def test_invalid_trial_widths_rejected(self, bad):
+        engine = _Engine(_problem())
+        with pytest.raises(ValueError, match="positive"):
+            engine.evaluate(np.array([0.8, bad, 1.0, 0.9]))
 
 
 def _scan_single_width(problem, grid):

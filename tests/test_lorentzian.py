@@ -153,6 +153,46 @@ def test_lorentzian1d_build():
     np.testing.assert_array_equal(lf.values, lf_state(4, 0.9, 3))
 
 
+PARITY_WIDTHS = (1e-3, 0.05, 0.6, 7.9, 50.0)
+
+
+def _mp_profile(n, a, mp):
+    """The defining formula term by term in extended precision, unit-normalized."""
+    N = 2 ** n
+    a = mp.mpf(a)
+    raw = [(1 - mp.exp(-2 * a)) * (1 - (-1) ** k * mp.exp(-a * N / 2))
+           / (1 - 2 * mp.exp(-a) * mp.cos(2 * mp.pi * k / N) + mp.exp(-2 * a))
+           for k in range(N)]
+    norm = mp.sqrt(mp.fsum(r * r for r in raw))
+    return [r / norm for r in raw]
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 10])
+def test_state_matrices_match_closed_form_and_central_difference(n):
+    # every width x center pair in one direction, built by the vectorized path
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    N = 2 ** n
+    centers = sorted({0, N // 2, N - 1})
+    pairs = [(a, k) for a in PARITY_WIDTHS for k in centers]
+    spec = _spec(n=n, widths=([a for a, _ in pairs], (1.0,), (2.0,)),
+                 centers=([k for _, k in pairs], (0,), (0,)))
+    V = spec.state_matrix("x")
+    dV = spec.state_da_matrix("x")
+    for a in PARITY_WIDTHS:
+        with mpmath.workdps(60):
+            h = mp.mpf("1e-20")
+            ref = np.array(_mp_profile(n, a, mp), dtype=float)
+            plus = _mp_profile(n, a + h, mp)
+            minus = _mp_profile(n, a - h, mp)
+            fd = np.array([(p - m) / (2 * h) for p, m in zip(plus, minus)], dtype=float)
+        scale = float(np.max(np.abs(fd)))
+        for row in [i for i, (a_row, _) in enumerate(pairs) if a_row == a]:
+            k_c = pairs[row][1]
+            np.testing.assert_allclose(V[row], np.roll(ref, k_c), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(dV[row], np.roll(fd, k_c), rtol=0, atol=1e-12 * scale)
+
+
 def _spec(n=4, widths=((0.5, 1.5), (1.0,), (2.0,)), centers=((3, 9), (8,), (8,))):
     return LorentzianBasisSpec(
         n=n,
