@@ -11,7 +11,6 @@ matching amplitude-encoding circuits.
 from .exceptions import ConditioningError, DegenerateInputError, ResourceLimitError
 from .lorentzian import (
     AXES,
-    Lorentzian1D,
     LorentzianBasisSpec,
     boundary_mass,
     lf_profile,
@@ -36,11 +35,9 @@ from .fitting import (
     FitProblem,
     OptimizeDiagnostics,
     OptimizeOptions,
-    TTensor,
     TuckerState,
     box_centers,
     fidelity_gradient,
-    m_integral,
     optimize_widths,
     overlap_3d,
     penalty,
@@ -85,14 +82,12 @@ __all__ = [
     "DegenerateInputError",
     "FitProblem",
     "GridState",
-    "Lorentzian1D",
     "LorentzianBasisSpec",
     "MolecularOrbital",
     "OptimizeDiagnostics",
     "OptimizeOptions",
     "ResourceLimitError",
     "SimulationCell",
-    "TTensor",
     "TuckerState",
     "ancilla_counts",
     "ao_self_overlap",
@@ -111,7 +106,6 @@ __all__ = [
     "lf_profile_da",
     "lf_state",
     "lf_state_da",
-    "m_integral",
     "normalize_factors",
     "optimize_widths",
     "overlap_1d",

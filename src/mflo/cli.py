@@ -339,12 +339,14 @@ def _fit_options(job: dict, seed: int | None) -> OptimizeOptions:
     return OptimizeOptions(**cfg)
 
 
-def _cpd_options(job: dict, seed: int | None, threads: int) -> CpdOptions:
+def _cpd_options(job: dict, seed: int | None, n_restarts: int | None = None) -> CpdOptions:
     cfg = dict(job.get("cpd", {}))
     cfg.pop("ranks", None)
+    if n_restarts is not None:
+        cfg["n_restarts"] = int(n_restarts)
     if seed is not None:
         cfg["seed"] = int(seed)
-    return CpdOptions(threads=max(1, threads), **cfg)
+    return CpdOptions(**cfg)
 
 
 def _spec_payload(spec: LorentzianBasisSpec) -> dict:
@@ -382,7 +384,7 @@ def _identity_residuals(problem: FitProblem, tucker: TuckerState) -> dict:
     spec = tucker.spec
     d = tucker.core
     S = overlap_3d(spec)
-    t = t_tensor(problem.with_spec(spec)).values
+    t = t_tensor(problem.with_spec(spec))
     quad = float(d.ravel() @ (S @ d.ravel()))
     f = float(np.sum(t * d))
     res = {
@@ -414,7 +416,7 @@ def _canonical_entry(tucker: TuckerState, rank: int, options: CpdOptions, n_qe: 
     }
 
 
-def run_fit(job_path, out_path=None, seed=None, max_qubits=None, threads=1) -> tuple[dict, Path]:
+def run_fit(job_path, out_path=None, seed=None, max_qubits=None) -> tuple[dict, Path]:
     """Full pipeline for one job file; returns (report dict, report path)."""
     job = load_job(job_path)
     cell = _job_cell(job)
@@ -422,7 +424,7 @@ def run_fit(job_path, out_path=None, seed=None, max_qubits=None, threads=1) -> t
     spec = _job_spec(job, cell)
     guard = DEFAULT_MAX_QUBITS if max_qubits is None else int(max_qubits)
     opt = _fit_options(job, seed)
-    cpd_opt = _cpd_options(job, seed, threads)
+    cpd_opt = _cpd_options(job, seed)
     ranks = job.get("cpd", {}).get("ranks", [])
     outputs = job.get("outputs", {})
 
@@ -510,11 +512,8 @@ def _write_report(report: dict, path: Path) -> None:
 
 def _write_history_csvs(report: dict, report_path: Path) -> None:
     for name, entry in report["mos"].items():
-        rows = ["iteration,fidelity"]
-        history = entry["diagnostics"].get("fidelity_history")
-        if history is None:
-            continue
-        rows += [f"{i},{float(v)!r}" for i, v in enumerate(history)]
+        history = entry["diagnostics"]["fidelity_history"]
+        rows = ["iteration,fidelity"] + [f"{i},{float(v)!r}" for i, v in enumerate(history)]
         Path(report_path).with_suffix(f".{name}.history.csv").write_text("\n".join(rows) + "\n")
 
 
@@ -604,19 +603,13 @@ def read_state_export(path) -> tuple[np.ndarray, dict]:
 
 
 def run_decompose(report_path, ranks, mo_names=None, out_path=None, seed=None,
-                  n_restarts=None, threads=1) -> tuple[dict, Path]:
+                  n_restarts=None) -> tuple[dict, Path]:
     """Re-run the rank sweep on an existing report, updating it in place."""
     report_path = Path(report_path)
     report = json.loads(report_path.read_text())
     job = report["job"]
     n_qe = job["cell"]["n_qe"]
-    cfg = dict(job.get("cpd", {}))
-    cfg.pop("ranks", None)
-    if n_restarts is not None:
-        cfg["n_restarts"] = int(n_restarts)
-    if seed is not None:
-        cfg["seed"] = int(seed)
-    options = CpdOptions(threads=max(1, threads), **cfg)
+    options = _cpd_options(job, seed, n_restarts)
     names = list(report["mos"]) if not mo_names else list(mo_names)
     for name in names:
         if name not in report["mos"]:
@@ -674,7 +667,6 @@ _PROB_CASES = (
 def _check_profile_invariants() -> str:
     worst = 0.0
     for n in (3, 5):
-        N = 1 << n
         for a in (0.1, 0.5, 1.0, 2.0, 5.0):
             vals, _ = lf_profile(n, a)
             worst = max(worst, abs(float(vals @ vals) - 1.0))
@@ -682,8 +674,8 @@ def _check_profile_invariants() -> str:
                 raise AssertionError(f"non-positive profile entry at n={n}, a={a}")
             sym = vals[1:] - vals[1:][::-1]
             worst = max(worst, float(np.max(np.abs(sym))))
-            shifted = np.roll(np.roll(lf_state(n, a, 0), 5), N - 5)
-            worst = max(worst, float(np.max(np.abs(shifted - vals))))
+            shifted = lf_state(n, a, 5)
+            worst = max(worst, float(np.max(np.abs(shifted - np.roll(vals, 5)))))
     if worst > 1e-12:
         raise AssertionError(f"profile invariant residual {worst:.3e}")
     return f"worst residual {worst:.1e}"
@@ -855,7 +847,7 @@ def _check_export_roundtrip(report: dict, tmp: Path, max_qubits: int) -> str:
     return f"formats agree, norm residual {norm_err:.1e}"
 
 
-def run_verify(job_path, seed=None, max_qubits=None, threads=1, stream=None) -> int:
+def run_verify(job_path, seed=None, max_qubits=None, stream=None) -> int:
     """Invariant battery; prints a per-check table, returns an exit code."""
     stream = stream or sys.stdout
     guard = DEFAULT_MAX_QUBITS if max_qubits is None else int(max_qubits)
@@ -882,7 +874,7 @@ def run_verify(job_path, seed=None, max_qubits=None, threads=1, stream=None) -> 
         def pipeline():
             nonlocal report
             report, _ = run_fit(job_path, out_path=tmp / "run1.json", seed=seed,
-                                max_qubits=guard, threads=threads)
+                                max_qubits=guard)
             return _check_pipeline(report)
 
         run("pipeline-identities", pipeline)
@@ -892,8 +884,7 @@ def run_verify(job_path, seed=None, max_qubits=None, threads=1, stream=None) -> 
             run("export-roundtrip", lambda: _check_export_roundtrip(report, tmp, guard))
 
             def determinism():
-                run_fit(job_path, out_path=tmp / "run2.json", seed=seed,
-                        max_qubits=guard, threads=threads)
+                run_fit(job_path, out_path=tmp / "run2.json", seed=seed, max_qubits=guard)
                 if (tmp / "run1.json").read_bytes() != (tmp / "run2.json").read_bytes():
                     raise AssertionError("repeated runs differ")
                 return "repeated runs byte-identical"
@@ -942,7 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", default=None, help="report path (default from the job file)")
     fit.add_argument("--seed", type=int, default=None, help="override the job seeds")
     fit.add_argument("--max-qubits", type=int, default=None)
-    fit.add_argument("--threads", type=int, default=1)
 
     dec = sub.add_parser("decompose", help="re-run the CP rank sweep on an existing report")
     dec.add_argument("--report", required=True)
@@ -951,7 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--out", default=None, help="write here instead of updating in place")
     dec.add_argument("--seed", type=int, default=None)
     dec.add_argument("--restarts", type=int, default=None)
-    dec.add_argument("--threads", type=int, default=1)
 
     gc = sub.add_parser("gate-count", help="ancilla/CNOT calculator for a basis layout")
     gc.add_argument("--job", default=None, help="take the layout from a job file")
@@ -981,13 +970,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--job", required=True)
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--max-qubits", type=int, default=None)
-    ver.add_argument("--threads", type=int, default=1)
     return parser
 
 
 def _cmd_fit(args) -> int:
     report, path = run_fit(args.job, out_path=args.out, seed=args.seed,
-                           max_qubits=args.max_qubits, threads=args.threads)
+                           max_qubits=args.max_qubits)
     for name, entry in sorted(report["mos"].items()):
         flags = ",".join(entry["diagnostics"]["flags"]) or "-"
         print(f"{name}: squared_overlap={entry['squared_overlap']:.6f} "
@@ -999,7 +987,7 @@ def _cmd_fit(args) -> int:
 def _cmd_decompose(args) -> int:
     report, path = run_decompose(args.report, args.ranks, mo_names=args.mo,
                                  out_path=args.out, seed=args.seed,
-                                 n_restarts=args.restarts, threads=args.threads)
+                                 n_restarts=args.restarts)
     for name in sorted(report["mos"]):
         for key in sorted(report["mos"][name]["canonical"], key=int):
             entry = report["mos"][name]["canonical"][key]
@@ -1053,8 +1041,7 @@ def _cmd_two_center(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    return run_verify(args.job, seed=args.seed, max_qubits=args.max_qubits,
-                      threads=args.threads)
+    return run_verify(args.job, seed=args.seed, max_qubits=args.max_qubits)
 
 
 _HANDLERS = {

@@ -8,21 +8,23 @@ then rescaled in the LF overlap metric, N_r^(v) = sqrt(v_r . S^(v) v_r), so
 each row u_r = v_r / N_r describes a normalized single-direction state and
 lambda_r = N_r^x N_r^y N_r^z collects the canonical coefficients.
 
-The canonical-form state is the resulting sum itself and is deliberately not
-renormalized; its squared norm enters the post-selection success probability.
+The per-direction S^(v) are the spec's cached ``overlaps``; normalization,
+the overlap with the Tucker state and the deviation all read them, and
+``decompose_core`` stores the canonical squared norm so that the success
+probability needs no second contraction.  The canonical-form state is the
+resulting sum itself and is deliberately not renormalized; its squared norm
+enters the post-selection success probability.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fitting import TuckerState, mode_product
-from .lorentzian import LorentzianBasisSpec, overlap_1d
+from .lorentzian import LorentzianBasisSpec
 
 __all__ = [
     "CanonicalState",
@@ -36,15 +38,14 @@ __all__ = [
 ]
 
 RIDGE_SCALE = 1e-12
+ALS_TOL = 1e-12  # stop when the relative fit change drops below this
 
 
 @dataclass(frozen=True)
 class CpdOptions:
     n_restarts: int = 8
     max_sweeps: int = 500
-    tol: float = 1e-12       # stop when the relative fit change drops below this
     seed: int = 0            # single seed governs every restart
-    threads: int = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +117,11 @@ def _solve_mode(gram: np.ndarray, rhs: np.ndarray, flags: set[str]) -> np.ndarra
     return np.linalg.solve(gram, rhs)
 
 
-def _als_run(d: np.ndarray, factors: list[np.ndarray], max_sweeps: int, tol: float):
+def _als_run(d: np.ndarray, factors: list[np.ndarray], max_sweeps: int):
     norm_d = float(np.linalg.norm(d))
     flags: set[str] = set()
     err = float(np.linalg.norm(d - _reconstruct(factors))) / norm_d
-    if err <= tol:
+    if err <= ALS_TOL:
         # the init already solves the problem (e.g. the entrywise exact
         # R = n_prod start); sweeping would only add ridge noise
         return factors, err, flags
@@ -138,7 +139,7 @@ def _als_run(d: np.ndarray, factors: list[np.ndarray], max_sweeps: int, tol: flo
             rhs = np.einsum(spec_rhs[0], d, spec_rhs[1], spec_rhs[2])
             factors[mode] = _solve_mode(gram, rhs, flags)
         err = float(np.linalg.norm(d - _reconstruct(factors))) / norm_d
-        if err_prev is not None and abs(err_prev - err) < tol:
+        if abs(err_prev - err) < ALS_TOL:
             break
         err_prev = err
     return factors, err, flags
@@ -160,22 +161,16 @@ def cp_decompose(d, R: int, options: CpdOptions | None = None) -> CpResult:
     if float(np.linalg.norm(d)) == 0.0:
         raise ValueError("cannot decompose an all-zero core tensor")
 
-    seeds = np.random.SeedSequence(opt.seed).spawn(max(1, opt.n_restarts))
-
-    def one_restart(r: int):
+    n_runs = max(1, opt.n_restarts)
+    seeds = np.random.SeedSequence(opt.seed).spawn(n_runs)
+    runs = []
+    for r in range(n_runs):
         rng = np.random.default_rng(seeds[r])
         if r == 0:
             init = _exact_init(d) if R == d.size else _svd_init(d, R, rng)
         else:
             init = [rng.standard_normal((R, dim)) for dim in d.shape]
-        return _als_run(d, init, opt.max_sweeps, opt.tol)
-
-    n_runs = max(1, opt.n_restarts)
-    if opt.threads > 1 and n_runs > 1:
-        with ThreadPoolExecutor(max_workers=opt.threads) as pool:
-            runs = list(pool.map(one_restart, range(n_runs)))
-    else:
-        runs = [one_restart(r) for r in range(n_runs)]
+        runs.append(_als_run(d, init, opt.max_sweeps))
 
     errors = tuple(run[1] for run in runs)
     best = min(range(n_runs), key=lambda r: (errors[r], r))
@@ -184,14 +179,13 @@ def cp_decompose(d, R: int, options: CpdOptions | None = None) -> CpResult:
                     restart_errors=errors, flags=tuple(sorted(flags)))
 
 
-def normalize_factors(v, spec: LorentzianBasisSpec, S1=None):
+def normalize_factors(v, spec: LorentzianBasisSpec):
     """Metric-normalize factor rows and collect canonical coefficients.
 
-    Returns (u, lambdas) with u_r . S^(v) u_r = 1 per direction, lambdas
-    positive and sorted descending, and the reconstruction unchanged.  Rows
-    whose metric norm vanishes are dropped (the effective rank shrinks),
-    with a warning.  ``S1`` holds the spec's three ``overlap_1d`` matrices
-    when the caller has them already.
+    Returns (u, lambdas) with u_r . S^(v) u_r = 1 per direction in the
+    spec's ``overlaps``, lambdas positive and sorted descending, and the
+    reconstruction unchanged.  Rows whose metric norm vanishes are dropped
+    (the effective rank shrinks), with a warning.
     """
     v = [np.asarray(m, dtype=np.float64) for m in v]
     if len(v) != 3 or any(m.ndim != 2 for m in v):
@@ -202,12 +196,10 @@ def normalize_factors(v, spec: LorentzianBasisSpec, S1=None):
     if tuple(m.shape[1] for m in v) != spec.n_l:
         raise ValueError(
             f"factor columns {tuple(m.shape[1] for m in v)} do not match spec {spec.n_l}")
-    if S1 is None:
-        S1 = [overlap_1d(spec, axis) for axis in range(3)]
 
     norms = np.empty((3, R))
     for axis in range(3):
-        quad = np.einsum("rl,lm,rm->r", v[axis], S1[axis], v[axis])
+        quad = np.einsum("rl,lm,rm->r", v[axis], spec.overlaps[axis], v[axis])
         norms[axis] = np.sqrt(np.maximum(quad, 0.0))
     alive = np.all(norms > 1e-14, axis=0)
     if not np.all(alive):
@@ -235,12 +227,11 @@ def tucker_canon_overlap(tucker: TuckerState, canon: CanonicalState):
     """Metric overlap between the Tucker state and its canonical approximant.
 
     Returns (overlap, canon_norm2, deviation), all computed in coefficient
-    space with the shared per-direction overlap matrices.
+    space with the spec's per-direction overlap matrices.
     """
     if canon.spec is not tucker.spec and not canon.spec.same_layout(tucker.spec):
         raise ValueError("Tucker and canonical states use different LF specs")
-    S1 = [overlap_1d(tucker.spec, axis) for axis in range(3)]
-    return _overlap_terms(S1, tucker.core, canon.lambdas, canon.u)
+    return _overlap_terms(tucker.spec.overlaps, tucker.core, canon.lambdas, canon.u)
 
 
 def _overlap_terms(S1, core, lambdas, u):
@@ -258,9 +249,8 @@ def _overlap_terms(S1, core, lambdas, u):
 def decompose_core(tucker: TuckerState, R: int, options: CpdOptions | None = None) -> CanonicalState:
     """cp_decompose + normalize_factors + deviation, bundled."""
     result = cp_decompose(tucker.core, R, options)
-    S1 = [overlap_1d(tucker.spec, axis) for axis in range(3)]
-    u, lam = normalize_factors(result.v, tucker.spec, S1)
-    _, canon_norm2, deviation = _overlap_terms(S1, tucker.core, lam, u)
+    u, lam = normalize_factors(result.v, tucker.spec)
+    _, canon_norm2, deviation = _overlap_terms(tucker.spec.overlaps, tucker.core, lam, u)
     flags = list(result.flags)
     if lam.size < R:
         flags.append("rank-reduced")

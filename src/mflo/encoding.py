@@ -26,7 +26,7 @@ import numpy as np
 
 from .cpd import CanonicalState
 from .fitting import TuckerState, mode_product
-from .lorentzian import LorentzianBasisSpec, lf_state, overlap_1d
+from .lorentzian import LorentzianBasisSpec, lf_state
 
 __all__ = [
     "CircuitCostReport",
@@ -148,8 +148,7 @@ def success_prob_tucker(tucker: TuckerState) -> float:
     """All-zero post-selection probability of the Tucker-form encoding."""
     spec = tucker.spec
     d = tucker.core
-    S1 = [overlap_1d(spec, v) for v in range(3)]
-    d_s = mode_product(d, S1)
+    d_s = mode_product(d, spec.overlaps)
     s_quad = float(np.sum(d_s * d))
     return s_quad / (spec.n_prod * float(np.sum(d * d)))
 
@@ -161,18 +160,14 @@ def success_prob_canonical(canon: CanonicalState) -> float:
     factor by its Euclidean norm, so the effective coefficients are
     lambda~_r = lambda_r prod_v |u_r^(v)|_2 and
 
-        P = |phi_canon|^2 / (R n_prod sum_r lambda~_r^2).
+        P = |phi_canon|^2 / (R n_prod sum_r lambda~_r^2),
+
+    with |phi_canon|^2 the ``canon_norm2`` that ``decompose_core`` stored.
     """
-    spec = canon.spec
-    u = canon.u
     lam_t = canon.lambdas.copy()
     for axis in range(3):
-        lam_t = lam_t * np.linalg.norm(u[axis], axis=1)
-    S1 = [overlap_1d(spec, v) for v in range(3)]
-    e = np.einsum("r,ra,rb,rc->abc", canon.lambdas, u[0], u[1], u[2])
-    e_s = mode_product(e, S1)
-    canon_norm2 = float(np.sum(e_s * e))
-    return canon_norm2 / (canon.R * spec.n_prod * float(np.sum(lam_t * lam_t)))
+        lam_t = lam_t * np.linalg.norm(canon.u[axis], axis=1)
+    return canon.canon_norm2 / (canon.R * canon.spec.n_prod * float(np.sum(lam_t * lam_t)))
 
 
 def lcu_postselect_oracle(branches, metric: np.ndarray | None = None) -> float:

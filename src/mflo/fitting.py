@@ -23,7 +23,6 @@ provided only for oracles and exports.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -36,19 +35,16 @@ from .lorentzian import (
     AXES,
     AxisProfiles,
     LorentzianBasisSpec,
-    _axis_index,
+    _symmetric_gram,
     boundary_mass,
-    lf_state,
     overlap_1d,
 )
 
 __all__ = [
-    "TTensor",
     "FitProblem",
     "TuckerState",
     "OptimizeOptions",
     "OptimizeDiagnostics",
-    "m_integral",
     "t_tensor",
     "overlap_3d",
     "penalty",
@@ -62,29 +58,10 @@ __all__ = [
 
 EIG_CUTOFF = 1e-10  # relative eigenvalue cutoff of canonical orthogonalization
 WIDTH_BOUNDS = (1e-3, 50.0)
-
-
-def _digest(*arrays) -> str:
-    h = hashlib.sha1()
-    for arr in arrays:
-        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-    return h.hexdigest()[:12]
-
-
-@dataclass(frozen=True, eq=False)
-class TTensor:
-    """Overlaps between the ideal state and each 3D LF product basis."""
-
-    values: np.ndarray  # (n_Lx, n_Ly, n_Lz)
-    provenance: tuple[str, str, str]  # (MO id, cell id, spec hash)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 3:
-            raise ValueError(f"T tensor must be 3-way, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("T tensor entries must be finite")
-        object.__setattr__(self, "values", vals)
+# backtracking line search of the width ascent
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +73,6 @@ class FitProblem:
     spec: LorentzianBasisSpec
     alpha_pen: float
     norm_factor: float
-    ideal: _basis.GridState | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha_pen < 0.0 or not math.isfinite(self.alpha_pen):
@@ -113,28 +89,14 @@ class FitProblem:
         spec: LorentzianBasisSpec,
         alpha_pen: float = 0.0,
         max_qubits: int = _basis.DEFAULT_MAX_QUBITS,
-        keep_ideal: bool = False,
     ) -> "FitProblem":
-        state, norm_factor = build_ideal_state(mo, cell, max_qubits=max_qubits)
+        _, norm_factor = build_ideal_state(mo, cell, max_qubits=max_qubits)
         return cls(mo=mo, cell=cell, spec=spec, alpha_pen=float(alpha_pen),
-                   norm_factor=norm_factor, ideal=state if keep_ideal else None)
+                   norm_factor=norm_factor)
 
     def with_spec(self, spec: LorentzianBasisSpec) -> "FitProblem":
         return FitProblem(mo=self.mo, cell=self.cell, spec=spec,
-                          alpha_pen=self.alpha_pen, norm_factor=self.norm_factor,
-                          ideal=self.ideal)
-
-    def provenance(self, spec: LorentzianBasisSpec | None = None) -> tuple[str, str, str]:
-        spec = spec or self.spec
-        mo_id = _digest(self.mo.coefficients,
-                        *[np.concatenate([ao.exponents, ao.coefficients,
-                                          np.asarray(ao.powers, dtype=float), ao.center])
-                          for ao in self.mo.ao_list])
-        cell_id = _digest(self.cell.origin, self.cell.edge_lengths,
-                          np.asarray([self.cell.n_qe], dtype=float))
-        spec_id = _digest(np.asarray([spec.n], dtype=float),
-                          *spec.widths, *[c.astype(float) for c in spec.centers])
-        return (mo_id, cell_id, spec_id)
+                          alpha_pen=self.alpha_pen, norm_factor=self.norm_factor)
 
 
 @dataclass(frozen=True)
@@ -159,19 +121,6 @@ class TuckerState:
     penalty: float            # P at the optimized widths
     kappa_max: float          # top generalized eigenvalue, = F + P
     diagnostics: OptimizeDiagnostics | None = field(default=None, compare=False)
-
-
-def m_integral(ao, axis, s: int, a: float, k_c: int, cell: SimulationCell) -> float:
-    """One-axis overlap column: (L_v/sqrt(N)) sum_k h(k dx - tau~) L_{k-k_c}.
-
-    Carries units of length^(m+1) through the h samples and the L_v/sqrt(N)
-    prefactor.
-    """
-    v = _axis_index(axis)
-    h = sample_ao_1d(ao, v, s, cell)
-    lf = lf_state(cell.n_qe, a, k_c)
-    pref = cell.edge_lengths[v] / math.sqrt(cell.N_qe)
-    return pref * float(h @ lf)
 
 
 class _Engine:
@@ -243,10 +192,7 @@ class _Engine:
         parts = self._split_widths(widths)
         prof = [AxisProfiles(self.layouts[v], parts[v]) for v in range(3)]
         V = [p.states() for p in prof]
-        S1 = []
-        for v in range(3):
-            s = V[v] @ V[v].T
-            S1.append(0.5 * (s + s.T))
+        S1 = [_symmetric_gram(states) for states in V]
         M = [self.col_pref[v] * (V[v] @ self.h[v].T) for v in range(3)]
         # T[x, y, z] = pref sum_p w_p M_x[x, p] M_y[y, p] M_z[z, p], through
         # the Khatri-Rao product of the x and y tables, rows (x, y)
@@ -383,11 +329,11 @@ def _solve_core_factored(T: np.ndarray, S1, alpha: float):
     return d, kappa, pen, False, discarded
 
 
-def t_tensor(problem: FitProblem) -> TTensor:
-    """Assemble the T tensor for the problem's current spec."""
+def t_tensor(problem: FitProblem) -> np.ndarray:
+    """Overlaps between the ideal state and each 3D LF product basis, (n_Lx, n_Ly, n_Lz)."""
     engine = _Engine(problem)
     *_, T = engine.assemble(problem.spec.widths_flat())
-    return TTensor(values=T, provenance=problem.provenance())
+    return T
 
 
 def overlap_3d(spec: LorentzianBasisSpec) -> np.ndarray:
@@ -400,8 +346,7 @@ def penalty(spec: LorentzianBasisSpec, alpha_pen: float) -> float:
     """Orthonormality penalty (alpha/n_prod) Tr((S - I)^2)."""
     if alpha_pen < 0.0:
         raise ValueError(f"penalty strength must be >= 0, got {alpha_pen}")
-    S1 = [overlap_1d(spec, v) for v in range(3)]
-    return _penalty_from_s1(S1, alpha_pen, spec.n_prod)
+    return _penalty_from_s1(spec.overlaps, alpha_pen, spec.n_prod)
 
 
 def solve_core(T, S: np.ndarray, alpha_pen: float = 0.0):
@@ -411,7 +356,7 @@ def solve_core(T, S: np.ndarray, alpha_pen: float = 0.0):
     and F = kappa_max - P.  Eigenpairs of S below EIG_CUTOFF relative to the
     largest are discarded (canonical orthogonalization).
     """
-    values = T.values if isinstance(T, TTensor) else np.asarray(T, dtype=np.float64)
+    values = np.asarray(T, dtype=np.float64)
     t = values.ravel()
     n_prod = t.size
     S = np.asarray(S, dtype=np.float64)
@@ -460,17 +405,13 @@ class OptimizeOptions:
     max_iter: int = 2000
     grad_tol: float = 1e-7
     f_tol: float = 1e-12
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
-    width_bounds: tuple[float, float] = WIDTH_BOUNDS
     restarts: int = 1
     restart_jitter: float = 0.25
     seed: int = 0
 
 
 def _ascend(engine: _Engine, a0: np.ndarray, opt: OptimizeOptions):
-    lo, hi = opt.width_bounds
+    lo, hi = WIDTH_BOUNDS
     a = np.clip(a0, lo, hi)
     ev = engine.evaluate(a)
     history = [ev.fidelity]
@@ -489,16 +430,16 @@ def _ascend(engine: _Engine, a0: np.ndarray, opt: OptimizeOptions):
             break
         step = min(1.0, 2.0 * step)
         accepted = None
-        for _ in range(opt.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             a_new = np.clip(a + step * g, lo, hi)
             move = a_new - a
             if not np.any(move):
                 break
             trial = engine.evaluate(a_new)
-            if trial.fidelity >= ev.fidelity + opt.armijo_c * float(g @ move):
+            if trial.fidelity >= ev.fidelity + ARMIJO_C * float(g @ move):
                 accepted = (a_new, trial)
                 break
-            step *= opt.backtrack_factor
+            step *= BACKTRACK_FACTOR
         if accepted is None:
             flags.append("line-search-stalled")
             break

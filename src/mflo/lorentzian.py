@@ -39,7 +39,6 @@ import numpy as np
 __all__ = [
     "AxisLayout",
     "AxisProfiles",
-    "Lorentzian1D",
     "LorentzianBasisSpec",
     "lf_profile",
     "lf_state",
@@ -177,21 +176,10 @@ def lf_state_da(n: int, a: float, k_c: int) -> np.ndarray:
     return _single(n, a, k_c).states_da()[0]
 
 
-@dataclass(frozen=True, eq=False)
-class Lorentzian1D:
-    """One shifted, normalized discrete Lorentzian basis function."""
-
-    n: int
-    a: float
-    k_c: int
-    values: np.ndarray
-    norm_const: float
-
-    @classmethod
-    def build(cls, n: int, a: float, k_c: int) -> "Lorentzian1D":
-        lf = _single(n, a, k_c)
-        return cls(n=n, a=float(a), k_c=int(k_c), values=lf.states()[0],
-                   norm_const=math.sqrt(1 << n) / float(lf.norm[0, 0]))
+def _symmetric_gram(states: np.ndarray) -> np.ndarray:
+    """Overlap matrix of the rows of ``states``, symmetrized against rounding."""
+    s = states @ states.T
+    return 0.5 * (s + s.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,6 +245,21 @@ class LorentzianBasisSpec:
         """Shift tables of the three directions, built on first use."""
         return tuple(AxisLayout(self.n, c) for c in self.centers)
 
+    @cached_property
+    def overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three 1D overlap matrices S^(v), built on first use.
+
+        The penalty, the dense ``overlap_3d``, the CP normalization and
+        deviation and both success probabilities read these; the width
+        optimizer builds its per-trial matrices with the same helper.  They
+        are read-only, and the spec and its arrays are frozen, so the cache
+        cannot go stale.
+        """
+        out = tuple(_symmetric_gram(self.state_matrix(v)) for v in range(3))
+        for s in out:
+            s.setflags(write=False)
+        return out
+
     def _profiles(self, axis) -> AxisProfiles:
         v = _axis_index(axis)
         return AxisProfiles(self.layouts[v], self.widths[v])
@@ -294,10 +297,8 @@ class LorentzianBasisSpec:
 
 
 def overlap_1d(spec: LorentzianBasisSpec, axis) -> np.ndarray:
-    """1D overlap matrix S^(v) between the shifted LFs of one direction."""
-    states = spec.state_matrix(axis)
-    s = states @ states.T
-    return 0.5 * (s + s.T)
+    """1D overlap matrix S^(v) between the shifted LFs of one direction (read-only)."""
+    return spec.overlaps[_axis_index(axis)]
 
 
 def boundary_mass(spec: LorentzianBasisSpec, axis, margin: int = 3) -> np.ndarray:

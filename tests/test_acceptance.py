@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mflo.basis import MolecularOrbital, SimulationCell, gaussian_ao
+from mflo.basis import MolecularOrbital, SimulationCell, build_ideal_state, gaussian_ao
 from mflo.cli import run_fit
 from mflo.cpd import CpdOptions, decompose_core
 from mflo.encoding import (
@@ -72,7 +72,7 @@ def _synthetic_two_gaussian_fit():
     ao2 = gaussian_ao([0.6], [1.0], (0, 0, 0), [5.0, 4.2, 4.0])
     mo = MolecularOrbital(ao_list=(ao1, ao2), coefficients=[0.8, 0.6])
     spec = _spec(5, ((0.7, 0.7), (0.7, 0.7), (0.7,)), ((12, 20), (16, 17), (16,)))
-    problem = FitProblem.build(mo, _cube(5), spec, alpha_pen=0.1, keep_ideal=True)
+    problem = FitProblem.build(mo, _cube(5), spec, alpha_pen=0.1)
     start = time.perf_counter()
     fit = optimize_widths(problem)
     return problem, fit, time.perf_counter() - start
@@ -124,12 +124,13 @@ def test_criterion_4_fidelity_machinery_oracle():
     with criterion(4, "coefficient-space overlap matches the statevector route"):
         problem, fit, elapsed = _synthetic_two_gaussian_fit()
         spec = fit.spec
-        T = t_tensor(problem.with_spec(spec)).values
+        T = t_tensor(problem.with_spec(spec))
         S = overlap_3d(spec)
         d = fit.core.ravel()
 
         f_coeff = float(np.sum(T.ravel() * d))
-        f_state = float(problem.ideal.amplitudes @ tucker_statevector(spec, fit.core))
+        ideal, _ = build_ideal_state(problem.mo, problem.cell)
+        f_state = float(ideal.amplitudes @ tucker_statevector(spec, fit.core))
         assert abs(f_coeff - f_state) <= 1e-8
 
         assert abs(float(d @ S @ d) - 1.0) <= 1e-10

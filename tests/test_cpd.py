@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mflo import lorentzian
 from mflo.cpd import (
     CpdOptions,
     canonical_statevector,
@@ -11,6 +12,7 @@ from mflo.cpd import (
     normalize_factors,
     tucker_canon_overlap,
 )
+from mflo.encoding import success_prob_canonical, success_prob_tucker
 from mflo.fitting import TuckerState, overlap_3d, tucker_statevector
 from mflo.lorentzian import LorentzianBasisSpec, overlap_1d
 
@@ -102,14 +104,6 @@ class TestCpDecompose:
         assert a.rec_error == b.rec_error
         for ma, mb in zip(a.v, b.v):
             np.testing.assert_array_equal(ma, mb)
-
-    def test_threaded_matches_serial(self):
-        rng = np.random.default_rng(11)
-        d = rng.normal(size=(3, 3, 3))
-        serial = cp_decompose(d, 2, CpdOptions(n_restarts=4, seed=2, threads=1))
-        pooled = cp_decompose(d, 2, CpdOptions(n_restarts=4, seed=2, threads=4))
-        assert serial.rec_error == pooled.rec_error
-        assert serial.restart_errors == pooled.restart_errors
 
     def test_over_ranked_target_flags_ridge(self):
         rng = np.random.default_rng(0)
@@ -234,6 +228,26 @@ class TestDecomposeCore:
         canon = decompose_core(tucker, 1, CpdOptions(n_restarts=1, seed=0))
         with pytest.raises(ValueError, match="spec"):
             tucker_canon_overlap(_tucker(rng.normal(size=(2, 2, 2)), spec_a), canon)
+
+    def test_metric_built_once_per_spec(self, monkeypatch):
+        spec = _spec((2, 2, 2))
+        core = np.random.default_rng(19).normal(size=(2, 2, 2))
+        # built directly: _tucker reads the metric, which would fill the cache
+        tucker = TuckerState(spec=spec, core=core, fidelity=1.0, squared_overlap=1.0,
+                             penalty=0.0, kappa_max=1.0)
+        calls = []
+        states = lorentzian.AxisProfiles.states
+
+        def counting(self):
+            calls.append(self.layout)
+            return states(self)
+
+        monkeypatch.setattr(lorentzian.AxisProfiles, "states", counting)
+        canon = decompose_core(tucker, 2, CpdOptions(n_restarts=2, seed=0))
+        success_prob_tucker(tucker)
+        success_prob_canonical(canon)
+        assert len(calls) == 3
+        assert {id(layout) for layout in calls} == {id(layout) for layout in spec.layouts}
 
 
 def test_canonical_statevector_is_sum_of_separable_states():

@@ -5,18 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from mflo.basis import MolecularOrbital, SimulationCell, gaussian_ao
+from mflo.basis import MolecularOrbital, SimulationCell, build_ideal_state, gaussian_ao
 from mflo.exceptions import ConditioningError
 from mflo.fitting import (
     EIG_CUTOFF,
     _Engine,
     FitProblem,
     OptimizeOptions,
-    TTensor,
     WIDTH_BOUNDS,
     box_centers,
     fidelity_gradient,
-    m_integral,
     optimize_widths,
     overlap_3d,
     penalty,
@@ -40,46 +38,68 @@ def _cube(n_qe=4, edge=8.0):
                           edge_lengths=[edge, edge, edge], n_qe=n_qe)
 
 
-def _problem(alpha=0.0, n_qe=4, keep_ideal=False, spec=None):
+def _problem(alpha=0.0, n_qe=4, spec=None):
     ao = gaussian_ao([0.5], [1.0], (0, 0, 0), [4.2, 3.8, 4.0])
     mo = MolecularOrbital(ao_list=(ao,), coefficients=[1.0])
-    return FitProblem.build(mo, _cube(n_qe), spec or _spec(n=n_qe),
-                            alpha_pen=alpha, keep_ideal=keep_ideal)
+    return FitProblem.build(mo, _cube(n_qe), spec or _spec(n=n_qe), alpha_pen=alpha)
+
+
+def _one_lf_problem(ao, cell, widths, centers):
+    spec = LorentzianBasisSpec(
+        n=cell.n_qe,
+        widths=tuple(np.array([a]) for a in widths),
+        centers=tuple(np.array([k]) for k in centers),
+    )
+    mo = MolecularOrbital(ao_list=(ao,), coefficients=[1.0])
+    return FitProblem.build(mo, cell, spec)
 
 
 @pytest.mark.filterwarnings("ignore:AO squared norm")
 class TestMIntegral:
+    """T with one LF per axis, the product of the three one-axis overlaps."""
+
     def test_matches_explicit_sum(self):
         cell = _cube(n_qe=4)
         ao = gaussian_ao([0.9, 0.3], [0.8, 0.4], (1, 0, 2), [3.1, 4.0, 4.0],
                          renormalize=False)
-        a, k_c = 0.7, 5
-        got = m_integral(ao, "x", 1, a, k_c, cell)
-        lf = lf_state(4, a, k_c)
-        pref = 8.0 / math.sqrt(16)
+        widths, centers = (0.7, 1.1, 0.5), (5, 8, 9)
+        problem = _one_lf_problem(ao, cell, widths, centers)
+        got = t_tensor(problem)
+        assert got.shape == (1, 1, 1)
+        lf = [lf_state(4, a, k_c) for a, k_c in zip(widths, centers)]
         acc = 0.0
-        for k in range(16):
-            xi = k * 0.5 - 3.1
-            acc += (xi * math.exp(-0.3 * xi * xi)) * lf[k]
-        assert got == pytest.approx(pref * acc, rel=1e-13)
+        for kx in range(16):
+            x = kx * 0.5 - 3.1
+            for ky in range(16):
+                y = ky * 0.5 - 4.0
+                for kz in range(16):
+                    z = kz * 0.5 - 4.0
+                    r2 = x * x + y * y + z * z
+                    phi = x * z * z * (0.8 * math.exp(-0.9 * r2) + 0.4 * math.exp(-0.3 * r2))
+                    acc += phi * lf[0][kx] * lf[1][ky] * lf[2][kz]
+        expected = problem.norm_factor * math.sqrt(cell.dV) * acc
+        assert got[0, 0, 0] == pytest.approx(expected, rel=1e-13)
 
     def test_small_width_collapses_to_sample(self):
-        # a tiny width makes the LF a grid delta at its center
+        # tiny widths make each LF a grid delta at its center
         cell = _cube(n_qe=4)
         ao = gaussian_ao([0.5], [1.0], (0, 0, 0), [4.0, 4.0, 4.0])
-        k_c = 6
-        got = m_integral(ao, "y", 0, 1e-8, k_c, cell)
-        xi = k_c * 0.5 - 4.0
-        # residual LF mass off the center point bounds the error near 1e-7
-        assert got == pytest.approx(2.0 * math.exp(-0.5 * xi * xi), rel=1e-5)
+        centers = (6, 9, 7)
+        problem = _one_lf_problem(ao, cell, (1e-8, 1e-8, 1e-8), centers)
+        r2 = sum((k_c * 0.5 - 4.0) ** 2 for k_c in centers)
+        sample = ao.coefficients[0] * math.exp(-0.5 * r2)
+        # residual LF mass off the center points bounds the error near 1e-7
+        assert t_tensor(problem)[0, 0, 0] == pytest.approx(
+            problem.norm_factor * math.sqrt(cell.dV) * sample, rel=1e-5)
 
     def test_odd_moment_cancels_on_symmetric_layout(self):
-        # p-type factor antisymmetric about the LF center: paired grid points
-        # cancel, leaving only far-tail wrap contributions
+        # p-type factor antisymmetric about the x LF center: paired grid
+        # points cancel, leaving only far-tail wrap contributions
         cell = _cube(n_qe=5)
         ao = gaussian_ao([2.0], [1.0], (1, 0, 0), [4.0, 4.0, 4.0],
                          renormalize=False)
-        assert abs(m_integral(ao, "x", 0, 1.0, 16, cell)) < 1e-13
+        problem = _one_lf_problem(ao, cell, (1.0, 1.0, 1.0), (16, 16, 16))
+        assert abs(t_tensor(problem)[0, 0, 0]) < 1e-13
 
     def test_factory_without_renormalize_keeps_coefficients(self):
         ao = gaussian_ao([2.0], [3.0], (0, 0, 0), [0.0, 0.0, 0.0],
@@ -89,11 +109,11 @@ class TestMIntegral:
 
 class TestTTensor:
     def test_matches_statevector_inner_products(self):
-        problem = _problem(keep_ideal=True)
+        problem = _problem()
         T = t_tensor(problem)
         spec = problem.spec
-        assert T.values.shape == spec.n_l
-        psi = problem.ideal.amplitudes
+        assert T.shape == spec.n_l
+        psi = build_ideal_state(problem.mo, problem.cell)[0].amplitudes
         oracle = np.zeros(spec.n_l)
         for a in range(spec.n_l[0]):
             for b in range(spec.n_l[1]):
@@ -101,12 +121,7 @@ class TestTTensor:
                     unit = np.zeros(spec.n_l)
                     unit[a, b, c] = 1.0
                     oracle[a, b, c] = psi @ tucker_statevector(spec, unit)
-        np.testing.assert_allclose(T.values, oracle, rtol=0, atol=1e-12)
-
-    def test_provenance_recorded(self):
-        problem = _problem()
-        T = t_tensor(problem)
-        assert T.provenance == problem.provenance()
+        np.testing.assert_allclose(T, oracle, rtol=0, atol=1e-12)
 
     def test_problem_requires_matching_grid(self):
         with pytest.raises(ValueError, match="n_qe"):
@@ -412,10 +427,10 @@ class TestOptimizeWidths:
             optimize_widths(problem, init_widths=[1.0, -1.0, 1.0, 1.0])
 
     def test_statevector_overlap_matches_report(self):
-        problem = _problem(keep_ideal=True)
+        problem = _problem()
         fit = optimize_widths(problem)
         trial = tucker_statevector(fit.spec, fit.core)
-        f = float(problem.ideal.amplitudes @ trial)
+        f = float(build_ideal_state(problem.mo, problem.cell)[0].amplitudes @ trial)
         assert f * f == pytest.approx(fit.squared_overlap, abs=1e-10)
         assert float(trial @ trial) == pytest.approx(1.0, abs=1e-10)
 

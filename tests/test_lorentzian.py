@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mflo.lorentzian import (
-    Lorentzian1D,
     LorentzianBasisSpec,
     boundary_mass,
     lf_profile,
@@ -147,12 +146,6 @@ def test_state_derivative_is_shifted_derivative():
         lf_state_da(4, 1.2, 5), np.roll(lf_profile_da(4, 1.2), 5))
 
 
-def test_lorentzian1d_build():
-    lf = Lorentzian1D.build(4, 0.9, 3)
-    assert lf.n == 4 and lf.a == 0.9 and lf.k_c == 3
-    np.testing.assert_array_equal(lf.values, lf_state(4, 0.9, 3))
-
-
 PARITY_WIDTHS = (1e-3, 0.05, 0.6, 7.9, 50.0)
 
 
@@ -282,6 +275,21 @@ class TestOverlap1D:
         s1 = _spec(widths=((0.7, 1.3), (1.0,), (1.0,)), centers=((2, 5), (8,), (8,)))
         s2 = _spec(widths=((0.7, 1.3), (1.0,), (1.0,)), centers=((9, 12), (8,), (8,)))
         np.testing.assert_allclose(overlap_1d(s1, 0), overlap_1d(s2, 0), atol=1e-13)
+
+    def test_cached_overlaps_are_symmetrized_gram(self):
+        spec = _spec()
+        for v in range(3):
+            V = spec.state_matrix(v)
+            s = V @ V.T
+            np.testing.assert_array_equal(spec.overlaps[v], 0.5 * (s + s.T))
+            assert overlap_1d(spec, v) is spec.overlaps[v]
+
+    def test_cached_overlaps_read_only(self):
+        spec = _spec()
+        with pytest.raises(ValueError):
+            spec.overlaps[0][0, 0] = 2.0
+        with pytest.raises(ValueError):
+            overlap_1d(spec, "y")[0, 0] = 2.0
 
 
 class TestBoundaryMass:
