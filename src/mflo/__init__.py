@@ -28,6 +28,7 @@ from .basis import (
     ao_self_overlap,
     build_ideal_state,
     gaussian_ao,
+    mo_norm_factor,
     renormalized,
     sample_ao_1d,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "lf_profile_da",
     "lf_state",
     "lf_state_da",
+    "mo_norm_factor",
     "normalize_factors",
     "optimize_widths",
     "overlap_1d",

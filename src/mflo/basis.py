@@ -8,6 +8,14 @@ coefficients.  The ideal target state places sqrt(dV)-weighted samples of the
 MO on the 2^n_qe cubic grid points r_orig + k dx (no half-cell offset) and
 normalizes, recording the dimensionless constant that absorbs discretization
 and truncation error.
+
+Every primitive p = (mu, s) is a product of three one-axis sample vectors
+h_v[p] with weight w_p = c_mu b_{mu s}, so that constant is separable:
+
+    sum_grid phi^2 = sum_pq w_p w_q prod_v (h_v[p] . h_v[q]),
+
+a P x P sum over primitive pairs that never forms the N^3 grid
+(``mo_norm_factor``).  Only ``build_ideal_state`` materializes the grid.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ __all__ = [
     "ao_self_overlap",
     "renormalized",
     "sample_ao_1d",
+    "primitive_tables",
+    "mo_norm_factor",
+    "require_grid",
     "build_ideal_state",
 ]
 
@@ -227,17 +238,45 @@ def sample_ao_1d(ao: ContractedGaussianAO, axis, s: int, cell: SimulationCell) -
     return xi**m * gauss
 
 
-def _mo_grid_values(mo: MolecularOrbital, cell: SimulationCell) -> np.ndarray:
-    """Raw MO values on the grid as a (N, N, N) array (k_z fastest when raveled)."""
-    N = cell.N_qe
-    vals = np.zeros((N, N, N))
+def primitive_tables(mo: MolecularOrbital, cell: SimulationCell):
+    """Primitive weights w_p and per-axis sample tables H_v[p, k].
+
+    Primitives (mu, s) are flattened in AO-major order to one axis p with
+    w_p = c_mu * b_{mu s}, so phi(r_orig + k dx) = sum_p w_p H_x[p, k_x]
+    H_y[p, k_y] H_z[p, k_z].
+    """
+    weights = []
+    tables = [[], [], []]
     for ao, c in zip(mo.ao_list, mo.coefficients):
         for s in range(ao.n_g):
-            hx = sample_ao_1d(ao, 0, s, cell)
-            hy = sample_ao_1d(ao, 1, s, cell)
-            hz = sample_ao_1d(ao, 2, s, cell)
-            vals += (c * ao.coefficients[s]) * np.einsum("i,j,k->ijk", hx, hy, hz)
-    return vals
+            weights.append(c * ao.coefficients[s])
+            for v in range(3):
+                tables[v].append(sample_ao_1d(ao, v, s, cell))
+    return np.asarray(weights), tuple(np.stack(t) for t in tables)
+
+
+def mo_norm_factor(mo: MolecularOrbital, cell: SimulationCell) -> float:
+    """Dimensionless constant 1/sqrt(dV sum_grid phi^2), without the grid.
+
+    The grid sum is the total of the P x P Gram matrix
+    G = outer(w, w) * prod_v (H_v H_v^T) over primitive pairs.
+    """
+    w, H = primitive_tables(mo, cell)
+    gram = np.outer(w, w)
+    for h in H:
+        gram = gram * (h @ h.T)
+    sum_sq = float(np.sum(gram))
+    if not math.isfinite(sum_sq) or sum_sq <= 0.0:
+        raise DegenerateInputError("MO vanishes on the grid; cannot normalize")
+    return 1.0 / math.sqrt(cell.dV * sum_sq)
+
+
+def require_grid(n_qe: int, max_qubits: int) -> None:
+    """Raise ResourceLimitError if a 2^(3 n_qe) grid exceeds the qubit guard."""
+    if n_qe > max_qubits:
+        raise ResourceLimitError(
+            f"n_qe={n_qe} exceeds the guard of {max_qubits} qubits per axis "
+            f"({(1 << (3 * n_qe)):,} amplitudes); raise max_qubits to override")
 
 
 def build_ideal_state(
@@ -248,18 +287,17 @@ def build_ideal_state(
     """Normalized grid statevector of the MO and the norm constant.
 
     amplitudes[k] = norm_factor * sqrt(dV) * phi(r_orig + k dx); the returned
-    scalar is the dimensionless norm_factor, which approaches 1 when the cell
-    is large and the grid fine enough to resolve the orbital.
+    scalar is the dimensionless norm_factor from ``mo_norm_factor``, which
+    approaches 1 when the cell is large and the grid fine enough to resolve
+    the orbital.
     """
-    if cell.n_qe > max_qubits:
-        raise ResourceLimitError(
-            f"n_qe={cell.n_qe} exceeds the guard of {max_qubits} qubits per axis "
-            f"({(1 << (3 * cell.n_qe)):,} amplitudes); raise max_qubits to override")
-    vals = _mo_grid_values(mo, cell)
-    sum_sq = float(np.sum(vals * vals))
-    if not math.isfinite(sum_sq) or sum_sq <= 0.0:
-        raise DegenerateInputError("MO vanishes on the grid; cannot normalize")
-    norm_factor = 1.0 / math.sqrt(cell.dV * sum_sq)
+    require_grid(cell.n_qe, max_qubits)
+    norm_factor = mo_norm_factor(mo, cell)
+    w, (hx, hy, hz) = primitive_tables(mo, cell)
+    # phi[x, y, z] = sum_p (w_p hx[p, x]) hy[p, y] hz[p, z]: the Khatri-Rao
+    # product of the x and y tables, rows (x, y), times the z table
+    kr_xy = ((hx.T * w)[:, None, :] * hy.T).reshape(-1, w.size)
+    vals = kr_xy @ hz
     amplitudes = vals.ravel() * (norm_factor * math.sqrt(cell.dV))
     nrm = float(np.linalg.norm(amplitudes))
     return GridState(amplitudes=amplitudes, n_qe=cell.n_qe, norm=nrm), norm_factor

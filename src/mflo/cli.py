@@ -35,6 +35,7 @@ from .basis import (
     SimulationCell,
     build_ideal_state,
     gaussian_ao,
+    require_grid,
 )
 from .cpd import CpdOptions, canonical_statevector, decompose_core
 from .encoding import (
@@ -55,6 +56,7 @@ from .fitting import (
     TuckerState,
     box_centers,
     fidelity_gradient,
+    mode_product,
     optimize_widths,
     overlap_3d,
     solve_core,
@@ -380,12 +382,15 @@ def _tucker_from_payload(entry: dict, n_qe: int) -> TuckerState:
 
 
 def _identity_residuals(problem: FitProblem, tucker: TuckerState) -> dict:
-    """Re-derive the solver's defining identities; raise if they fail."""
+    """Re-derive the solver's defining identities; raise if they fail.
+
+    d.S d is taken in the Kronecker-factored metric, so no n_prod x n_prod
+    matrix is built; T comes from a fresh engine, independent of the fit's.
+    """
     spec = tucker.spec
     d = tucker.core
-    S = overlap_3d(spec)
     t = t_tensor(problem.with_spec(spec))
-    quad = float(d.ravel() @ (S @ d.ravel()))
+    quad = float(np.sum(d * mode_product(d, spec.overlaps)))
     f = float(np.sum(t * d))
     res = {
         "core_metric_norm": abs(quad - 1.0),
@@ -427,6 +432,9 @@ def run_fit(job_path, out_path=None, seed=None, max_qubits=None) -> tuple[dict, 
     cpd_opt = _cpd_options(job, seed)
     ranks = job.get("cpd", {}).get("ranks", [])
     outputs = job.get("outputs", {})
+    if outputs.get("export_statevectors", False):
+        # fitting itself never builds a grid; only the exports do
+        require_grid(cell.n_qe, guard)
 
     n_a, n_al, _ = ancilla_counts(spec)
     tucker_counts = cnot_count_tucker(spec, cell.n_qe)
@@ -445,8 +453,8 @@ def run_fit(job_path, out_path=None, seed=None, max_qubits=None) -> tuple[dict, 
         "mos": {},
     }
     for name, mo in mos.items():
-        problem = FitProblem.build(mo, cell, spec, alpha_pen=job["lorentzian"].get("alpha_pen", 0.0),
-                                   max_qubits=guard)
+        problem = FitProblem.build(mo, cell, spec,
+                                   alpha_pen=job["lorentzian"].get("alpha_pen", 0.0))
         tucker = optimize_widths(problem, options=opt)
         residuals = _identity_residuals(problem, tucker)
         prob = success_prob_tucker(tucker)
@@ -534,9 +542,7 @@ def _rebuild_state(report: dict, which: str, mo: str, rank: int | None, max_qubi
         _, mos = _job_molecule(job)
         state, _ = build_ideal_state(mos[mo], cell, max_qubits=max_qubits)
         return state.amplitudes
-    if n_qe > max_qubits:
-        raise ResourceLimitError(
-            f"n_qe={n_qe} exceeds the guard of {max_qubits} qubits per axis")
+    require_grid(n_qe, max_qubits)
     spec = _spec_from_payload(entry, n_qe)
     if which == "tucker":
         return tucker_statevector(spec, _core_from_payload(entry))
@@ -932,7 +938,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--job", required=True)
     fit.add_argument("--out", default=None, help="report path (default from the job file)")
     fit.add_argument("--seed", type=int, default=None, help="override the job seeds")
-    fit.add_argument("--max-qubits", type=int, default=None)
+    fit.add_argument("--max-qubits", type=int, default=None,
+                     help="qubits-per-axis guard for statevector exports")
 
     dec = sub.add_parser("decompose", help="re-run the CP rank sweep on an existing report")
     dec.add_argument("--report", required=True)

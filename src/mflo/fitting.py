@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import basis as _basis
-from .basis import MolecularOrbital, SimulationCell, build_ideal_state, sample_ao_1d
+from .basis import MolecularOrbital, SimulationCell, mo_norm_factor, primitive_tables
 from .exceptions import ConditioningError
 from .lorentzian import (
     AXES,
@@ -88,11 +87,15 @@ class FitProblem:
         cell: SimulationCell,
         spec: LorentzianBasisSpec,
         alpha_pen: float = 0.0,
-        max_qubits: int = _basis.DEFAULT_MAX_QUBITS,
     ) -> "FitProblem":
-        _, norm_factor = build_ideal_state(mo, cell, max_qubits=max_qubits)
+        """Problem with the MO's grid norm constant.
+
+        ``norm_factor`` comes from the separable primitive-pair sum
+        (``basis.mo_norm_factor``), so no N^3 grid is built and the grid
+        size guard does not apply.
+        """
         return cls(mo=mo, cell=cell, spec=spec, alpha_pen=float(alpha_pen),
-                   norm_factor=norm_factor)
+                   norm_factor=mo_norm_factor(mo, cell))
 
     def with_spec(self, spec: LorentzianBasisSpec) -> "FitProblem":
         return FitProblem(mo=self.mo, cell=self.cell, spec=spec,
@@ -127,27 +130,21 @@ class _Engine:
     """Caches the width-independent pieces of one fit problem.
 
     Primitive pairs (mu, s) are flattened to one axis p with weights
-    w_p = c_mu * b_{mu s}; the h-sample tables H_v[p, k] never change during
-    width optimization.  Neither do the per-direction shift tables
-    (``AxisLayout``: sin^2 and parity on the unshifted grid, the gather index
-    of each center) or the groups of LFs that share a center, so they are
-    built once here.  Each evaluation then runs one vectorized profile build
-    per direction and the small per-direction matrices; the gradient reuses
-    that build's raw profiles, denominators and norms.  Trial widths are not
-    wrapped in a validated ``LorentzianBasisSpec``; ``spec_for`` builds one
-    for a returned state only.
+    w_p = c_mu * b_{mu s}; the h-sample tables H_v[p, k]
+    (``basis.primitive_tables``) never change during width optimization.
+    Neither do the per-direction shift tables (``AxisLayout``: sin^2 and
+    parity on the unshifted grid, the gather index of each center) or the
+    groups of LFs that share a center, so they are built once here.  Each
+    evaluation then runs one vectorized profile build per direction and the
+    small per-direction matrices; the gradient reuses that build's raw
+    profiles, denominators and norms.  Trial widths are not wrapped in a
+    validated ``LorentzianBasisSpec``; ``spec_for`` builds one for a returned
+    state only.
     """
 
     def __init__(self, problem: FitProblem):
-        mo, cell, spec = problem.mo, problem.cell, problem.spec
-        weights = []
-        tables = [[], [], []]
-        for ao, c in zip(mo.ao_list, mo.coefficients):
-            for s in range(ao.n_g):
-                weights.append(c * ao.coefficients[s])
-                for v in range(3):
-                    tables[v].append(sample_ao_1d(ao, v, s, cell))
-        self.h = [np.stack(tables[v]) for v in range(3)]
+        cell, spec = problem.cell, problem.spec
+        weights, self.h = primitive_tables(problem.mo, cell)
         self.n = spec.n
         self.centers = spec.centers
         self.n_l = spec.n_l
@@ -164,7 +161,7 @@ class _Engine:
         L = cell.edge_lengths
         self.col_pref = L / math.sqrt(cell.N_qe)
         self.pref = problem.norm_factor / math.sqrt(float(np.prod(L)))
-        self.wpref = self.pref * np.asarray(weights)
+        self.wpref = self.pref * weights
 
     def spec_for(self, widths: np.ndarray) -> LorentzianBasisSpec:
         nx, ny, nz = self.n_l

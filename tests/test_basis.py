@@ -13,6 +13,7 @@ from mflo.basis import (
     ao_self_overlap,
     build_ideal_state,
     gaussian_ao,
+    mo_norm_factor,
     renormalized,
     sample_ao_1d,
 )
@@ -242,10 +243,57 @@ class TestBuildIdealState:
         mo = MolecularOrbital(ao_list=(_s_ao(),), coefficients=[0.0])
         with pytest.raises(DegenerateInputError):
             build_ideal_state(mo, _cell())
+        with pytest.raises(DegenerateInputError):
+            mo_norm_factor(mo, _cell())
 
     def test_coefficient_length_checked(self):
         with pytest.raises(ValueError):
             MolecularOrbital(ao_list=(_s_ao(),), coefficients=[1.0, 2.0])
+
+
+def _dense_norm_factor(mo, cell):
+    """1/sqrt(dV sum_grid phi^2) from pointwise MO values, one x plane at a time."""
+    N = cell.N_qe
+    y = cell.origin[1] + np.arange(N)[:, None] * cell.dx[1]
+    z = cell.origin[2] + np.arange(N)[None, :] * cell.dx[2]
+    sum_sq = 0.0
+    for kx in range(N):
+        x = cell.origin[0] + kx * cell.dx[0]
+        phi = np.zeros((N, N))
+        for c, ao in zip(mo.coefficients, mo.ao_list):
+            rel = (x - ao.center[0], y - ao.center[1], z - ao.center[2])
+            mono = rel[0] ** ao.powers[0] * rel[1] ** ao.powers[1] * rel[2] ** ao.powers[2]
+            r2 = rel[0] ** 2 + rel[1] ** 2 + rel[2] ** 2
+            for g, b in zip(ao.exponents, ao.coefficients):
+                phi += c * b * mono * np.exp(-g * r2)
+        sum_sq += float(np.sum(phi * phi))
+    return 1.0 / math.sqrt(cell.dV * sum_sq)
+
+
+def _norm_cases():
+    sto3g = lambda x: gaussian_ao(STO3G_EXP, STO3G_COEF, (0, 0, 0), [x, 4.0, 4.0])
+    with pytest.warns(UserWarning):
+        p_ao = ContractedGaussianAO(exponents=[0.8], coefficients=[1.0],
+                                    powers=(1, 0, 0), center=[4.3, 3.9, 4.1])
+    return {
+        "multi-primitive-s": MolecularOrbital(ao_list=(sto3g(4.0),), coefficients=[1.0]),
+        "p": MolecularOrbital(ao_list=(p_ao,), coefficients=[1.0]),
+        "off-center": MolecularOrbital(
+            ao_list=(gaussian_ao([0.6, 0.2], [0.7, 0.4], (0, 1, 2), [1.3, 6.2, 2.7]),),
+            coefficients=[1.0]),
+        "antibonding": MolecularOrbital(ao_list=(sto3g(3.3), sto3g(4.7)),
+                                        coefficients=[1.0, -1.0]),
+    }
+
+
+@pytest.mark.parametrize("n_qe", [3, 4, 5, 6, 7, 8])
+def test_separable_norm_factor_matches_dense_sum(n_qe):
+    cell = _cell(n_qe=n_qe)
+    for name, mo in _norm_cases().items():
+        expected = _dense_norm_factor(mo, cell)
+        assert mo_norm_factor(mo, cell) == pytest.approx(expected, rel=1e-13), name
+        if n_qe <= 6:
+            assert build_ideal_state(mo, cell)[1] == mo_norm_factor(mo, cell), name
 
 
 def test_grid_state_reshape_roundtrip():

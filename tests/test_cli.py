@@ -28,6 +28,7 @@ from mflo.exceptions import ResourceLimitError
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 SINGLE = JOBS / "single_gaussian.json"
 H2 = JOBS / "h2_like.json"
+H2_N12 = JOBS / "h2_n12.json"
 
 
 def _broken_job(tmp_path, mutate):
@@ -36,6 +37,10 @@ def _broken_job(tmp_path, mutate):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
     return path
+
+
+def _exporting_job(tmp_path):
+    return _broken_job(tmp_path, lambda j: j["outputs"].update(export_statevectors=True))
 
 
 @pytest.fixture(scope="module")
@@ -217,9 +222,35 @@ class TestRunFit:
             assert meta["format"] == "binary"
             assert amps.size == 16 ** 3
 
-    def test_resource_guard(self, tmp_path):
+    def test_resource_guard(self, tmp_path, monkeypatch):
+        # the exports materialize grids, so the guard trips before any fitting
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the guard was checked")
+
+        monkeypatch.setattr("mflo.cli.optimize_widths", no_fit)
         with pytest.raises(ResourceLimitError):
-            run_fit(SINGLE, out_path=tmp_path / "r.json", max_qubits=3)
+            run_fit(_exporting_job(tmp_path), out_path=tmp_path / "r.json", max_qubits=3)
+
+    def test_guard_ignored_without_exports(self, tmp_path):
+        report, _ = run_fit(SINGLE, out_path=tmp_path / "r.json", max_qubits=3)
+        assert report["mos"]["ground"]["fidelity"] > 0.9
+
+    def test_fine_grid_job_fits_past_dense_limit(self, tmp_path):
+        # n_qe=12 exceeds the default guard of 8; fitting builds no grid
+        report, _ = run_fit(H2_N12, out_path=tmp_path / "n12.json")
+        # the same job on a 16x coarser grid, with the centers at the same points
+        job = json.loads(H2_N12.read_text())
+        job["cell"]["n_qe"] = 8
+        job["lorentzian"]["centers"] = {
+            ax: [k // 16 for k in ks] for ax, ks in job["lorentzian"]["centers"].items()}
+        coarse = tmp_path / "n8_job.json"
+        coarse.write_text(json.dumps(job))
+        coarse_report, _ = run_fit(coarse, out_path=tmp_path / "n8.json")
+        assert set(report["mos"]) == {"bonding", "antibonding"}
+        for name, entry in report["mos"].items():
+            assert entry["diagnostics"]["converged"]
+            assert entry["diagnostics"]["flags"] == []
+            assert abs(entry["fidelity"] - coarse_report["mos"][name]["fidelity"]) < 1e-4
 
 
 class TestExports:
@@ -346,8 +377,8 @@ class TestMain:
         assert "report written to" in out
 
     def test_resource_exit_code(self, tmp_path, capsys):
-        code = main(["fit", "--job", str(SINGLE), "--out", str(tmp_path / "r.json"),
-                     "--max-qubits", "3"])
+        code = main(["fit", "--job", str(_exporting_job(tmp_path)),
+                     "--out", str(tmp_path / "r.json"), "--max-qubits", "3"])
         assert code == EXIT_RESOURCE
         assert json.loads(capsys.readouterr().err)["error"] == "resource"
 

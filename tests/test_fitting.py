@@ -1,10 +1,14 @@
 """Overlap tensors, core solve, analytic gradient, and width optimization."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mflo.basis
+import mflo.cli
+import mflo.fitting
 from mflo.basis import MolecularOrbital, SimulationCell, build_ideal_state, gaussian_ao
 from mflo.exceptions import ConditioningError
 from mflo.fitting import (
@@ -12,6 +16,7 @@ from mflo.fitting import (
     _Engine,
     FitProblem,
     OptimizeOptions,
+    TuckerState,
     WIDTH_BOUNDS,
     box_centers,
     fidelity_gradient,
@@ -23,6 +28,8 @@ from mflo.fitting import (
     tucker_statevector,
 )
 from mflo.lorentzian import LorentzianBasisSpec, lf_state, overlap_1d
+
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 
 def _spec(n=4, widths=((0.8, 1.3), (1.0,), (0.9,)), centers=((7, 9), (8,), (8,))):
@@ -344,6 +351,39 @@ class TestEngine:
         engine = _Engine(_problem())
         with pytest.raises(ValueError, match="positive"):
             engine.evaluate(np.array([0.8, bad, 1.0, 0.9]))
+
+
+def test_factored_identity_check_matches_dense_metric():
+    # the report's d.S d residual uses the per-axis metrics; compare it with
+    # the dense n_prod x n_prod product on seeded cores that are not fit
+    # optima, each scaled to unit norm in the dense metric
+    problem = _h2_box_problem()
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        spec = problem.spec.with_widths(rng.uniform(0.15, 0.45, size=sum(problem.spec.n_l)))
+        S = overlap_3d(spec)
+        d = rng.standard_normal(spec.n_l)
+        d /= math.sqrt(float(d.ravel() @ S @ d.ravel()))
+        f = float(np.sum(t_tensor(problem.with_spec(spec)) * d))
+        tucker = TuckerState(spec=spec, core=d, fidelity=f * f, squared_overlap=f * f,
+                             penalty=0.0, kappa_max=f * f)
+        residuals = mflo.cli._identity_residuals(problem, tucker)
+        dense = abs(float(d.ravel() @ S @ d.ravel()) - 1.0)
+        assert residuals["core_metric_norm"] == pytest.approx(dense, rel=0, abs=1e-13)
+
+
+def test_fit_without_exports_builds_no_dense_object(monkeypatch, tmp_path):
+    # neither the N^3 grid state nor the n_prod x n_prod metric is needed
+    # to fit and report; make every binding of their builders raise
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense grid state or metric built during fit")
+
+    for module in (mflo.basis, mflo.fitting, mflo.cli):
+        for name in ("build_ideal_state", "overlap_3d"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    report, _ = mflo.cli.run_fit(JOBS / "h2_like.json", out_path=tmp_path / "r.json")
+    assert set(report["mos"]) == {"bonding", "antibonding"}
 
 
 def _scan_single_width(problem, grid):
