@@ -16,13 +16,11 @@ from .lorentzian import (
     lf_profile,
     lf_profile_da,
     lf_state,
-    lf_state_da,
     overlap_1d,
 )
 from .basis import (
     DEFAULT_MAX_QUBITS,
     ContractedGaussianAO,
-    GridState,
     MolecularOrbital,
     SimulationCell,
     ao_self_overlap,
@@ -54,7 +52,6 @@ from .cpd import (
     cp_decompose,
     decompose_core,
     normalize_factors,
-    tucker_canon_overlap,
 )
 from .encoding import (
     CircuitCostReport,
@@ -82,7 +79,6 @@ __all__ = [
     "DEFAULT_MAX_QUBITS",
     "DegenerateInputError",
     "FitProblem",
-    "GridState",
     "LorentzianBasisSpec",
     "MolecularOrbital",
     "OptimizeDiagnostics",
@@ -106,7 +102,6 @@ __all__ = [
     "lf_profile",
     "lf_profile_da",
     "lf_state",
-    "lf_state_da",
     "mo_norm_factor",
     "normalize_factors",
     "optimize_widths",
@@ -119,7 +114,6 @@ __all__ = [
     "success_prob_canonical",
     "success_prob_tucker",
     "t_tensor",
-    "tucker_canon_overlap",
     "tucker_statevector",
     "tucker_success_from_core",
     "two_center_analysis",

@@ -33,7 +33,6 @@ __all__ = [
     "ContractedGaussianAO",
     "MolecularOrbital",
     "SimulationCell",
-    "GridState",
     "ao_self_overlap",
     "renormalized",
     "sample_ao_1d",
@@ -162,10 +161,6 @@ class MolecularOrbital:
         object.__setattr__(self, "ao_list", aos)
         object.__setattr__(self, "coefficients", c)
 
-    @property
-    def n_bas(self) -> int:
-        return len(self.ao_list)
-
 
 @dataclass(frozen=True, eq=False)
 class SimulationCell:
@@ -205,19 +200,6 @@ class SimulationCell:
     @property
     def dV(self) -> float:
         return float(np.prod(self.dx))
-
-
-@dataclass(frozen=True, eq=False)
-class GridState:
-    """Real statevector on the cubic grid, (k_x, k_y, k_z) with k_z fastest."""
-
-    amplitudes: np.ndarray
-    n_qe: int
-    norm: float
-
-    def as_grid(self) -> np.ndarray:
-        N = 1 << self.n_qe
-        return self.amplitudes.reshape(N, N, N)
 
 
 def sample_ao_1d(ao: ContractedGaussianAO, axis, s: int, cell: SimulationCell) -> np.ndarray:
@@ -283,13 +265,12 @@ def build_ideal_state(
     mo: MolecularOrbital,
     cell: SimulationCell,
     max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> tuple[GridState, float]:
-    """Normalized grid statevector of the MO and the norm constant.
+) -> np.ndarray:
+    """Normalized grid statevector of the MO, (k_x, k_y, k_z) with k_z fastest.
 
-    amplitudes[k] = norm_factor * sqrt(dV) * phi(r_orig + k dx); the returned
-    scalar is the dimensionless norm_factor from ``mo_norm_factor``, which
-    approaches 1 when the cell is large and the grid fine enough to resolve
-    the orbital.
+    amplitudes[k] = norm_factor * sqrt(dV) * phi(r_orig + k dx), with the
+    dimensionless norm_factor from ``mo_norm_factor``, which approaches 1
+    when the cell is large and the grid fine enough to resolve the orbital.
     """
     require_grid(cell.n_qe, max_qubits)
     norm_factor = mo_norm_factor(mo, cell)
@@ -298,6 +279,4 @@ def build_ideal_state(
     # product of the x and y tables, rows (x, y), times the z table
     kr_xy = ((hx.T * w)[:, None, :] * hy.T).reshape(-1, w.size)
     vals = kr_xy @ hz
-    amplitudes = vals.ravel() * (norm_factor * math.sqrt(cell.dV))
-    nrm = float(np.linalg.norm(amplitudes))
-    return GridState(amplitudes=amplitudes, n_qe=cell.n_qe, norm=nrm), norm_factor
+    return vals.ravel() * (norm_factor * math.sqrt(cell.dV))

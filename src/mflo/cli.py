@@ -228,18 +228,17 @@ def _emit_error(kind: str, message: str, **extra) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """``json.dumps`` hook: numpy arrays and scalars become Python values."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
 
 
 def load_job(path) -> dict:
@@ -334,23 +333,6 @@ def _job_spec(job: dict, cell: SimulationCell) -> LorentzianBasisSpec:
         raise JobError("/lorentzian", str(exc)) from exc
 
 
-def _fit_options(job: dict, seed: int | None) -> OptimizeOptions:
-    cfg = dict(job.get("fit", {}))
-    if seed is not None:
-        cfg["seed"] = int(seed)
-    return OptimizeOptions(**cfg)
-
-
-def _cpd_options(job: dict, seed: int | None, n_restarts: int | None = None) -> CpdOptions:
-    cfg = dict(job.get("cpd", {}))
-    cfg.pop("ranks", None)
-    if n_restarts is not None:
-        cfg["n_restarts"] = int(n_restarts)
-    if seed is not None:
-        cfg["seed"] = int(seed)
-    return CpdOptions(**cfg)
-
-
 def _spec_payload(spec: LorentzianBasisSpec) -> dict:
     return {
         "widths": {ax: spec.widths[v] for v, ax in enumerate(AXES)},
@@ -421,16 +403,20 @@ def _canonical_entry(tucker: TuckerState, rank: int, options: CpdOptions, n_qe: 
     }
 
 
-def run_fit(job_path, out_path=None, seed=None, max_qubits=None) -> tuple[dict, Path]:
-    """Full pipeline for one job file; returns (report dict, report path)."""
+def run_fit(job_path, out_path=None, max_qubits=None) -> tuple[dict, Path]:
+    """Full pipeline for one job file; returns (report dict, report path).
+
+    Every run option comes from the job, which the report embeds, so the
+    report can be regenerated from its own ``job`` entry.
+    """
     job = load_job(job_path)
     cell = _job_cell(job)
     _, mos = _job_molecule(job)
     spec = _job_spec(job, cell)
     guard = DEFAULT_MAX_QUBITS if max_qubits is None else int(max_qubits)
-    opt = _fit_options(job, seed)
-    cpd_opt = _cpd_options(job, seed)
+    opt = OptimizeOptions(**job.get("fit", {}))
     ranks = job.get("cpd", {}).get("ranks", [])
+    cpd_opt = CpdOptions(**{k: v for k, v in job.get("cpd", {}).items() if k != "ranks"})
     outputs = job.get("outputs", {})
     if outputs.get("export_statevectors", False):
         # fitting itself never builds a grid; only the exports do
@@ -515,7 +501,7 @@ def _resolve_report_path(job_path, out_path, outputs: dict) -> Path:
 def _write_report(report: dict, path: Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n")
+    path.write_text(_dumps(report) + "\n")
 
 
 def _write_history_csvs(report: dict, report_path: Path) -> None:
@@ -540,8 +526,7 @@ def _rebuild_state(report: dict, which: str, mo: str, rank: int | None, max_qubi
     if which == "ideal":
         cell = _job_cell(job)
         _, mos = _job_molecule(job)
-        state, _ = build_ideal_state(mos[mo], cell, max_qubits=max_qubits)
-        return state.amplitudes
+        return build_ideal_state(mos[mo], cell, max_qubits=max_qubits)
     require_grid(n_qe, max_qubits)
     spec = _spec_from_payload(entry, n_qe)
     if which == "tucker":
@@ -608,14 +593,16 @@ def read_state_export(path) -> tuple[np.ndarray, dict]:
     return vals, {"format": "csv", "header": lines[0]}
 
 
-def run_decompose(report_path, ranks, mo_names=None, out_path=None, seed=None,
-                  n_restarts=None) -> tuple[dict, Path]:
-    """Re-run the rank sweep on an existing report, updating it in place."""
+def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dict, Path]:
+    """Re-run the rank sweep on an existing report, updating it in place.
+
+    The CP options come from the job embedded in the report.
+    """
     report_path = Path(report_path)
     report = json.loads(report_path.read_text())
     job = report["job"]
     n_qe = job["cell"]["n_qe"]
-    options = _cpd_options(job, seed, n_restarts)
+    options = CpdOptions(**{k: v for k, v in job.get("cpd", {}).items() if k != "ranks"})
     names = list(report["mos"]) if not mo_names else list(mo_names)
     for name in names:
         if name not in report["mos"]:
@@ -796,6 +783,20 @@ def _check_pipeline(report: dict) -> str:
     return f"worst identity residual {worst:.1e}"
 
 
+def _check_tucker_oracle(report: dict) -> str:
+    n_qe = report["job"]["cell"]["n_qe"]
+    worst = 0.0
+    for entry in report["mos"].values():
+        spec = _spec_from_payload(entry, n_qe)
+        core = _core_from_payload(entry)
+        branches = [(w, e) for w, e in zip(core.ravel(), np.eye(spec.n_prod))]
+        oracle = lcu_postselect_oracle(branches, metric=overlap_3d(spec))
+        worst = max(worst, abs(oracle - entry["success_probability_tucker"]))
+    if worst > 1e-8:
+        raise AssertionError(f"probability oracle residual {worst:.3e}")
+    return f"worst residual {worst:.1e}"
+
+
 def _check_statevector_overlap(report: dict, max_qubits: int) -> str:
     job = report["job"]
     cell = _job_cell(job)
@@ -803,16 +804,11 @@ def _check_statevector_overlap(report: dict, max_qubits: int) -> str:
     worst = 0.0
     for name, entry in report["mos"].items():
         spec = _spec_from_payload(entry, cell.n_qe)
-        core = _core_from_payload(entry)
-        ideal, _ = build_ideal_state(mos[name], cell, max_qubits=max_qubits)
-        f = float(ideal.amplitudes @ tucker_statevector(spec, core))
+        ideal = build_ideal_state(mos[name], cell, max_qubits=max_qubits)
+        f = float(ideal @ tucker_statevector(spec, _core_from_payload(entry)))
         worst = max(worst, abs(f * f - entry["squared_overlap"]))
-        S = overlap_3d(spec)
-        branches = [(w, e) for w, e in zip(core.ravel(), np.eye(spec.n_prod))]
-        oracle = lcu_postselect_oracle(branches, metric=S)
-        worst = max(worst, abs(oracle - entry["success_probability_tucker"]))
     if worst > 1e-8:
-        raise AssertionError(f"statevector oracle residual {worst:.3e}")
+        raise AssertionError(f"statevector overlap residual {worst:.3e}")
     return f"worst residual {worst:.1e}"
 
 
@@ -853,17 +849,30 @@ def _check_export_roundtrip(report: dict, tmp: Path, max_qubits: int) -> str:
     return f"formats agree, norm residual {norm_err:.1e}"
 
 
-def run_verify(job_path, seed=None, max_qubits=None, stream=None) -> int:
-    """Invariant battery; prints a per-check table, returns an exit code."""
+def run_verify(job_path, max_qubits=None, stream=None) -> int:
+    """Invariant battery; prints a per-check table, returns an exit code.
+
+    The checks that build N^3 grid states are reported as skipped, not
+    failed, when the job's grid exceeds the qubit guard; skips do not fail
+    the run.
+    """
     stream = stream or sys.stdout
     guard = DEFAULT_MAX_QUBITS if max_qubits is None else int(max_qubits)
     results = []
 
     def run(name, fn):
         try:
-            results.append((name, True, fn()))
+            results.append((name, "pass", fn()))
         except Exception as exc:  # noqa: BLE001 - each check reports independently
-            results.append((name, False, str(exc)))
+            results.append((name, "FAIL", str(exc)))
+
+    def run_on_grid(name, fn, n_qe):
+        try:
+            require_grid(n_qe, guard)
+        except ResourceLimitError as exc:
+            results.append((name, "skip", str(exc)))
+            return
+        run(name, fn)
 
     run("profile-invariants", _check_profile_invariants)
     run("profile-limits", _check_profile_limits)
@@ -879,34 +888,42 @@ def run_verify(job_path, seed=None, max_qubits=None, stream=None) -> int:
 
         def pipeline():
             nonlocal report
-            report, _ = run_fit(job_path, out_path=tmp / "run1.json", seed=seed,
-                                max_qubits=guard)
+            report, _ = run_fit(job_path, out_path=tmp / "run1.json", max_qubits=guard)
             return _check_pipeline(report)
 
         run("pipeline-identities", pipeline)
         if report is not None:
-            run("statevector-overlap", lambda: _check_statevector_overlap(report, guard))
+            n_qe = report["job"]["cell"]["n_qe"]
+            run("tucker-probability-oracle", lambda: _check_tucker_oracle(report))
+            run_on_grid("statevector-overlap",
+                        lambda: _check_statevector_overlap(report, guard), n_qe)
             run("cp-exactness", lambda: _check_cp_exactness(report))
-            run("export-roundtrip", lambda: _check_export_roundtrip(report, tmp, guard))
+            run_on_grid("export-roundtrip",
+                        lambda: _check_export_roundtrip(report, tmp, guard), n_qe)
 
             def determinism():
-                run_fit(job_path, out_path=tmp / "run2.json", seed=seed, max_qubits=guard)
+                run_fit(job_path, out_path=tmp / "run2.json", max_qubits=guard)
                 if (tmp / "run1.json").read_bytes() != (tmp / "run2.json").read_bytes():
                     raise AssertionError("repeated runs differ")
                 return "repeated runs byte-identical"
 
             run("determinism", determinism)
         else:
-            for name in ("statevector-overlap", "cp-exactness", "export-roundtrip", "determinism"):
-                results.append((name, False, "skipped: pipeline run failed"))
+            for name in ("tucker-probability-oracle", "statevector-overlap", "cp-exactness",
+                         "export-roundtrip", "determinism"):
+                results.append((name, "FAIL", "skipped: pipeline run failed"))
 
     width = max(len(name) for name, _, _ in results)
-    for name, ok, detail in results:
-        print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}", file=stream)
-    n_pass = sum(ok for _, ok, _ in results)
-    print(f"{n_pass}/{len(results)} checks passed", file=stream)
-    if n_pass != len(results):
-        failed = [name for name, ok, _ in results if not ok]
+    for name, status, detail in results:
+        print(f"{name:<{width}}  {status}  {detail}", file=stream)
+    n_pass = sum(status == "pass" for _, status, _ in results)
+    skipped = [name for name, status, _ in results if status == "skip"]
+    summary = f"{n_pass}/{len(results)} checks passed"
+    if skipped:
+        summary += f", {len(skipped)} skipped: " + ", ".join(skipped)
+    print(summary, file=stream)
+    failed = [name for name, status, _ in results if status == "FAIL"]
+    if failed:
         print("failed: " + ", ".join(failed), file=stream)
         return EXIT_FAIL
     return EXIT_OK
@@ -937,7 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="run the fit/decompose/report pipeline on a job file")
     fit.add_argument("--job", required=True)
     fit.add_argument("--out", default=None, help="report path (default from the job file)")
-    fit.add_argument("--seed", type=int, default=None, help="override the job seeds")
     fit.add_argument("--max-qubits", type=int, default=None,
                      help="qubits-per-axis guard for statevector exports")
 
@@ -946,8 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--ranks", required=True, type=_parse_ranks)
     dec.add_argument("--mo", action="append", default=None, help="restrict to named MOs")
     dec.add_argument("--out", default=None, help="write here instead of updating in place")
-    dec.add_argument("--seed", type=int, default=None)
-    dec.add_argument("--restarts", type=int, default=None)
 
     gc = sub.add_parser("gate-count", help="ancilla/CNOT calculator for a basis layout")
     gc.add_argument("--job", default=None, help="take the layout from a job file")
@@ -975,14 +989,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the built-in check battery")
     ver.add_argument("--job", required=True)
-    ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--max-qubits", type=int, default=None)
     return parser
 
 
 def _cmd_fit(args) -> int:
-    report, path = run_fit(args.job, out_path=args.out, seed=args.seed,
-                           max_qubits=args.max_qubits)
+    report, path = run_fit(args.job, out_path=args.out, max_qubits=args.max_qubits)
     for name, entry in sorted(report["mos"].items()):
         flags = ",".join(entry["diagnostics"]["flags"]) or "-"
         print(f"{name}: squared_overlap={entry['squared_overlap']:.6f} "
@@ -993,8 +1005,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_decompose(args) -> int:
     report, path = run_decompose(args.report, args.ranks, mo_names=args.mo,
-                                 out_path=args.out, seed=args.seed,
-                                 n_restarts=args.restarts)
+                                 out_path=args.out)
     for name in sorted(report["mos"]):
         for key in sorted(report["mos"][name]["canonical"], key=int):
             entry = report["mos"][name]["canonical"][key]
@@ -1017,7 +1028,7 @@ def _cmd_gate_count(args) -> int:
         n_l, n_qe = args.n_l, args.n_qe
         ranks = args.rank or []
     table = gate_count_table(n_l, n_qe, ranks)
-    text = json.dumps(_jsonable(table), sort_keys=True, indent=2)
+    text = _dumps(table)
     if args.out:
         Path(args.out).write_text(text + "\n")
         print(f"written to {args.out}")
@@ -1048,7 +1059,7 @@ def _cmd_two_center(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    return run_verify(args.job, seed=args.seed, max_qubits=args.max_qubits)
+    return run_verify(args.job, max_qubits=args.max_qubits)
 
 
 _HANDLERS = {

@@ -32,7 +32,6 @@ __all__ = [
     "CpResult",
     "cp_decompose",
     "normalize_factors",
-    "tucker_canon_overlap",
     "decompose_core",
     "canonical_statevector",
 ]
@@ -63,7 +62,6 @@ class CanonicalState:
     """Rank-R canonical form of a Tucker core over the same LF basis."""
 
     R: int
-    v: tuple[np.ndarray, np.ndarray, np.ndarray]
     u: tuple[np.ndarray, np.ndarray, np.ndarray]
     lambdas: np.ndarray          # descending, all positive
     spec: LorentzianBasisSpec
@@ -223,17 +221,6 @@ def normalize_factors(v, spec: LorentzianBasisSpec):
     return tuple(m[order] for m in u), lam[order]
 
 
-def tucker_canon_overlap(tucker: TuckerState, canon: CanonicalState):
-    """Metric overlap between the Tucker state and its canonical approximant.
-
-    Returns (overlap, canon_norm2, deviation), all computed in coefficient
-    space with the spec's per-direction overlap matrices.
-    """
-    if canon.spec is not tucker.spec and not canon.spec.same_layout(tucker.spec):
-        raise ValueError("Tucker and canonical states use different LF specs")
-    return _overlap_terms(tucker.spec.overlaps, tucker.core, canon.lambdas, canon.u)
-
-
 def _overlap_terms(S1, core, lambdas, u):
     e = np.einsum("r,ra,rb,rc->abc", lambdas, u[0], u[1], u[2])
     d_s = mode_product(core, S1)
@@ -243,19 +230,19 @@ def _overlap_terms(S1, core, lambdas, u):
     tucker_norm2 = float(np.sum(d_s * core))
     # rounding can push 1 - cos^2 just outside [0, 1]
     deviation = float(np.clip(1.0 - overlap * overlap / (tucker_norm2 * canon_norm2), 0.0, 1.0))
-    return overlap, canon_norm2, deviation
+    return canon_norm2, deviation
 
 
 def decompose_core(tucker: TuckerState, R: int, options: CpdOptions | None = None) -> CanonicalState:
     """cp_decompose + normalize_factors + deviation, bundled."""
     result = cp_decompose(tucker.core, R, options)
     u, lam = normalize_factors(result.v, tucker.spec)
-    _, canon_norm2, deviation = _overlap_terms(tucker.spec.overlaps, tucker.core, lam, u)
+    canon_norm2, deviation = _overlap_terms(tucker.spec.overlaps, tucker.core, lam, u)
     flags = list(result.flags)
     if lam.size < R:
         flags.append("rank-reduced")
     return CanonicalState(
-        R=int(lam.size), v=result.v, u=u, lambdas=lam, spec=tucker.spec,
+        R=int(lam.size), u=u, lambdas=lam, spec=tucker.spec,
         deviation=deviation, canon_norm2=canon_norm2, flags=tuple(flags))
 
 

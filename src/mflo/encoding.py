@@ -55,7 +55,6 @@ class CircuitCostReport:
     cx_amp: int                    # amplitude-encoding share
     n_a_canonical: int | None = None
     R: int | None = None
-    success_probability: float | None = None
     qft_cx_informational: int = 0  # textbook QFT count, NOT in cx_total
 
     def __post_init__(self):
@@ -64,10 +63,6 @@ class CircuitCostReport:
         for name in ("cx_total", "cx_sph", "cx_amp", "n_a_lorentzian"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.success_probability is not None and not (
-                0.0 < self.success_probability <= 1.0 + 1e-12):
-            raise ValueError(
-                f"success probability must lie in (0, 1], got {self.success_probability}")
 
 
 def _n_l(spec) -> tuple[int, int, int]:

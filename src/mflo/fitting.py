@@ -138,15 +138,13 @@ class _Engine:
     evaluation then runs one vectorized profile build per direction and the
     small per-direction matrices; the gradient reuses that build's raw
     profiles, denominators and norms.  Trial widths are not wrapped in a
-    validated ``LorentzianBasisSpec``; ``spec_for`` builds one for a returned
-    state only.
+    validated ``LorentzianBasisSpec``; ``optimize_widths`` builds one for the
+    returned state only.
     """
 
     def __init__(self, problem: FitProblem):
         cell, spec = problem.cell, problem.spec
         weights, self.h = primitive_tables(problem.mo, cell)
-        self.n = spec.n
-        self.centers = spec.centers
         self.n_l = spec.n_l
         self.splits = np.cumsum(self.n_l)[:2]
         self.layouts = spec.layouts
@@ -162,14 +160,6 @@ class _Engine:
         self.col_pref = L / math.sqrt(cell.N_qe)
         self.pref = problem.norm_factor / math.sqrt(float(np.prod(L)))
         self.wpref = self.pref * weights
-
-    def spec_for(self, widths: np.ndarray) -> LorentzianBasisSpec:
-        nx, ny, nz = self.n_l
-        return LorentzianBasisSpec(
-            n=self.n,
-            widths=(widths[:nx], widths[nx:nx + ny], widths[nx + ny:]),
-            centers=self.centers,
-        )
 
     def _split_widths(self, widths: np.ndarray) -> list[np.ndarray]:
         if widths.size != sum(self.n_l):
@@ -454,29 +444,17 @@ def _ascend(engine: _Engine, a0: np.ndarray, opt: OptimizeOptions):
     return ev, iterations, grad_norm, converged, flags, history
 
 
-def optimize_widths(
-    problem: FitProblem,
-    init_widths=None,
-    options: OptimizeOptions | None = None,
-) -> TuckerState:
+def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None) -> TuckerState:
     """Projected gradient ascent on the widths; centers stay fixed.
 
-    Restarts beyond the first jitter the initial widths multiplicatively
-    (seeded); the best final fidelity wins.  A fit that stops by hitting
-    max_iter or a stalled line search is returned flagged "unconverged"
-    with the best iterate seen.
+    The ascent starts from the problem spec's widths.  Restarts beyond the
+    first jitter them multiplicatively (seeded); the best final fidelity
+    wins.  A fit that stops by hitting max_iter or a stalled line search is
+    returned flagged "unconverged" with the best iterate seen.
     """
     opt = options or OptimizeOptions()
     engine = _Engine(problem)
-    if init_widths is None:
-        a0 = problem.spec.widths_flat()
-    else:
-        a0 = np.asarray(init_widths, dtype=np.float64).ravel()
-        if a0.size != sum(problem.spec.n_l):
-            raise ValueError(f"expected {sum(problem.spec.n_l)} widths, got {a0.size}")
-    if np.any(a0 <= 0.0) or not np.all(np.isfinite(a0)):
-        raise ValueError("initial widths must be positive and finite")
-
+    a0 = problem.spec.widths_flat()
     rng = np.random.default_rng(opt.seed)
     best = None
     restart_fids = []
@@ -488,7 +466,7 @@ def optimize_widths(
             best = result
     ev, iterations, grad_norm, converged, flags, history = best
 
-    spec = engine.spec_for(ev.widths)
+    spec = problem.spec.with_widths(ev.widths)
     for v in range(3):
         mass = boundary_mass(spec, v)
         for l in np.nonzero(mass > 1e-3)[0]:

@@ -42,7 +42,6 @@ __all__ = [
     "LorentzianBasisSpec",
     "lf_profile",
     "lf_state",
-    "lf_state_da",
     "lf_profile_da",
     "overlap_1d",
     "boundary_mass",
@@ -171,11 +170,6 @@ def lf_state(n: int, a: float, k_c: int) -> np.ndarray:
     return _single(n, a, k_c).states()[0]
 
 
-def lf_state_da(n: int, a: float, k_c: int) -> np.ndarray:
-    """Width derivative of the shifted state (shift commutes with d/da)."""
-    return _single(n, a, k_c).states_da()[0]
-
-
 def _symmetric_gram(states: np.ndarray) -> np.ndarray:
     """Overlap matrix of the rows of ``states``, symmetrized against rounding."""
     s = states @ states.T
@@ -260,17 +254,10 @@ class LorentzianBasisSpec:
             s.setflags(write=False)
         return out
 
-    def _profiles(self, axis) -> AxisProfiles:
-        v = _axis_index(axis)
-        return AxisProfiles(self.layouts[v], self.widths[v])
-
     def state_matrix(self, axis) -> np.ndarray:
         """Rows are the shifted LF statevectors of one direction, shape (n_Lv, N)."""
-        return self._profiles(axis).states()
-
-    def state_da_matrix(self, axis) -> np.ndarray:
-        """Rows are the width derivatives of the shifted states."""
-        return self._profiles(axis).states_da()
+        v = _axis_index(axis)
+        return AxisProfiles(self.layouts[v], self.widths[v]).states()
 
     def with_widths(self, widths_flat: np.ndarray) -> "LorentzianBasisSpec":
         """New spec with widths replaced from a flat (x then y then z) vector."""
@@ -286,14 +273,6 @@ class LorentzianBasisSpec:
 
     def widths_flat(self) -> np.ndarray:
         return np.concatenate(self.widths)
-
-    def same_layout(self, other: "LorentzianBasisSpec") -> bool:
-        """True when grid size, widths, and centers all match exactly."""
-        return (
-            self.n == other.n
-            and all(np.array_equal(a, b) for a, b in zip(self.widths, other.widths))
-            and all(np.array_equal(a, b) for a, b in zip(self.centers, other.centers))
-        )
 
 
 def overlap_1d(spec: LorentzianBasisSpec, axis) -> np.ndarray:

@@ -129,8 +129,8 @@ def test_criterion_4_fidelity_machinery_oracle():
         d = fit.core.ravel()
 
         f_coeff = float(np.sum(T.ravel() * d))
-        ideal, _ = build_ideal_state(problem.mo, problem.cell)
-        f_state = float(ideal.amplitudes @ tucker_statevector(spec, fit.core))
+        ideal = build_ideal_state(problem.mo, problem.cell)
+        f_state = float(ideal @ tucker_statevector(spec, fit.core))
         assert abs(f_coeff - f_state) <= 1e-8
 
         assert abs(float(d @ S @ d) - 1.0) <= 1e-10

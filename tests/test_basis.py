@@ -7,7 +7,6 @@ import pytest
 
 from mflo.basis import (
     ContractedGaussianAO,
-    GridState,
     MolecularOrbital,
     SimulationCell,
     ao_self_overlap,
@@ -173,31 +172,29 @@ class TestBuildIdealState:
         ao1 = gaussian_ao(STO3G_EXP, STO3G_COEF, (0, 0, 0), [3.0, 4.0, 4.0])
         ao2 = gaussian_ao([0.8], [1.0], (1, 0, 0), [5.0, 4.0, 4.0])
         mo = MolecularOrbital(ao_list=(ao1, ao2), coefficients=[0.7, -0.4])
-        state, _ = build_ideal_state(mo, cell)
-        np.testing.assert_allclose(state.amplitudes, naive_grid_state(mo, cell),
-                                   rtol=0, atol=1e-12)
+        state = build_ideal_state(mo, cell)
+        np.testing.assert_allclose(state, naive_grid_state(mo, cell), rtol=0, atol=1e-12)
 
     def test_unit_norm_and_shape(self):
         cell = _cell(n_qe=4)
         mo = MolecularOrbital(ao_list=(_s_ao(),), coefficients=[1.0])
-        state, _ = build_ideal_state(mo, cell)
-        assert state.amplitudes.shape == (4096,)
-        assert state.norm == pytest.approx(1.0, abs=1e-12)
-        assert float(state.amplitudes @ state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        state = build_ideal_state(mo, cell)
+        assert state.shape == (4096,)
+        assert float(np.linalg.norm(state)) == pytest.approx(1.0, abs=1e-12)
+        assert float(state @ state) == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_factor_near_one_when_resolved(self):
         # fine grid, compact orbital, large box: discrete sum tracks the integral
         cell = _cell(n_qe=6, edges=(12.0, 12.0, 12.0))
         mo = MolecularOrbital(ao_list=(_s_ao(1.0, (6.0, 6.0, 6.0)),), coefficients=[1.0])
-        _, norm_factor = build_ideal_state(mo, cell)
+        norm_factor = mo_norm_factor(mo, cell)
         assert 0.999 <= norm_factor <= 1.001
 
     def test_kz_fastest_ordering(self):
         # an orbital displaced along z must vary along the last axis of the cube
         cell = _cell(n_qe=3)
         mo = MolecularOrbital(ao_list=(_s_ao(2.0, (4.0, 4.0, 2.0)),), coefficients=[1.0])
-        state, _ = build_ideal_state(mo, cell)
-        grid = state.as_grid()
+        grid = build_ideal_state(mo, cell).reshape(8, 8, 8)
         kx, ky, kz = np.unravel_index(int(np.argmax(np.abs(grid))), grid.shape)
         assert (kx, ky, kz) == (4, 4, 2)
 
@@ -205,7 +202,7 @@ class TestBuildIdealState:
         # a single Cartesian Gaussian factorizes; the grid cube must too
         cell = _cell(n_qe=3)
         mo = MolecularOrbital(ao_list=(_s_ao(0.7, (3.0, 4.0, 5.0)),), coefficients=[1.0])
-        grid = build_ideal_state(mo, cell)[0].as_grid()
+        grid = build_ideal_state(mo, cell).reshape(8, 8, 8)
         gx = grid[:, 4, 5]
         gy = grid[3, :, 5]
         gz = grid[3, 4, :]
@@ -216,19 +213,19 @@ class TestBuildIdealState:
         # shifting AO centers and the cell origin together leaves amplitudes fixed
         mo1 = MolecularOrbital(ao_list=(_s_ao(0.5, (3.0, 4.0, 4.5)),), coefficients=[1.0])
         mo2 = MolecularOrbital(ao_list=(_s_ao(0.5, (4.0, 5.0, 5.5)),), coefficients=[1.0])
-        s1, n1 = build_ideal_state(mo1, _cell())
-        s2, n2 = build_ideal_state(mo2, _cell(origin=(1.0, 1.0, 1.0)))
-        np.testing.assert_allclose(s1.amplitudes, s2.amplitudes, atol=1e-13)
-        assert n1 == pytest.approx(n2, rel=1e-13)
+        cell1, cell2 = _cell(), _cell(origin=(1.0, 1.0, 1.0))
+        np.testing.assert_allclose(build_ideal_state(mo1, cell1),
+                                   build_ideal_state(mo2, cell2), atol=1e-13)
+        assert mo_norm_factor(mo1, cell1) == pytest.approx(mo_norm_factor(mo2, cell2), rel=1e-13)
 
     def test_mo_scale_invariance(self):
         # the normalized state ignores an overall MO coefficient rescale
         ao = _s_ao()
         m1 = MolecularOrbital(ao_list=(ao,), coefficients=[1.0])
         m2 = MolecularOrbital(ao_list=(ao,), coefficients=[-2.5])
-        s1, _ = build_ideal_state(m1, _cell())
-        s2, _ = build_ideal_state(m2, _cell())
-        np.testing.assert_allclose(s1.amplitudes, -s2.amplitudes, atol=1e-14)
+        s1 = build_ideal_state(m1, _cell())
+        s2 = build_ideal_state(m2, _cell())
+        np.testing.assert_allclose(s1, -s2, atol=1e-14)
 
     def test_resource_guard(self):
         mo = MolecularOrbital(ao_list=(_s_ao(),), coefficients=[1.0])
@@ -236,8 +233,8 @@ class TestBuildIdealState:
             build_ideal_state(mo, _cell(n_qe=9))
         with pytest.raises(ResourceLimitError):
             build_ideal_state(mo, _cell(n_qe=5), max_qubits=4)
-        state, _ = build_ideal_state(mo, _cell(n_qe=5), max_qubits=5)
-        assert state.amplitudes.size == 2 ** 15
+        state = build_ideal_state(mo, _cell(n_qe=5), max_qubits=5)
+        assert state.size == 2 ** 15
 
     def test_zero_orbital_rejected(self):
         mo = MolecularOrbital(ao_list=(_s_ao(),), coefficients=[0.0])
@@ -293,11 +290,6 @@ def test_separable_norm_factor_matches_dense_sum(n_qe):
         expected = _dense_norm_factor(mo, cell)
         assert mo_norm_factor(mo, cell) == pytest.approx(expected, rel=1e-13), name
         if n_qe <= 6:
-            assert build_ideal_state(mo, cell)[1] == mo_norm_factor(mo, cell), name
-
-
-def test_grid_state_reshape_roundtrip():
-    amps = np.arange(64, dtype=float)
-    state = GridState(amplitudes=amps, n_qe=2, norm=float(np.linalg.norm(amps)))
-    assert state.as_grid().shape == (4, 4, 4)
-    np.testing.assert_array_equal(state.as_grid().ravel(), state.amplitudes)
+            # the grid state is scaled by the same separable constant
+            state = build_ideal_state(mo, cell)
+            assert float(np.linalg.norm(state)) == pytest.approx(1.0, abs=1e-13), name

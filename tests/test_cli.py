@@ -184,6 +184,12 @@ class TestRunFit:
         assert canon["success_probability"] == pytest.approx(1.0, abs=1e-12)
         assert canon["cnot"]["total"] == report["cnot_tucker"]["total"]
 
+    def test_booleans_written_as_json_booleans(self, single_report):
+        _, path = single_report
+        on_disk = json.loads(Path(path).read_text())
+        assert on_disk["mos"]["ground"]["diagnostics"]["converged"] is True
+        assert on_disk["job"]["molecule"]["renormalize"] is True
+
     def test_history_recorded(self, single_report):
         report, _ = single_report
         diag = report["mos"]["ground"]["diagnostics"]
@@ -196,6 +202,15 @@ class TestRunFit:
         _, p1 = run_fit(SINGLE, out_path=tmp_path / "a.json")
         _, p2 = run_fit(SINGLE, out_path=tmp_path / "b.json")
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
+
+    def test_report_reproduces_from_embedded_job(self, tmp_path):
+        out = tmp_path / "r.json"
+        run_fit(H2, out_path=out)
+        first = out.read_bytes()
+        embedded = tmp_path / "embedded.json"
+        embedded.write_text(json.dumps(json.loads(first)["job"]))
+        assert main(["fit", "--job", str(embedded), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == first
 
     def test_default_report_path_from_job(self, tmp_path):
         job_copy = tmp_path / "single_gaussian.json"
@@ -325,7 +340,7 @@ class TestRunDecompose:
     def test_updates_report_in_place(self, tmp_path):
         _, path = run_fit(SINGLE, out_path=tmp_path / "r.json")
         before = json.loads(Path(path).read_text())
-        report, out = run_decompose(path, [1], seed=9)
+        report, out = run_decompose(path, [1])
         assert Path(out) == Path(path)
         canon = report["mos"]["ground"]["canonical"]["1"]
         assert canon["deviation"] <= 1e-12
@@ -428,8 +443,33 @@ class TestMain:
     def test_verify_passes_on_shipped_job(self, capsys):
         assert main(["verify", "--job", str(H2)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "12/12 checks passed" in out
+        assert "13/13 checks passed" in out
         assert "FAIL" not in out
+        assert "skip" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--job", str(SINGLE), "--seed", "9"],
+        ["decompose", "--report", "r.json", "--ranks", "1", "--seed", "9"],
+        ["decompose", "--report", "r.json", "--ranks", "1", "--restarts", "2"],
+        ["verify", "--job", str(SINGLE), "--seed", "9"],
+    ])
+    def test_run_options_come_only_from_the_job(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_run_verify_skips_grid_checks_past_the_guard(capsys):
+    # h2_like is on a 2^6 grid; a guard of 5 leaves every check but the two
+    # that build N^3 states runnable
+    assert run_verify(H2, max_qubits=5) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    skipped = [line.split()[0] for line in lines if line.split()[1:2] == ["skip"]]
+    assert skipped == ["statevector-overlap", "export-roundtrip"]
+    assert not any(line.split()[1:2] == ["FAIL"] for line in lines)
+    assert lines[-1] == ("11/13 checks passed, 2 skipped: "
+                         "statevector-overlap, export-roundtrip")
 
 
 def test_run_verify_reports_failures(tmp_path, capsys):

@@ -10,7 +10,6 @@ from mflo.cpd import (
     cp_decompose,
     decompose_core,
     normalize_factors,
-    tucker_canon_overlap,
 )
 from mflo.encoding import success_prob_canonical, success_prob_tucker
 from mflo.fitting import TuckerState, overlap_3d, tucker_statevector
@@ -198,11 +197,12 @@ class TestDecomposeCore:
         rng = np.random.default_rng(14)
         tucker = _tucker(rng.normal(size=(2, 2, 1)), spec)
         canon = decompose_core(tucker, 2, CpdOptions(n_restarts=2, seed=1))
-        overlap, canon_norm2, _ = tucker_canon_overlap(tucker, canon)
         phi_t = tucker_statevector(spec, tucker.core)
         phi_c = canonical_statevector(spec, canon.lambdas, canon.u)
-        assert overlap == pytest.approx(float(phi_t @ phi_c), rel=1e-11)
-        assert canon_norm2 == pytest.approx(float(phi_c @ phi_c), rel=1e-11)
+        ov = float(phi_t @ phi_c)
+        dev = 1.0 - ov * ov / (float(phi_t @ phi_t) * float(phi_c @ phi_c))
+        assert canon.canon_norm2 == pytest.approx(float(phi_c @ phi_c), rel=1e-11)
+        assert canon.deviation == pytest.approx(dev, abs=1e-11)
 
     def test_deviation_in_unit_interval(self):
         spec = _spec((2, 2, 2))
@@ -221,13 +221,12 @@ class TestDecomposeCore:
         assert all(a >= b - 1e-12 for a, b in zip(devs, devs[1:]))
 
     def test_spec_mismatch_rejected(self):
+        # factors of a 2x2x1 core cannot be normalized in a 2x2x2 metric
         spec_a = _spec((2, 2, 2))
-        spec_b = _spec((2, 2, 1))
         rng = np.random.default_rng(17)
-        tucker = _tucker(rng.normal(size=(2, 2, 1)), spec_b)
-        canon = decompose_core(tucker, 1, CpdOptions(n_restarts=1, seed=0))
+        result = cp_decompose(rng.normal(size=(2, 2, 1)), 1, CpdOptions(n_restarts=1, seed=0))
         with pytest.raises(ValueError, match="spec"):
-            tucker_canon_overlap(_tucker(rng.normal(size=(2, 2, 2)), spec_a), canon)
+            normalize_factors(result.v, spec_a)
 
     def test_metric_built_once_per_spec(self, monkeypatch):
         spec = _spec((2, 2, 2))

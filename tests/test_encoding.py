@@ -133,9 +133,6 @@ class TestGateCounts:
         with pytest.raises(ValueError, match="non-negative"):
             CircuitCostReport(form="tucker", n_a_axis=(0, 0, 0), n_a_lorentzian=0,
                               cx_total=-1, cx_sph=0, cx_amp=0)
-        with pytest.raises(ValueError, match="probability"):
-            CircuitCostReport(form="tucker", n_a_axis=(0, 0, 0), n_a_lorentzian=0,
-                              cx_total=0, cx_sph=0, cx_amp=0, success_probability=0.0)
 
 
 class TestTuckerSuccess:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from mflo.lorentzian import (
+    AxisLayout,
+    AxisProfiles,
     LorentzianBasisSpec,
     boundary_mass,
     lf_profile,
     lf_profile_da,
     lf_state,
-    lf_state_da,
     overlap_1d,
 )
 
@@ -142,8 +143,8 @@ def test_profile_derivative_orthogonal_to_profile(a):
 
 
 def test_state_derivative_is_shifted_derivative():
-    np.testing.assert_array_equal(
-        lf_state_da(4, 1.2, 5), np.roll(lf_profile_da(4, 1.2), 5))
+    dV = AxisProfiles(AxisLayout(4, [5]), [1.2]).states_da()
+    np.testing.assert_array_equal(dV[0], np.roll(lf_profile_da(4, 1.2), 5))
 
 
 PARITY_WIDTHS = (1e-3, 0.05, 0.6, 7.9, 50.0)
@@ -171,7 +172,7 @@ def test_state_matrices_match_closed_form_and_central_difference(n):
     spec = _spec(n=n, widths=([a for a, _ in pairs], (1.0,), (2.0,)),
                  centers=([k for _, k in pairs], (0,), (0,)))
     V = spec.state_matrix("x")
-    dV = spec.state_da_matrix("x")
+    dV = AxisProfiles(spec.layouts[0], spec.widths[0]).states_da()
     for a in PARITY_WIDTHS:
         with mpmath.workdps(60):
             h = mp.mpf("1e-20")
@@ -237,11 +238,6 @@ class TestBasisSpec:
         assert spec2.n_l == spec.n_l
         np.testing.assert_array_equal(spec2.widths_flat(), flat * 2.0)
         np.testing.assert_array_equal(spec2.centers[0], spec.centers[0])
-
-    def test_same_layout(self):
-        spec = _spec()
-        assert spec.same_layout(_spec())
-        assert not spec.same_layout(_spec(centers=((3, 10), (8,), (8,))))
 
     def test_arrays_frozen(self):
         spec = _spec()
