@@ -274,9 +274,13 @@ def build_ideal_state(
     """
     require_grid(cell.n_qe, max_qubits)
     norm_factor = mo_norm_factor(mo, cell)
-    w, (hx, hy, hz) = primitive_tables(mo, cell)
-    # phi[x, y, z] = sum_p (w_p hx[p, x]) hy[p, y] hz[p, z]: the Khatri-Rao
-    # product of the x and y tables, rows (x, y), times the z table
-    kr_xy = ((hx.T * w)[:, None, :] * hy.T).reshape(-1, w.size)
-    vals = kr_xy @ hz
-    return vals.ravel() * (norm_factor * math.sqrt(cell.dV))
+    w, tables = primitive_tables(mo, cell)
+    return _separable_grid(w, tables) * (norm_factor * math.sqrt(cell.dV))
+
+
+def _separable_grid(w, tables) -> np.ndarray:
+    # sum_p w_p tx[p, x] ty[p, y] tz[p, z], k_z fastest: the Khatri-Rao
+    # product of the weighted x table and the y table, rows (x, y), times tz
+    tx, ty, tz = tables
+    kr_xy = ((tx.T * w)[:, None, :] * ty.T).reshape(-1, w.size)
+    return (kr_xy @ tz).ravel()

@@ -74,6 +74,7 @@ MAGIC = b"MFLO"
 BINARY_VERSION = 1
 FORM_TAGS = {"ideal": 0, "tucker": 1, "canonical": 2}
 HEADER_FORMAT = "<4sIII16x"  # magic, version, n_qe, form tag, zero padding
+CSV_HEADER = "k_x,k_y,k_z,amplitude"
 IDENTITY_TOL = 1e-10
 
 _POS3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
@@ -197,16 +198,6 @@ JOB_SCHEMA = {
                 "n_restarts": {"type": "integer", "minimum": 1},
                 "max_sweeps": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "outputs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "report": {"type": "string"},
-                "export_statevectors": {"type": "boolean"},
-                "statevector_format": {"enum": ["csv", "binary"]},
-                "history_csv": {"type": "boolean"},
             },
         },
     },
@@ -403,24 +394,21 @@ def _canonical_entry(tucker: TuckerState, rank: int, options: CpdOptions, n_qe: 
     }
 
 
-def run_fit(job_path, out_path=None, max_qubits=None) -> tuple[dict, Path]:
+def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
     """Full pipeline for one job file; returns (report dict, report path).
 
-    Every run option comes from the job, which the report embeds, so the
-    report can be regenerated from its own ``job`` entry.
+    The report is the only file written: ``out_path``, else
+    ``<job>.report.json`` beside the job.  Every run option comes from the
+    job, which the report embeds, so the report can be regenerated from its
+    own ``job`` entry.  Fitting builds no grid; ``export_state`` does.
     """
     job = load_job(job_path)
     cell = _job_cell(job)
     _, mos = _job_molecule(job)
     spec = _job_spec(job, cell)
-    guard = DEFAULT_MAX_QUBITS if max_qubits is None else int(max_qubits)
     opt = OptimizeOptions(**job.get("fit", {}))
     ranks = job.get("cpd", {}).get("ranks", [])
     cpd_opt = CpdOptions(**{k: v for k, v in job.get("cpd", {}).items() if k != "ranks"})
-    outputs = job.get("outputs", {})
-    if outputs.get("export_statevectors", False):
-        # fitting itself never builds a grid; only the exports do
-        require_grid(cell.n_qe, guard)
 
     n_a, n_al, _ = ancilla_counts(spec)
     tucker_counts = cnot_count_tucker(spec, cell.n_qe)
@@ -472,49 +460,15 @@ def run_fit(job_path, out_path=None, max_qubits=None) -> tuple[dict, Path]:
             entry["canonical"][str(rank)] = _canonical_entry(tucker, rank, cpd_opt, cell.n_qe)
         report["mos"][name] = entry
 
-    report_path = _resolve_report_path(job_path, out_path, outputs)
+    report_path = Path(out_path or Path(job_path).with_suffix(".report.json"))
     _write_report(report, report_path)
-    if outputs.get("history_csv", False):
-        _write_history_csvs(report, report_path)
-    if outputs.get("export_statevectors", False):
-        fmt = outputs.get("statevector_format", "csv")
-        for name in report["mos"]:
-            for which in ("ideal", "tucker"):
-                export_state(report, which, fmt, mo=name,
-                             out_path=_export_path(report_path, name, which, None, fmt),
-                             max_qubits=guard)
-            for rank_key in report["mos"][name]["canonical"]:
-                export_state(report, "canonical", fmt, mo=name, rank=int(rank_key),
-                             out_path=_export_path(report_path, name, "canonical", rank_key, fmt),
-                             max_qubits=guard)
     return report, report_path
-
-
-def _resolve_report_path(job_path, out_path, outputs: dict) -> Path:
-    if out_path is not None:
-        return Path(out_path)
-    if "report" in outputs:
-        return Path(job_path).parent / outputs["report"]
-    return Path(job_path).with_suffix(".report.json")
 
 
 def _write_report(report: dict, path: Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_dumps(report) + "\n")
-
-
-def _write_history_csvs(report: dict, report_path: Path) -> None:
-    for name, entry in report["mos"].items():
-        history = entry["diagnostics"]["fidelity_history"]
-        rows = ["iteration,fidelity"] + [f"{i},{float(v)!r}" for i, v in enumerate(history)]
-        Path(report_path).with_suffix(f".{name}.history.csv").write_text("\n".join(rows) + "\n")
-
-
-def _export_path(report_path: Path, mo: str, which: str, rank, fmt: str) -> Path:
-    ext = "csv" if fmt == "csv" else "bin"
-    tag = which if rank is None else f"{which}{rank}"
-    return Path(report_path).with_suffix(f".{mo}.{tag}.{ext}")
 
 
 def _rebuild_state(report: dict, which: str, mo: str, rank: int | None, max_qubits: int) -> np.ndarray:
@@ -559,18 +513,13 @@ def export_state(report: dict, which: str, fmt: str, mo: str | None = None,
         mo = sorted(report["mos"])[0]
     amplitudes = _rebuild_state(report, which, mo, rank, max_qubits)
     n_qe = report["job"]["cell"]["n_qe"]
-    if out_path is None:
-        out_path = Path(f"{mo}.{which}.{'csv' if fmt == 'csv' else 'bin'}")
-    out_path = Path(out_path)
+    out_path = Path(out_path or f"{mo}.{which}.{'csv' if fmt == 'csv' else 'bin'}")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         N = 1 << n_qe
-        k = np.arange(N)
-        kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
-        lines = ["k_x,k_y,k_z,amplitude"]
-        lines += [f"{x},{y},{z},{a!r}" for x, y, z, a in
-                  zip(kx.ravel(), ky.ravel(), kz.ravel(), map(float, amplitudes))]
-        out_path.write_text("\n".join(lines) + "\n")
+        rows = (f"{x},{y},{z},{a!r}" for (x, y, z), a in
+                zip(np.ndindex(N, N, N), map(float, amplitudes)))
+        out_path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
     else:
         header = struct.pack(HEADER_FORMAT, MAGIC, BINARY_VERSION, n_qe, FORM_TAGS[which])
         out_path.write_bytes(header + amplitudes.astype("<f8").tobytes())
@@ -583,14 +532,26 @@ def read_state_export(path) -> tuple[np.ndarray, dict]:
     data = path.read_bytes()
     if data[:4] == MAGIC:
         magic, version, n_qe, tag = struct.unpack(HEADER_FORMAT, data[:32])
+        if version != BINARY_VERSION:
+            raise ValueError(f"{path}: binary format version {version}, "
+                             f"this reader handles {BINARY_VERSION}")
+        form = {v: k for k, v in FORM_TAGS.items()}.get(tag)
+        if form is None:
+            raise ValueError(f"{path}: unknown form tag {tag}")
         amps = np.frombuffer(data[32:], dtype="<f8")
         if amps.size != 1 << (3 * n_qe):
             raise ValueError(f"{path}: expected {1 << (3 * n_qe)} amplitudes, found {amps.size}")
-        form = {v: k for k, v in FORM_TAGS.items()}[tag]
         return amps.copy(), {"format": "binary", "version": version, "n_qe": n_qe, "form": form}
     lines = data.decode().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"{path}: expected the {MAGIC!r} binary magic or the CSV header "
+                         f"{CSV_HEADER!r}")
+    rows = len(lines) - 1
+    n_qe = (rows.bit_length() - 1) // 3
+    if n_qe < 1 or rows != 1 << (3 * n_qe):
+        raise ValueError(f"{path}: expected 8^n_qe amplitude rows, found {rows}")
     vals = np.asarray([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
-    return vals, {"format": "csv", "header": lines[0]}
+    return vals, {"format": "csv", "n_qe": n_qe}
 
 
 def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dict, Path]:
@@ -849,7 +810,7 @@ def _check_export_roundtrip(report: dict, tmp: Path, max_qubits: int) -> str:
     return f"formats agree, norm residual {norm_err:.1e}"
 
 
-def run_verify(job_path, max_qubits=None, stream=None) -> int:
+def run_verify(job_path, max_qubits=DEFAULT_MAX_QUBITS, stream=None) -> int:
     """Invariant battery; prints a per-check table, returns an exit code.
 
     The checks that build N^3 grid states are reported as skipped, not
@@ -857,7 +818,6 @@ def run_verify(job_path, max_qubits=None, stream=None) -> int:
     the run.
     """
     stream = stream or sys.stdout
-    guard = DEFAULT_MAX_QUBITS if max_qubits is None else int(max_qubits)
     results = []
 
     def run(name, fn):
@@ -868,7 +828,7 @@ def run_verify(job_path, max_qubits=None, stream=None) -> int:
 
     def run_on_grid(name, fn, n_qe):
         try:
-            require_grid(n_qe, guard)
+            require_grid(n_qe, max_qubits)
         except ResourceLimitError as exc:
             results.append((name, "skip", str(exc)))
             return
@@ -888,7 +848,7 @@ def run_verify(job_path, max_qubits=None, stream=None) -> int:
 
         def pipeline():
             nonlocal report
-            report, _ = run_fit(job_path, out_path=tmp / "run1.json", max_qubits=guard)
+            report, _ = run_fit(job_path, out_path=tmp / "run1.json")
             return _check_pipeline(report)
 
         run("pipeline-identities", pipeline)
@@ -896,13 +856,13 @@ def run_verify(job_path, max_qubits=None, stream=None) -> int:
             n_qe = report["job"]["cell"]["n_qe"]
             run("tucker-probability-oracle", lambda: _check_tucker_oracle(report))
             run_on_grid("statevector-overlap",
-                        lambda: _check_statevector_overlap(report, guard), n_qe)
+                        lambda: _check_statevector_overlap(report, max_qubits), n_qe)
             run("cp-exactness", lambda: _check_cp_exactness(report))
             run_on_grid("export-roundtrip",
-                        lambda: _check_export_roundtrip(report, tmp, guard), n_qe)
+                        lambda: _check_export_roundtrip(report, tmp, max_qubits), n_qe)
 
             def determinism():
-                run_fit(job_path, out_path=tmp / "run2.json", max_qubits=guard)
+                run_fit(job_path, out_path=tmp / "run2.json")
                 if (tmp / "run1.json").read_bytes() != (tmp / "run2.json").read_bytes():
                     raise AssertionError("repeated runs differ")
                 return "repeated runs byte-identical"
@@ -953,9 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="run the fit/decompose/report pipeline on a job file")
     fit.add_argument("--job", required=True)
-    fit.add_argument("--out", default=None, help="report path (default from the job file)")
-    fit.add_argument("--max-qubits", type=int, default=None,
-                     help="qubits-per-axis guard for statevector exports")
+    fit.add_argument("--out", default=None, help="report path (default <job>.report.json)")
 
     dec = sub.add_parser("decompose", help="re-run the CP rank sweep on an existing report")
     dec.add_argument("--report", required=True)
@@ -977,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--rank", type=int, default=None, help="canonical rank (default: largest)")
     exp.add_argument("--format", default="csv", choices=("csv", "binary"))
     exp.add_argument("--out", default=None)
-    exp.add_argument("--max-qubits", type=int, default=None)
+    exp.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
 
     two = sub.add_parser("two-center", help="interference sweep for two LF branches")
     two.add_argument("--n", type=int, required=True, help="grid qubits per direction")
@@ -989,12 +947,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the built-in check battery")
     ver.add_argument("--job", required=True)
-    ver.add_argument("--max-qubits", type=int, default=None)
+    ver.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
     return parser
 
 
 def _cmd_fit(args) -> int:
-    report, path = run_fit(args.job, out_path=args.out, max_qubits=args.max_qubits)
+    report, path = run_fit(args.job, out_path=args.out)
     for name, entry in sorted(report["mos"].items()):
         flags = ",".join(entry["diagnostics"]["flags"]) or "-"
         print(f"{name}: squared_overlap={entry['squared_overlap']:.6f} "
@@ -1039,9 +997,8 @@ def _cmd_gate_count(args) -> int:
 
 def _cmd_export_state(args) -> int:
     report = json.loads(Path(args.report).read_text())
-    guard = DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits
     path = export_state(report, args.which, args.format, mo=args.mo,
-                        rank=args.rank, out_path=args.out, max_qubits=guard)
+                        rank=args.rank, out_path=args.out, max_qubits=args.max_qubits)
     print(f"written to {path}")
     return EXIT_OK
 

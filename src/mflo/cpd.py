@@ -18,11 +18,11 @@ enters the post-selection success probability.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import _separable_grid
 from .fitting import TuckerState, mode_product
 from .lorentzian import LorentzianBasisSpec
 
@@ -182,8 +182,9 @@ def normalize_factors(v, spec: LorentzianBasisSpec):
 
     Returns (u, lambdas) with u_r . S^(v) u_r = 1 per direction in the
     spec's ``overlaps``, lambdas positive and sorted descending, and the
-    reconstruction unchanged.  Rows whose metric norm vanishes are dropped
-    (the effective rank shrinks), with a warning.
+    reconstruction unchanged.  Rows whose metric norm vanishes are dropped,
+    so the effective rank shrinks; ``decompose_core`` flags that as
+    ``rank-reduced``.
     """
     v = [np.asarray(m, dtype=np.float64) for m in v]
     if len(v) != 3 or any(m.ndim != 2 for m in v):
@@ -200,10 +201,6 @@ def normalize_factors(v, spec: LorentzianBasisSpec):
         quad = np.einsum("rl,lm,rm->r", v[axis], spec.overlaps[axis], v[axis])
         norms[axis] = np.sqrt(np.maximum(quad, 0.0))
     alive = np.all(norms > 1e-14, axis=0)
-    if not np.all(alive):
-        warnings.warn(
-            f"dropping {int(np.sum(~alive))} canonical component(s) with vanishing "
-            "metric norm; the effective rank is reduced", stacklevel=2)
     v = [m[alive] for m in v]
     norms = norms[:, alive]
 
@@ -247,8 +244,9 @@ def decompose_core(tucker: TuckerState, R: int, options: CpdOptions | None = Non
 
 
 def canonical_statevector(spec: LorentzianBasisSpec, lambdas, u) -> np.ndarray:
-    """Canonical-form state on the full grid (k_z fastest), for oracles."""
-    V = [spec.state_matrix(v) for v in range(3)]
-    phi = [np.asarray(u[v], dtype=np.float64) @ V[v] for v in range(3)]
-    return np.einsum("r,ri,rj,rk->ijk", np.asarray(lambdas, dtype=np.float64),
-                     phi[0], phi[1], phi[2]).ravel()
+    """Canonical-form state on the full grid (k_z fastest), for exports and oracles.
+
+    Term r has direction-v grid table u_r^(v) V^(v) and weight lambda_r.
+    """
+    phi = [np.asarray(u[v], dtype=np.float64) @ spec.state_matrix(v) for v in range(3)]
+    return _separable_grid(np.asarray(lambdas, dtype=np.float64), phi)

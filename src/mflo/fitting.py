@@ -492,10 +492,9 @@ def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None)
 
 
 def tucker_statevector(spec: LorentzianBasisSpec, core: np.ndarray) -> np.ndarray:
-    """Assemble the trial state on the full grid (k_z fastest), for oracles."""
+    """Assemble the trial state on the full grid (k_z fastest), for exports and oracles."""
     V = [spec.state_matrix(v) for v in range(3)]
-    d = np.asarray(core, dtype=np.float64)
-    return np.einsum("abc,ai,bj,ck->ijk", d, V[0], V[1], V[2]).ravel()
+    return mode_product(np.asarray(core, dtype=np.float64), V).ravel()
 
 
 def box_centers(cell: SimulationCell, box_min, box_edges, counts):

@@ -39,10 +39,6 @@ def _broken_job(tmp_path, mutate):
     return path
 
 
-def _exporting_job(tmp_path):
-    return _broken_job(tmp_path, lambda j: j["outputs"].update(export_statevectors=True))
-
-
 @pytest.fixture(scope="module")
 def single_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("fit") / "single.report.json"
@@ -217,38 +213,8 @@ class TestRunFit:
         shutil.copy(SINGLE, job_copy)
         _, path = run_fit(job_copy)
         assert Path(path) == tmp_path / "single_gaussian.report.json"
-        assert Path(path).exists()
-
-    def test_output_toggles(self, tmp_path):
-        job = json.loads(SINGLE.read_text())
-        job["outputs"] = {"report": "r.json", "history_csv": True,
-                          "export_statevectors": True, "statevector_format": "binary"}
-        job_path = tmp_path / "job.json"
-        job_path.write_text(json.dumps(job))
-        _, path = run_fit(job_path)
-        assert Path(path) == tmp_path / "r.json"
-        hist = tmp_path / "r.ground.history.csv"
-        assert hist.exists()
-        lines = hist.read_text().splitlines()
-        assert lines[0] == "iteration,fidelity"
-        assert len(lines) >= 2
-        for tag in ("ideal", "tucker", "canonical1"):
-            amps, meta = read_state_export(tmp_path / f"r.ground.{tag}.bin")
-            assert meta["format"] == "binary"
-            assert amps.size == 16 ** 3
-
-    def test_resource_guard(self, tmp_path, monkeypatch):
-        # the exports materialize grids, so the guard trips before any fitting
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fitted before the guard was checked")
-
-        monkeypatch.setattr("mflo.cli.optimize_widths", no_fit)
-        with pytest.raises(ResourceLimitError):
-            run_fit(_exporting_job(tmp_path), out_path=tmp_path / "r.json", max_qubits=3)
-
-    def test_guard_ignored_without_exports(self, tmp_path):
-        report, _ = run_fit(SINGLE, out_path=tmp_path / "r.json", max_qubits=3)
-        assert report["mos"]["ground"]["fidelity"] > 0.9
+        # the report is the only file a fit writes
+        assert sorted(tmp_path.iterdir()) == [job_copy, Path(path)]
 
     def test_fine_grid_job_fits_past_dense_limit(self, tmp_path):
         # n_qe=12 exceeds the default guard of 8; fitting builds no grid
@@ -277,7 +243,7 @@ class TestExports:
         a_csv, meta_csv = read_state_export(p_csv)
         np.testing.assert_array_equal(a_bin, a_csv)
         assert meta_bin == {"format": "binary", "version": 1, "n_qe": 4, "form": "ideal"}
-        assert meta_csv["header"] == "k_x,k_y,k_z,amplitude"
+        assert meta_csv == {"format": "csv", "n_qe": 4}
         assert float(a_bin @ a_bin) == pytest.approx(1.0, abs=1e-12)
 
     def test_csv_indices_are_grid_coordinates(self, single_report, tmp_path):
@@ -335,6 +301,34 @@ class TestExports:
         with pytest.raises(ValueError, match="expected"):
             read_state_export(clipped)
 
+    def test_unknown_binary_version_rejected(self, single_report, tmp_path):
+        report, _ = single_report
+        data = bytearray(export_state(report, "ideal", "binary",
+                                      out_path=tmp_path / "s.bin").read_bytes())
+        data[4:8] = (2).to_bytes(4, "little")
+        patched = tmp_path / "v2.bin"
+        patched.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="version 2"):
+            read_state_export(patched)
+
+    def test_clipped_csv_rejected(self, single_report, tmp_path):
+        report, _ = single_report
+        lines = export_state(report, "ideal", "csv",
+                             out_path=tmp_path / "s.csv").read_text().splitlines()
+        clipped = tmp_path / "clipped.csv"
+        clipped.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match="amplitude rows"):
+            read_state_export(clipped)
+
+    def test_csv_without_header_rejected(self, single_report, tmp_path):
+        report, _ = single_report
+        lines = export_state(report, "ideal", "csv",
+                             out_path=tmp_path / "s.csv").read_text().splitlines()
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text("\n".join(["x,y,z,amp"] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="header"):
+            read_state_export(renamed)
+
 
 class TestRunDecompose:
     def test_updates_report_in_place(self, tmp_path):
@@ -391,9 +385,17 @@ class TestMain:
         assert "ground: squared_overlap=" in out
         assert "report written to" in out
 
-    def test_resource_exit_code(self, tmp_path, capsys):
-        code = main(["fit", "--job", str(_exporting_job(tmp_path)),
-                     "--out", str(tmp_path / "r.json"), "--max-qubits", "3"])
+    def test_job_with_outputs_section_rejected(self, tmp_path, capsys):
+        path = _broken_job(tmp_path, lambda j: j.update(outputs={"report": "r.json"}))
+        code = main(["fit", "--job", str(path)])
+        assert code == EXIT_SCHEMA
+        assert "outputs" in json.loads(capsys.readouterr().err)["message"]
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_resource_exit_code(self, single_report, tmp_path, capsys):
+        _, report = single_report
+        code = main(["export-state", "--report", str(report), "--which", "tucker",
+                     "--out", str(tmp_path / "s.csv"), "--max-qubits", "3"])
         assert code == EXIT_RESOURCE
         assert json.loads(capsys.readouterr().err)["error"] == "resource"
 
@@ -452,6 +454,7 @@ class TestMain:
         ["decompose", "--report", "r.json", "--ranks", "1", "--seed", "9"],
         ["decompose", "--report", "r.json", "--ranks", "1", "--restarts", "2"],
         ["verify", "--job", str(SINGLE), "--seed", "9"],
+        ["fit", "--job", str(SINGLE), "--max-qubits", "3"],
     ])
     def test_run_options_come_only_from_the_job(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

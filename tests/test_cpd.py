@@ -1,11 +1,14 @@
 """Canonical decomposition of core tensors and its metric bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from mflo import lorentzian
+from mflo import cpd, lorentzian
 from mflo.cpd import (
     CpdOptions,
+    CpResult,
     canonical_statevector,
     cp_decompose,
     decompose_core,
@@ -154,11 +157,12 @@ class TestNormalizeFactors:
             for row in u[axis]:
                 assert row[int(np.argmax(np.abs(row)))] >= 0
 
-    def test_vanishing_row_dropped_with_warning(self):
+    def test_vanishing_row_dropped_without_warning(self):
         spec = _spec()
         v = self._factors(seed=4, R=3)
         v[1][2] = 0.0
-        with pytest.warns(UserWarning, match="effective rank"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             u, lam = normalize_factors(v, spec)
         assert lam.size == 2
         assert all(m.shape[0] == 2 for m in u)
@@ -220,6 +224,21 @@ class TestDecomposeCore:
                 for R in (1, 2, 4, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(devs, devs[1:]))
 
+    def test_vanishing_component_flagged_rank_reduced(self, monkeypatch):
+        spec = _spec((2, 2, 2))
+        tucker = _tucker(np.random.default_rng(20).normal(size=(2, 2, 2)), spec)
+        v = (np.array([[1.0, 0.5], [0.3, 0.2]]),
+             np.array([[0.7, 1.0], [0.0, 0.0]]),
+             np.array([[1.0, 0.4], [0.6, 0.9]]))
+        monkeypatch.setattr(cpd, "cp_decompose", lambda d, R, options=None: CpResult(
+            v=v, rec_error=0.5, restart_errors=(0.5,), flags=()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            canon = decompose_core(tucker, 2)
+        assert canon.R == 1
+        assert canon.lambdas.shape == (1,)
+        assert canon.flags == ("rank-reduced",)
+
     def test_spec_mismatch_rejected(self):
         # factors of a 2x2x1 core cannot be normalized in a 2x2x2 metric
         spec_a = _spec((2, 2, 2))
@@ -261,5 +280,17 @@ def test_canonical_statevector_is_sum_of_separable_states():
                            u[1][r] @ spec.state_matrix(1),
                            u[2][r] @ spec.state_matrix(2)).ravel()
         for r in range(2)
+    )
+    np.testing.assert_allclose(full, parts, atol=1e-13)
+
+
+def test_tucker_statevector_is_sum_of_separable_states():
+    spec = _spec((2, 2, 2))
+    core = np.random.default_rng(21).normal(size=(2, 2, 2))
+    V = [spec.state_matrix(v) for v in range(3)]
+    full = tucker_statevector(spec, core)
+    parts = sum(
+        core[a, b, c] * np.einsum("i,j,k->ijk", V[0][a], V[1][b], V[2][c]).ravel()
+        for a in range(2) for b in range(2) for c in range(2)
     )
     np.testing.assert_allclose(full, parts, atol=1e-13)
