@@ -16,7 +16,6 @@ from .lorentzian import (
     lf_profile,
     lf_profile_da,
     lf_state,
-    overlap_1d,
 )
 from .basis import (
     DEFAULT_MAX_QUBITS,
@@ -105,7 +104,6 @@ __all__ = [
     "mo_norm_factor",
     "normalize_factors",
     "optimize_widths",
-    "overlap_1d",
     "overlap_3d",
     "penalty",
     "renormalized",

@@ -15,7 +15,8 @@ h_v[p] with weight w_p = c_mu b_{mu s}, so that constant is separable:
     sum_grid phi^2 = sum_pq w_p w_q prod_v (h_v[p] . h_v[q]),
 
 a P x P sum over primitive pairs that never forms the N^3 grid
-(``mo_norm_factor``).  Only ``build_ideal_state`` materializes the grid.
+(``mo_norm_factor``).  Only ``build_ideal_state`` materializes the grid, as
+the CP form ``tensor.cp_full`` of the weights and sample tables.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from .exceptions import DegenerateInputError, ResourceLimitError
 from .lorentzian import _axis_index
+from .tensor import cp_full
 
 __all__ = [
     "ContractedGaussianAO",
@@ -275,12 +277,4 @@ def build_ideal_state(
     require_grid(cell.n_qe, max_qubits)
     norm_factor = mo_norm_factor(mo, cell)
     w, tables = primitive_tables(mo, cell)
-    return _separable_grid(w, tables) * (norm_factor * math.sqrt(cell.dV))
-
-
-def _separable_grid(w, tables) -> np.ndarray:
-    # sum_p w_p tx[p, x] ty[p, y] tz[p, z], k_z fastest: the Khatri-Rao
-    # product of the weighted x table and the y table, rows (x, y), times tz
-    tx, ty, tz = tables
-    kr_xy = ((tx.T * w)[:, None, :] * ty.T).reshape(-1, w.size)
-    return (kr_xy @ tz).ravel()
+    return cp_full(w, tables).ravel() * (norm_factor * math.sqrt(cell.dV))

@@ -56,7 +56,6 @@ from .fitting import (
     TuckerState,
     box_centers,
     fidelity_gradient,
-    mode_product,
     optimize_widths,
     overlap_3d,
     solve_core,
@@ -64,6 +63,7 @@ from .fitting import (
     tucker_statevector,
 )
 from .lorentzian import AXES, LorentzianBasisSpec, lf_profile, lf_profile_da, lf_state
+from .tensor import metric_inner
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -363,7 +363,7 @@ def _identity_residuals(problem: FitProblem, tucker: TuckerState) -> dict:
     spec = tucker.spec
     d = tucker.core
     t = t_tensor(problem.with_spec(spec))
-    quad = float(np.sum(d * mode_product(d, spec.overlaps)))
+    quad = metric_inner(d, d, spec.overlaps)
     f = float(np.sum(t * d))
     res = {
         "core_metric_norm": abs(quad - 1.0),

@@ -3,15 +3,16 @@
 The Tucker-form core d is approximated by a rank-R sum of separable terms,
 d ~ sum_r v_r^x (x) v_r^y (x) v_r^z, via alternating least squares: each mode
 update solves the exact linear least-squares problem through the Khatri-Rao
-Gram identity (Hadamard product of the other two factor Grams).  Factors are
-then rescaled in the LF overlap metric, N_r^(v) = sqrt(v_r . S^(v) v_r), so
-each row u_r = v_r / N_r describes a normalized single-direction state and
-lambda_r = N_r^x N_r^y N_r^z collects the canonical coefficients.
+Gram identity (Hadamard product of the other two factor Grams), with the
+MTTKRP as right-hand side.  Factors are then rescaled in the LF overlap
+metric, N_r^(v) = sqrt(v_r . S^(v) v_r), so each row u_r = v_r / N_r
+describes a normalized single-direction state and lambda_r = N_r^x N_r^y
+N_r^z collects the canonical coefficients.
 
 The per-direction S^(v) are the spec's cached ``overlaps``; normalization,
-the overlap with the Tucker state and the deviation all read them, and
-``decompose_core`` stores the canonical squared norm so that the success
-probability needs no second contraction.  The canonical-form state is the
+the overlap with the Tucker state and the deviation all read them, the last
+two through ``tensor.metric_inner``.  ``decompose_core`` stores the canonical
+squared norm so that the success probability needs no second contraction.  The canonical-form state is the
 resulting sum itself and is deliberately not renormalized; its squared norm
 enters the post-selection success probability.
 """
@@ -22,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import _separable_grid
-from .fitting import TuckerState, mode_product
+from .fitting import TuckerState
 from .lorentzian import LorentzianBasisSpec
+from .tensor import cp_full, metric_inner, mttkrp, unfold
 
 __all__ = [
     "CanonicalState",
@@ -70,10 +71,6 @@ class CanonicalState:
     flags: tuple[str, ...] = field(default=())
 
 
-def _reconstruct(v) -> np.ndarray:
-    return np.einsum("ra,rb,rc->abc", v[0], v[1], v[2])
-
-
 def _exact_init(d: np.ndarray) -> list[np.ndarray]:
     """Exact R = n_prod decomposition: one separable term per core entry."""
     I, J, K = d.shape
@@ -96,8 +93,7 @@ def _svd_init(d: np.ndarray, R: int, rng: np.random.Generator) -> list[np.ndarra
     """Leading singular vectors of each unfolding, padded randomly past the rank."""
     out = []
     for mode in range(3):
-        unf = np.moveaxis(d, mode, 0).reshape(d.shape[mode], -1)
-        u_mat, _, _ = np.linalg.svd(unf, full_matrices=False)
+        u_mat, _, _ = np.linalg.svd(unfold(d, mode), full_matrices=False)
         take = min(R, u_mat.shape[1])
         fac = np.empty((R, d.shape[mode]))
         fac[:take] = u_mat[:, :take].T
@@ -117,8 +113,9 @@ def _solve_mode(gram: np.ndarray, rhs: np.ndarray, flags: set[str]) -> np.ndarra
 
 def _als_run(d: np.ndarray, factors: list[np.ndarray], max_sweeps: int):
     norm_d = float(np.linalg.norm(d))
+    ones = np.ones(factors[0].shape[0])
     flags: set[str] = set()
-    err = float(np.linalg.norm(d - _reconstruct(factors))) / norm_d
+    err = float(np.linalg.norm(d - cp_full(ones, factors))) / norm_d
     if err <= ALS_TOL:
         # the init already solves the problem (e.g. the entrywise exact
         # R = n_prod start); sweeping would only add ridge noise
@@ -129,14 +126,8 @@ def _als_run(d: np.ndarray, factors: list[np.ndarray], max_sweeps: int):
             others = [u for u in range(3) if u != mode]
             gram = (factors[others[0]] @ factors[others[0]].T) * (
                 factors[others[1]] @ factors[others[1]].T)
-            spec_rhs = {
-                0: ("abc,rb,rc->ra", factors[1], factors[2]),
-                1: ("abc,ra,rc->rb", factors[0], factors[2]),
-                2: ("abc,ra,rb->rc", factors[0], factors[1]),
-            }[mode]
-            rhs = np.einsum(spec_rhs[0], d, spec_rhs[1], spec_rhs[2])
-            factors[mode] = _solve_mode(gram, rhs, flags)
-        err = float(np.linalg.norm(d - _reconstruct(factors))) / norm_d
+            factors[mode] = _solve_mode(gram, mttkrp(d, factors, mode), flags)
+        err = float(np.linalg.norm(d - cp_full(ones, factors))) / norm_d
         if abs(err_prev - err) < ALS_TOL:
             break
         err_prev = err
@@ -219,12 +210,10 @@ def normalize_factors(v, spec: LorentzianBasisSpec):
 
 
 def _overlap_terms(S1, core, lambdas, u):
-    e = np.einsum("r,ra,rb,rc->abc", lambdas, u[0], u[1], u[2])
-    d_s = mode_product(core, S1)
-    e_s = mode_product(e, S1)
-    overlap = float(np.sum(d_s * e))
-    canon_norm2 = float(np.sum(e_s * e))
-    tucker_norm2 = float(np.sum(d_s * core))
+    e = cp_full(lambdas, u)
+    overlap = metric_inner(e, core, S1)
+    canon_norm2 = metric_inner(e, e, S1)
+    tucker_norm2 = metric_inner(core, core, S1)
     # rounding can push 1 - cos^2 just outside [0, 1]
     deviation = float(np.clip(1.0 - overlap * overlap / (tucker_norm2 * canon_norm2), 0.0, 1.0))
     return canon_norm2, deviation
@@ -249,4 +238,4 @@ def canonical_statevector(spec: LorentzianBasisSpec, lambdas, u) -> np.ndarray:
     Term r has direction-v grid table u_r^(v) V^(v) and weight lambda_r.
     """
     phi = [np.asarray(u[v], dtype=np.float64) @ spec.state_matrix(v) for v in range(3)]
-    return _separable_grid(np.asarray(lambdas, dtype=np.float64), phi)
+    return cp_full(np.asarray(lambdas, dtype=np.float64), phi).ravel()

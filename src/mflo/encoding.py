@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpd import CanonicalState
-from .fitting import TuckerState, mode_product
+from .fitting import TuckerState
 from .lorentzian import LorentzianBasisSpec, lf_state
+from .tensor import metric_inner
 
 __all__ = [
     "CircuitCostReport",
@@ -126,26 +127,23 @@ def cnot_count_canonical(spec, n_qe: int, R: int) -> CircuitCostReport:
         qft_cx_informational=_qft_informational(n_qe))
 
 
-def tucker_success_from_core(core, metric: np.ndarray | None = None) -> float:
-    """P = (d.S d) / (n_prod |d|^2); metric None assumes d.S d = 1 already."""
+def tucker_success_from_core(core) -> float:
+    """P = 1 / (n_prod |d|^2) for a core normalized to d.S d = 1."""
     d = np.asarray(core, dtype=np.float64).ravel()
-    n_prod = d.size
     d2 = float(d @ d)
     if d2 == 0.0:
         raise ValueError("core tensor is zero")
-    if metric is None:
-        return 1.0 / (n_prod * d2)
-    s_quad = float(d @ (np.asarray(metric, dtype=np.float64) @ d))
-    return s_quad / (n_prod * d2)
+    return 1.0 / (d.size * d2)
 
 
 def success_prob_tucker(tucker: TuckerState) -> float:
-    """All-zero post-selection probability of the Tucker-form encoding."""
-    spec = tucker.spec
+    """All-zero post-selection probability of the Tucker-form encoding.
+
+    P = (d.S d) / (n_prod |d|^2), so a core off the d.S d = 1 normalization
+    still gets its probability.
+    """
     d = tucker.core
-    d_s = mode_product(d, spec.overlaps)
-    s_quad = float(np.sum(d_s * d))
-    return s_quad / (spec.n_prod * float(np.sum(d * d)))
+    return metric_inner(d, d, tucker.spec.overlaps) * tucker_success_from_core(d)
 
 
 def success_prob_canonical(canon: CanonicalState) -> float:

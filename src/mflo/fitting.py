@@ -18,7 +18,9 @@ ascent using the analytic derivative
 with f = sum(T d) and g the core-weighted derivative of T.
 
 Everything here works in LF coefficient space; statevector assembly is
-provided only for oracles and exports.
+provided only for oracles and exports.  T is a CP form over the primitive
+pairs (``tensor.cp_full``), and g contracts d with its factor tables
+(``tensor.mttkrp``).
 """
 
 from __future__ import annotations
@@ -30,14 +32,8 @@ import numpy as np
 
 from .basis import MolecularOrbital, SimulationCell, mo_norm_factor, primitive_tables
 from .exceptions import ConditioningError
-from .lorentzian import (
-    AXES,
-    AxisProfiles,
-    LorentzianBasisSpec,
-    _symmetric_gram,
-    boundary_mass,
-    overlap_1d,
-)
+from .lorentzian import AXES, AxisProfiles, LorentzianBasisSpec, _symmetric_gram, boundary_mass
+from .tensor import cp_full, mode_product, mttkrp, unfold
 
 __all__ = [
     "FitProblem",
@@ -49,7 +45,6 @@ __all__ = [
     "penalty",
     "solve_core",
     "fidelity_gradient",
-    "mode_product",
     "optimize_widths",
     "box_centers",
     "tucker_statevector",
@@ -180,59 +175,47 @@ class _Engine:
         prof = [AxisProfiles(self.layouts[v], parts[v]) for v in range(3)]
         V = [p.states() for p in prof]
         S1 = [_symmetric_gram(states) for states in V]
-        M = [self.col_pref[v] * (V[v] @ self.h[v].T) for v in range(3)]
-        # T[x, y, z] = pref sum_p w_p M_x[x, p] M_y[y, p] M_z[z, p], through
-        # the Khatri-Rao product of the x and y tables, rows (x, y)
-        kr_xy = (M[0][:, None, :] * M[1]).reshape(-1, self.wpref.size)
-        T = ((kr_xy * self.wpref) @ M[2].T).reshape(self.n_l)
-        return prof, V, S1, M, kr_xy, T
+        # M_v[p, l]: primitive p's samples against LF l of direction v, so
+        # T = sum_p pref w_p M_x[p] (x) M_y[p] (x) M_z[p]
+        M = [self.col_pref[v] * (self.h[v] @ V[v].T) for v in range(3)]
+        return prof, V, S1, M, cp_full(self.wpref, M)
 
     def evaluate(self, widths: np.ndarray) -> "_Eval":
         widths = np.array(widths, dtype=np.float64).ravel()
-        prof, V, S1, M, kr_xy, T = self.assemble(widths)
-        d, kappa, pen, degenerate, discarded = _solve_core_factored(T, S1, self.alpha)
+        prof, V, S1, M, T = self.assemble(widths)
+        tr1, tr2 = _traces(S1)
+        pen = _penalty(tr1, tr2, self.alpha, T.size)
+        d, kappa, degenerate, discarded = _solve_core_factored(T, S1)
         f = float(np.sum(T * d))
-        return _Eval(profiles=prof, widths=widths,
-                     V=V, S1=S1, M=M, kr_xy=kr_xy, T=T, core=d, kappa=kappa, pen=pen,
+        return _Eval(profiles=prof, widths=widths, V=V, S1=S1, tr1=tr1, tr2=tr2,
+                     M=M, T=T, core=d, kappa=kappa, pen=pen,
                      fidelity=kappa - pen, f=f, degenerate=degenerate,
                      discarded=discarded)
 
     def gradient(self, ev: "_Eval") -> np.ndarray:
-        dV = [p.states_da() for p in ev.profiles]
-        dM = [self.col_pref[v] * (dV[v] @ self.h[v].T) for v in range(3)]
-        M, d = ev.M, ev.core
-        # g_v[l] = sum over the other axes of d times dT/da_l, where dT/da_l
-        # swaps M_v for dM_v in T; P_v[l, p] holds d contracted with the
-        # other two M tables, so g_v = (dM_v * P_v) @ (pref w)
-        dz = d @ M[2]
-        P = [
-            np.sum(dz * M[1], axis=1),
-            np.sum(dz * M[0][:, None, :], axis=0),
-            d.reshape(-1, self.n_l[2]).T @ ev.kr_xy,
-        ]
-        g = [(dM[v] * P[v]) @ self.wpref for v in range(3)]
-        Sx, Sy, Sz = ev.S1
-        # D_v[i, j]: core contracted with the metric on the other two axes
-        D = [
-            _unfold(d, 0) @ _unfold(mode_product(d, (None, Sy, Sz)), 0).T,
-            _unfold(d, 1) @ _unfold(mode_product(d, (Sx, None, Sz)), 1).T,
-            _unfold(d, 2) @ _unfold(mode_product(d, (Sx, Sy, None)), 2).T,
-        ]
-        q = [dV[v] @ ev.V[v].T for v in range(3)]
-        tr1 = [float(np.trace(s)) for s in ev.S1]
-        tr2 = [float(np.sum(s * s)) for s in ev.S1]
+        d, tr1, tr2 = ev.core, ev.tr1, ev.tr2
         n_prod = d.size
         grad = []
-        for v in range(3):
+        for v, prof in enumerate(ev.profiles):
+            dV = prof.states_da()
             others = [u for u in range(3) if u != v]
-            d_sdd = 2.0 * np.einsum("lj,lj->l", q[v], D[v])
-            tr_s_ds = 2.0 * np.einsum("lj,lj->l", q[v], ev.S1[v])
-            tr_ds = 2.0 * np.diag(q[v])
+            # g[l] = sum over the other axes of d times dT/da_l, where dT/da_l
+            # swaps M_v for dM_v in T: the MTTKRP of d with the other two M
+            # tables, weighted by dM_v and summed over primitives
+            dM = self.col_pref[v] * (self.h[v] @ dV.T)
+            g = self.wpref @ (dM * mttkrp(d, ev.M, v))
+            # D[i, j]: core contracted with the metric on the other two axes
+            ds = mode_product(d, [None if u == v else s for u, s in enumerate(ev.S1)])
+            D = unfold(d, v) @ unfold(ds, v).T
+            q = dV @ ev.V[v].T
+            d_sdd = 2.0 * np.einsum("lj,lj->l", q, D)
+            tr_s_ds = 2.0 * np.einsum("lj,lj->l", q, ev.S1[v])
+            tr_ds = 2.0 * np.diag(q)
             d_pen = (2.0 * self.alpha / n_prod) * (
                 tr_s_ds * tr2[others[0]] * tr2[others[1]]
                 - tr_ds * tr1[others[0]] * tr1[others[1]]
             )
-            grad.append(2.0 * ev.f * g[v] - ev.kappa * d_sdd - d_pen)
+            grad.append(2.0 * ev.f * g - ev.kappa * d_sdd - d_pen)
         return np.concatenate(grad)
 
 
@@ -242,8 +225,9 @@ class _Eval:
     widths: np.ndarray
     V: list
     S1: list
+    tr1: list  # Tr(S_v) per direction
+    tr2: list  # Tr(S_v^2) per direction
     M: list
-    kr_xy: np.ndarray
     T: np.ndarray
     core: np.ndarray
     kappa: float
@@ -254,50 +238,31 @@ class _Eval:
     discarded: int
 
 
-def _unfold(t: np.ndarray, axis: int) -> np.ndarray:
-    """Mode-``axis`` unfolding; the other axes keep one fixed order."""
-    return np.swapaxes(t, 0, axis).reshape(t.shape[axis], -1)
+def _traces(S1) -> tuple[list[float], list[float]]:
+    """Tr(S_v) and Tr(S_v^2) of each direction's metric."""
+    return [float(np.trace(s)) for s in S1], [float(np.sum(s * s)) for s in S1]
 
 
-def mode_product(t: np.ndarray, mats) -> np.ndarray:
-    """Multiply each axis of a 3-way tensor by a matrix.
-
-    out[A, B, C] = sum t[a, b, c] m0[a, A] m1[b, B] m2[c, C]; a ``None``
-    matrix leaves its axis as it is.  Each step contracts the leading axis
-    and appends the new one, so after three steps the axis order is back.
-    """
-    for m in mats:
-        lead, *rest = t.shape
-        flat = t.reshape(lead, -1).T
-        t = (flat if m is None else flat @ m).reshape(*rest, -1)
-    return t
-
-
-def _penalty_from_s1(S1, alpha: float, n_prod: int) -> float:
+def _penalty(tr1, tr2, alpha: float, n_prod: int) -> float:
     # Tr((S - I)^2) = prod Tr(Sv^2) - 2 prod Tr(Sv) + n_prod for S = kron(Sx, Sy, Sz)
-    tr2 = 1.0
-    tr1 = 1.0
-    for s in S1:
-        tr2 *= float(np.sum(s * s))
-        tr1 *= float(np.trace(s))
-    return (alpha / n_prod) * (tr2 - 2.0 * tr1 + n_prod)
+    return (alpha / n_prod) * (math.prod(tr2) - 2.0 * math.prod(tr1) + n_prod)
 
 
 def _degenerate_core(lam: np.ndarray, Q: list) -> np.ndarray:
     # T = 0: fidelity is flat in d, return the dominant metric eigenvector
-    i, j, k = np.unravel_index(int(np.argmax(lam)), lam.shape)
-    d = np.einsum("a,b,c->abc", Q[0][:, i], Q[1][:, j], Q[2][:, k])
-    d = d / math.sqrt(float(lam[i, j, k]))
+    idx = np.unravel_index(int(np.argmax(lam)), lam.shape)
+    d = cp_full(np.ones(1), [q[:, [i]].T for q, i in zip(Q, idx)])
+    d = d / math.sqrt(float(lam[idx]))
     flat = d.ravel()
     lead = flat[np.argmax(np.abs(flat))]
     return d if lead >= 0 else -d
 
 
-def _solve_core_factored(T: np.ndarray, S1, alpha: float):
+def _solve_core_factored(T: np.ndarray, S1):
     """Top eigenpair of (t t^T) d = kappa S d using the per-axis eigenbases."""
     eigs = [np.linalg.eigh(s) for s in S1]
     Q = [e[1] for e in eigs]
-    lam = np.einsum("i,j,k->ijk", eigs[0][0], eigs[1][0], eigs[2][0])
+    lam = cp_full(np.ones(1), [e[0][None, :] for e in eigs])
     lam_max = float(lam.max())
     if not math.isfinite(lam_max) or lam_max <= 0.0:
         raise ConditioningError("overlap metric has no positive eigenvalue",
@@ -306,14 +271,13 @@ def _solve_core_factored(T: np.ndarray, S1, alpha: float):
     discarded = int(T.size - np.count_nonzero(keep))
     tt = mode_product(T, Q)
     kappa = float(np.sum(np.where(keep, tt * tt / np.where(keep, lam, 1.0), 0.0)))
-    pen = _penalty_from_s1(S1, alpha, T.size)
     if kappa <= 0.0:
-        return _degenerate_core(lam, Q), 0.0, pen, True, discarded
+        return _degenerate_core(lam, Q), 0.0, True, discarded
     dt = np.where(keep, tt / np.where(keep, lam, 1.0), 0.0)
     d = mode_product(dt, [q.T for q in Q]) / math.sqrt(kappa)
     if float(np.sum(T * d)) < 0.0:
         d = -d
-    return d, kappa, pen, False, discarded
+    return d, kappa, False, discarded
 
 
 def t_tensor(problem: FitProblem) -> np.ndarray:
@@ -325,7 +289,8 @@ def t_tensor(problem: FitProblem) -> np.ndarray:
 
 def overlap_3d(spec: LorentzianBasisSpec) -> np.ndarray:
     """Full product-basis overlap matrix S, (n_prod x n_prod), C-order vec."""
-    s = np.kron(np.kron(overlap_1d(spec, 0), overlap_1d(spec, 1)), overlap_1d(spec, 2))
+    sx, sy, sz = spec.overlaps
+    s = np.kron(np.kron(sx, sy), sz)
     return 0.5 * (s + s.T)
 
 
@@ -333,7 +298,7 @@ def penalty(spec: LorentzianBasisSpec, alpha_pen: float) -> float:
     """Orthonormality penalty (alpha/n_prod) Tr((S - I)^2)."""
     if alpha_pen < 0.0:
         raise ValueError(f"penalty strength must be >= 0, got {alpha_pen}")
-    return _penalty_from_s1(spec.overlaps, alpha_pen, spec.n_prod)
+    return _penalty(*_traces(spec.overlaps), alpha_pen, spec.n_prod)
 
 
 def solve_core(T, S: np.ndarray, alpha_pen: float = 0.0):

@@ -43,7 +43,6 @@ __all__ = [
     "lf_profile",
     "lf_state",
     "lf_profile_da",
-    "overlap_1d",
     "boundary_mass",
 ]
 
@@ -273,11 +272,6 @@ class LorentzianBasisSpec:
 
     def widths_flat(self) -> np.ndarray:
         return np.concatenate(self.widths)
-
-
-def overlap_1d(spec: LorentzianBasisSpec, axis) -> np.ndarray:
-    """1D overlap matrix S^(v) between the shifted LFs of one direction (read-only)."""
-    return spec.overlaps[_axis_index(axis)]
 
 
 def boundary_mass(spec: LorentzianBasisSpec, axis, margin: int = 3) -> np.ndarray:

@@ -16,7 +16,7 @@ from mflo.cpd import (
 )
 from mflo.encoding import success_prob_canonical, success_prob_tucker
 from mflo.fitting import TuckerState, overlap_3d, tucker_statevector
-from mflo.lorentzian import LorentzianBasisSpec, overlap_1d
+from mflo.lorentzian import LorentzianBasisSpec
 
 
 def _spec(n_l=(2, 2, 2)):
@@ -142,7 +142,7 @@ class TestNormalizeFactors:
         spec = _spec()
         u, lam = normalize_factors(self._factors(seed=1), spec)
         for axis in range(3):
-            S = overlap_1d(spec, axis)
+            S = spec.overlaps[axis]
             quad = np.einsum("rl,lm,rm->r", u[axis], S, u[axis])
             np.testing.assert_allclose(quad, 1.0, atol=1e-12)
         assert np.all(lam > 0)

@@ -148,15 +148,6 @@ class TestTuckerSuccess:
         assert tucker_success_from_core([1.56, -1.55]) == pytest.approx(
             0.1033890945183102, rel=1e-14)
 
-    def test_metric_form_matches_state_form(self):
-        spec = _spec()
-        rng = np.random.default_rng(20)
-        core = rng.normal(size=(2, 2, 2))
-        tucker = _tucker(core, spec)
-        S = overlap_3d(spec)
-        assert success_prob_tucker(tucker) == pytest.approx(
-            tucker_success_from_core(core, metric=S), rel=1e-14)
-
     def test_matches_branch_oracle(self):
         spec = _spec()
         rng = np.random.default_rng(21)

@@ -27,7 +27,7 @@ from mflo.fitting import (
     t_tensor,
     tucker_statevector,
 )
-from mflo.lorentzian import LorentzianBasisSpec, lf_state, overlap_1d
+from mflo.lorentzian import LorentzianBasisSpec, lf_state
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -143,8 +143,8 @@ class TestOverlap3D:
     def test_kron_of_axis_grams(self):
         spec = _spec()
         S = overlap_3d(spec)
-        kron = np.kron(np.kron(overlap_1d(spec, 0), overlap_1d(spec, 1)),
-                       overlap_1d(spec, 2))
+        sx, sy, sz = spec.overlaps
+        kron = np.kron(np.kron(sx, sy), sz)
         np.testing.assert_allclose(S, kron, rtol=0, atol=1e-15)
 
     def test_gram_properties(self):
@@ -166,7 +166,7 @@ class TestPenalty:
     def test_hand_value_two_by_one_by_one(self):
         # S_x = [[1, s], [s, 1]] and unit blocks elsewhere give P = alpha s^2
         spec = _spec()
-        s = overlap_1d(spec, 0)[0, 1]
+        s = spec.overlaps[0][0, 1]
         alpha = 0.7
         assert penalty(spec, alpha) == pytest.approx(alpha * s * s, rel=1e-12)
 
@@ -178,7 +178,7 @@ class TestPenalty:
         tr2 = 1.0
         tr1 = 1.0
         for v in range(3):
-            Sv = overlap_1d(spec, v)
+            Sv = spec.overlaps[v]
             tr2 *= float(np.trace(Sv @ Sv))
             tr1 *= float(np.trace(Sv))
         expect = (alpha / n_prod) * (tr2 - 2.0 * tr1 + n_prod)

@@ -13,7 +13,6 @@ from mflo.lorentzian import (
     lf_profile,
     lf_profile_da,
     lf_state,
-    overlap_1d,
 )
 
 WIDTHS = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -249,12 +248,12 @@ class TestOverlap1D:
     def test_matches_gram_of_state_matrix(self):
         spec = _spec()
         V = spec.state_matrix("x")
-        np.testing.assert_allclose(overlap_1d(spec, "x"), V @ V.T, atol=1e-15)
+        np.testing.assert_allclose(spec.overlaps[0], V @ V.T, atol=1e-15)
 
     def test_unit_diagonal_symmetric(self):
         spec = _spec(widths=((0.4, 1.1, 2.2), (1.0,), (2.0,)),
                      centers=((2, 8, 13), (8,), (8,)))
-        S = overlap_1d(spec, 0)
+        S = spec.overlaps[0]
         np.testing.assert_allclose(np.diag(S), np.ones(3), atol=1e-12)
         np.testing.assert_array_equal(S, S.T)
         assert np.all(S > 0)  # LF entries are positive, so overlaps are too
@@ -263,14 +262,14 @@ class TestOverlap1D:
     def test_positive_semidefinite(self):
         spec = _spec(widths=((0.4, 0.8, 1.6, 3.2), (1.0,), (2.0,)),
                      centers=((2, 6, 10, 14), (8,), (8,)))
-        w = np.linalg.eigvalsh(overlap_1d(spec, 0))
+        w = np.linalg.eigvalsh(spec.overlaps[0])
         assert w.min() > -1e-12
 
     def test_shift_invariance(self):
         # overlaps depend on center separation only (cyclic convolution structure)
         s1 = _spec(widths=((0.7, 1.3), (1.0,), (1.0,)), centers=((2, 5), (8,), (8,)))
         s2 = _spec(widths=((0.7, 1.3), (1.0,), (1.0,)), centers=((9, 12), (8,), (8,)))
-        np.testing.assert_allclose(overlap_1d(s1, 0), overlap_1d(s2, 0), atol=1e-13)
+        np.testing.assert_allclose(s1.overlaps[0], s2.overlaps[0], atol=1e-13)
 
     def test_cached_overlaps_are_symmetrized_gram(self):
         spec = _spec()
@@ -278,14 +277,13 @@ class TestOverlap1D:
             V = spec.state_matrix(v)
             s = V @ V.T
             np.testing.assert_array_equal(spec.overlaps[v], 0.5 * (s + s.T))
-            assert overlap_1d(spec, v) is spec.overlaps[v]
 
     def test_cached_overlaps_read_only(self):
         spec = _spec()
         with pytest.raises(ValueError):
             spec.overlaps[0][0, 0] = 2.0
         with pytest.raises(ValueError):
-            overlap_1d(spec, "y")[0, 0] = 2.0
+            spec.overlaps[1][0, 0] = 2.0
 
 
 class TestBoundaryMass:

@@ -1,0 +1,109 @@
+"""Tensor kernels against explicit loops and dense oracles."""
+
+import numpy as np
+import pytest
+
+from mflo.tensor import cp_full, metric_inner, mode_product, mttkrp, unfold
+
+SHAPE = (3, 4, 5)
+
+
+def _factors(rng, R, shape=SHAPE):
+    return [rng.normal(size=(R, n)) for n in shape]
+
+
+def _outer_sum(weights, factors):
+    out = np.zeros(tuple(f.shape[1] for f in factors))
+    for r, w in enumerate(weights):
+        out += w * np.multiply.outer(np.multiply.outer(factors[0][r], factors[1][r]),
+                                     factors[2][r])
+    return out
+
+
+def _khatri_rao(a, b):
+    # column r is kron(a[r], b[r]), first factor slowest (C order)
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1).T
+
+
+class TestCpFull:
+    @pytest.mark.parametrize("R", [1, 4])
+    def test_matches_outer_product_loop(self, R):
+        rng = np.random.default_rng(R)
+        w = rng.normal(size=R)
+        f = _factors(rng, R)
+        np.testing.assert_allclose(cp_full(w, f), _outer_sum(w, f), rtol=0, atol=1e-13)
+
+    def test_grid_sized_axis(self):
+        rng = np.random.default_rng(7)
+        w = rng.uniform(0.5, 2.0, size=3)
+        f = _factors(rng, 3, shape=(2, 3, 64))
+        out = cp_full(w, f)
+        assert out.shape == (2, 3, 64)
+        np.testing.assert_allclose(out, _outer_sum(w, f), rtol=0, atol=1e-13)
+
+
+class TestMttkrp:
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_matches_loops(self, mode):
+        rng = np.random.default_rng(10 + mode)
+        t = rng.normal(size=SHAPE)
+        f = _factors(rng, 3)
+        expect = np.zeros((3, SHAPE[mode]))
+        for r in range(3):
+            for a, b, c in np.ndindex(*SHAPE):
+                idx = (a, b, c)
+                others = [f[v][r, idx[v]] for v in range(3) if v != mode]
+                expect[r, idx[mode]] += t[a, b, c] * others[0] * others[1]
+        np.testing.assert_allclose(mttkrp(t, f, mode), expect, rtol=0, atol=1e-13)
+
+
+class TestUnfold:
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_column_order_matches_mttkrp(self, mode):
+        rng = np.random.default_rng(20 + mode)
+        t = rng.normal(size=SHAPE)
+        f = _factors(rng, 3)
+        a, b = [f[v] for v in range(3) if v != mode]
+        np.testing.assert_allclose(unfold(t, mode) @ _khatri_rao(a, b),
+                                   mttkrp(t, f, mode).T, rtol=0, atol=1e-13)
+
+    def test_c_order_reshape(self):
+        t = np.arange(np.prod(SHAPE), dtype=float).reshape(SHAPE)
+        np.testing.assert_array_equal(unfold(t, 0), t.reshape(3, -1))
+        np.testing.assert_array_equal(unfold(t, 1), t.transpose(1, 0, 2).reshape(4, -1))
+        np.testing.assert_array_equal(unfold(t, 2), t.transpose(2, 0, 1).reshape(5, -1))
+
+
+class TestModeProduct:
+    def test_all_axes(self):
+        rng = np.random.default_rng(30)
+        t = rng.normal(size=SHAPE)
+        m = [rng.normal(size=(n, n + 1)) for n in SHAPE]
+        np.testing.assert_allclose(mode_product(t, m),
+                                   np.einsum("abc,aA,bB,cC->ABC", t, *m), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("skip", [0, 1, 2])
+    def test_none_leaves_axis(self, skip):
+        rng = np.random.default_rng(31 + skip)
+        t = rng.normal(size=SHAPE)
+        m = [rng.normal(size=(n, 2)) for n in SHAPE]
+        m[skip] = np.eye(SHAPE[skip])
+        expect = np.einsum("abc,aA,bB,cC->ABC", t, *m)
+        m[skip] = None
+        np.testing.assert_allclose(mode_product(t, m), expect, rtol=0, atol=1e-12)
+
+
+class TestMetricInner:
+    def test_matches_dense_kron_form(self):
+        rng = np.random.default_rng(40)
+        a, b = rng.normal(size=SHAPE), rng.normal(size=SHAPE)
+        S = []
+        for n in SHAPE:
+            x = rng.normal(size=(n, n))
+            g = x @ x.T + n * np.eye(n)
+            scale = 1.0 / np.sqrt(np.diag(g))
+            S.append(g * np.outer(scale, scale))  # unit diagonal, like an LF overlap
+        dense = np.kron(np.kron(S[0], S[1]), S[2])
+        expect = float(a.ravel() @ dense @ b.ravel())
+        assert metric_inner(a, b, S) == pytest.approx(expect, rel=0, abs=1e-13)
+        assert metric_inner(a, b, S) == pytest.approx(metric_inner(b, a, S), rel=1e-13)
