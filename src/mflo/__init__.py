@@ -50,6 +50,7 @@ from .cpd import (
     canonical_statevector,
     cp_decompose,
     decompose_core,
+    decompose_cores,
     normalize_factors,
 )
 from .encoding import (
@@ -95,6 +96,7 @@ __all__ = [
     "cnot_count_tucker",
     "cp_decompose",
     "decompose_core",
+    "decompose_cores",
     "fidelity_gradient",
     "gaussian_ao",
     "lcu_postselect_oracle",

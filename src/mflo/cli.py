@@ -37,7 +37,7 @@ from .basis import (
     gaussian_ao,
     require_grid,
 )
-from .cpd import CpdOptions, canonical_statevector, decompose_core
+from .cpd import CanonicalState, CpdOptions, canonical_statevector, decompose_core, decompose_cores
 from .encoding import (
     ancilla_counts,
     cnot_count_canonical,
@@ -376,9 +376,8 @@ def _identity_residuals(problem: FitProblem, tucker: TuckerState) -> dict:
     return res
 
 
-def _canonical_entry(tucker: TuckerState, rank: int, options: CpdOptions, n_qe: int) -> dict:
-    canon = decompose_core(tucker, rank, options)
-    counts = cnot_count_canonical(tucker.spec, n_qe, max(1, canon.R))
+def _canonical_entry(canon: CanonicalState, rank: int, n_qe: int) -> dict:
+    counts = cnot_count_canonical(canon.spec, n_qe, max(1, canon.R))
     prob = success_prob_canonical(canon)
     return {
         "requested_rank": int(rank),
@@ -391,7 +390,17 @@ def _canonical_entry(tucker: TuckerState, rank: int, options: CpdOptions, n_qe: 
         "n_a_canonical": counts.n_a_canonical,
         "cnot": {"total": counts.cx_total, "sph": counts.cx_sph, "amp": counts.cx_amp},
         "flags": list(canon.flags),
+        "sweeps": canon.sweeps,
+        "converged": canon.converged,
     }
+
+
+def _rank_sweep(entries: list[dict], tuckers: list[TuckerState], ranks, options: CpdOptions,
+                n_qe: int) -> None:
+    """Fill each entry's ``canonical`` map: one stacked decomposition of all cores per rank."""
+    for rank in ranks:
+        for entry, canon in zip(entries, decompose_cores(tuckers, rank, options)):
+            entry["canonical"][str(rank)] = _canonical_entry(canon, rank, n_qe)
 
 
 def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
@@ -426,6 +435,7 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
         },
         "mos": {},
     }
+    tuckers = []
     for name, mo in mos.items():
         problem = FitProblem.build(mo, cell, spec,
                                    alpha_pen=job["lorentzian"].get("alpha_pen", 0.0))
@@ -456,9 +466,9 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
             },
             "canonical": {},
         }
-        for rank in ranks:
-            entry["canonical"][str(rank)] = _canonical_entry(tucker, rank, cpd_opt, cell.n_qe)
         report["mos"][name] = entry
+        tuckers.append(tucker)
+    _rank_sweep(list(report["mos"].values()), tuckers, ranks, cpd_opt, cell.n_qe)
 
     report_path = Path(out_path or Path(job_path).with_suffix(".report.json"))
     _write_report(report, report_path)
@@ -568,12 +578,12 @@ def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dic
     for name in names:
         if name not in report["mos"]:
             raise ValueError(f"report has no MO named {name!r}")
-        entry = report["mos"][name]
-        tucker = _tucker_from_payload(entry, n_qe)
-        if any(r > tucker.spec.n_prod for r in ranks):
-            raise ValueError(f"rank sweep exceeds n_prod={tucker.spec.n_prod}")
-        for rank in ranks:
-            entry["canonical"][str(rank)] = _canonical_entry(tucker, rank, options, n_qe)
+        n_prod = math.prod(report["mos"][name]["core"]["shape"])
+        if any(r > n_prod for r in ranks):
+            raise ValueError(f"rank sweep exceeds n_prod={n_prod}")
+    entries = [report["mos"][name] for name in names]
+    tuckers = [_tucker_from_payload(entry, n_qe) for entry in entries]
+    _rank_sweep(entries, tuckers, ranks, options, n_qe)
     out = Path(out_path) if out_path is not None else report_path
     _write_report(report, out)
     return report, out

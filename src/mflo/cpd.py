@@ -1,20 +1,40 @@
 """Canonical (CP) decomposition of the fitted core tensor.
 
 The Tucker-form core d is approximated by a rank-R sum of separable terms,
-d ~ sum_r v_r^x (x) v_r^y (x) v_r^z, via alternating least squares: each mode
-update solves the exact linear least-squares problem through the Khatri-Rao
-Gram identity (Hadamard product of the other two factor Grams), with the
-MTTKRP as right-hand side.  Factors are then rescaled in the LF overlap
-metric, N_r^(v) = sqrt(v_r . S^(v) v_r), so each row u_r = v_r / N_r
-describes a normalized single-direction state and lambda_r = N_r^x N_r^y
-N_r^z collects the canonical coefficients.
+d ~ sum_r v_r^x (x) v_r^y (x) v_r^z, via alternating least squares (Kolda &
+Bader, SIAM Review 51, 455 (2009)): each mode update solves the exact linear
+least-squares problem through the Khatri-Rao Gram identity (Hadamard product
+of the other two factor Grams), with the MTTKRP as right-hand side.
+
+There is one ALS loop, and it runs stacked factors of shape (B, R, n_v).  B
+counts (core, restart) pairs: every restart of every core of a report (the
+MOs of a job share one core shape) sweeps in the same stack, with one batched
+Gram product, MTTKRP and solve per mode and sweep.  Each pair keeps its own
+stopping test, a change of its relative error below ALS_TOL, through the set
+of live pairs; a finished pair leaves the stack.  So a pair does the same
+arithmetic as it would alone, and a core's result does not depend on what it
+was stacked with.  A mode Gram whose smallest eigenvalue is at most
+RIDGE_SCALE times its trace gets that much added to its diagonal, and the pair
+is flagged ``gram-ridge``.  The test is one batched Cholesky factorization of
+gram - RIDGE_SCALE tr(gram) I, which succeeds exactly when no Gram of the
+stack needs the ridge; the eigenvalues are computed only when it fails.  The
+relative error after a sweep comes from the Gram identity
+||d - e||^2 = ||d||^2 - 2 <d, e> + ||e||^2, with <d, e> from the last mode's
+MTTKRP and ||e||^2 the sum of the Hadamard product of the three Grams.  Once
+the squared relative error falls below GRAM_ERROR_FLOOR, where cancellation
+would blur the ALS_TOL test, the direct residual replaces it.
+
+Factors are then rescaled in the LF overlap metric,
+N_r^(v) = sqrt(v_r . S^(v) v_r), so each row u_r = v_r / N_r describes a
+normalized single-direction state and lambda_r = N_r^x N_r^y N_r^z collects
+the canonical coefficients.
 
 The per-direction S^(v) are the spec's cached ``overlaps``; normalization,
 the overlap with the Tucker state and the deviation all read them, the last
-two through ``tensor.metric_inner``.  ``decompose_core`` stores the canonical
-squared norm so that the success probability needs no second contraction.  The canonical-form state is the
-resulting sum itself and is deliberately not renormalized; its squared norm
-enters the post-selection success probability.
+two through ``tensor.metric_inner``.  ``decompose_cores`` stores the canonical
+squared norm so that the success probability needs no second contraction.
+The canonical-form state is the resulting sum itself and is deliberately not
+renormalized; its squared norm enters the post-selection success probability.
 """
 
 from __future__ import annotations
@@ -34,11 +54,15 @@ __all__ = [
     "cp_decompose",
     "normalize_factors",
     "decompose_core",
+    "decompose_cores",
     "canonical_statevector",
 ]
 
 RIDGE_SCALE = 1e-12
 ALS_TOL = 1e-12  # stop when the relative fit change drops below this
+#: squared relative error below which the direct residual replaces the Gram
+#: identity, whose cancellation error would otherwise approach ALS_TOL
+GRAM_ERROR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,6 +80,8 @@ class CpResult:
     rec_error: float                 # ||d - reconstruction||_F / ||d||_F
     restart_errors: tuple[float, ...]
     flags: tuple[str, ...]
+    sweeps: int = 0                  # ALS sweeps of the winning restart
+    converged: bool = True           # it met ALS_TOL (or was exact at init), not max_sweeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,23 +95,18 @@ class CanonicalState:
     deviation: float             # 1 - overlap^2 / (|phi_T|^2 |phi_C|^2)
     canon_norm2: float           # |phi_canon|^2, the state is not renormalized
     flags: tuple[str, ...] = field(default=())
+    sweeps: int = 0              # of the winning ALS restart, see CpResult
+    converged: bool = True
 
 
 def _exact_init(d: np.ndarray) -> list[np.ndarray]:
-    """Exact R = n_prod decomposition: one separable term per core entry."""
-    I, J, K = d.shape
-    R = d.size
-    A = np.zeros((R, I))
-    B = np.zeros((R, J))
-    C = np.zeros((R, K))
-    r = 0
-    for i in range(I):
-        for j in range(J):
-            for k in range(K):
-                A[r, i] = d[i, j, k]
-                B[r, j] = 1.0
-                C[r, k] = 1.0
-                r += 1
+    """Exact R = n_prod decomposition: one separable term per core entry (C order)."""
+    rows = np.arange(d.size)
+    i, j, k = np.indices(d.shape).reshape(3, -1)
+    A, B, C = (np.zeros((d.size, n)) for n in d.shape)
+    A[rows, i] = d.ravel()
+    B[rows, j] = 1.0
+    C[rows, k] = 1.0
     return [A, B, C]
 
 
@@ -103,35 +124,133 @@ def _svd_init(d: np.ndarray, R: int, rng: np.random.Generator) -> list[np.ndarra
     return out
 
 
-def _solve_mode(gram: np.ndarray, rhs: np.ndarray, flags: set[str]) -> np.ndarray:
-    evals = np.linalg.eigvalsh(gram)
-    if evals[0] <= RIDGE_SCALE * max(float(np.trace(gram)), 1e-300):
-        gram = gram + RIDGE_SCALE * float(np.trace(gram)) * np.eye(gram.shape[0])
-        flags.add("gram-ridge")
-    return np.linalg.solve(gram, rhs)
+def _init(d: np.ndarray, R: int, restart: int, seed: np.random.SeedSequence) -> list[np.ndarray]:
+    """Restart 0 starts from the SVD basis (the exact form at R = n_prod), the rest at random."""
+    rng = np.random.default_rng(seed)
+    if restart == 0:
+        return _exact_init(d) if R == d.size else _svd_init(d, R, rng)
+    return [rng.standard_normal((R, dim)) for dim in d.shape]
 
 
-def _als_run(d: np.ndarray, factors: list[np.ndarray], max_sweeps: int):
-    norm_d = float(np.linalg.norm(d))
-    ones = np.ones(factors[0].shape[0])
-    flags: set[str] = set()
-    err = float(np.linalg.norm(d - cp_full(ones, factors))) / norm_d
-    if err <= ALS_TOL:
-        # the init already solves the problem (e.g. the entrywise exact
-        # R = n_prod start); sweeping would only add ridge noise
-        return factors, err, flags
-    err_prev = err
-    for _ in range(max_sweeps):
-        for mode in range(3):
-            others = [u for u in range(3) if u != mode]
-            gram = (factors[others[0]] @ factors[others[0]].T) * (
-                factors[others[1]] @ factors[others[1]].T)
-            factors[mode] = _solve_mode(gram, mttkrp(d, factors, mode), flags)
-        err = float(np.linalg.norm(d - cp_full(ones, factors))) / norm_d
-        if abs(err_prev - err) < ALS_TOL:
-            break
-        err_prev = err
-    return factors, err, flags
+def _ridge(gram: np.ndarray, eye: np.ndarray):
+    """Add RIDGE_SCALE tr to the diagonal of each Gram whose smallest eigenvalue is at most that.
+
+    Cholesky of gram - RIDGE_SCALE tr I succeeds exactly when no Gram of the
+    stack needs the ridge; only when it fails are the eigenvalues computed.
+    Returns the Grams to solve with and a mask of the ridged ones (None when
+    there are none).
+    """
+    trace = gram.diagonal(0, 1, 2).sum(axis=1)
+    ridge = (RIDGE_SCALE * trace)[:, None, None] * eye
+    try:
+        np.linalg.cholesky(gram - ridge)
+        return gram, None
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(gram)[:, 0] <= RIDGE_SCALE * np.maximum(trace, 1e-300)
+    return gram + low[:, None, None] * ridge, low
+
+
+def _residual(d: np.ndarray, factors, norm_d: np.ndarray) -> np.ndarray:
+    """Direct relative residual ||d - e|| / ||d|| of each stacked CP form."""
+    diff = d - cp_full(np.ones(factors[0].shape[:-1]), factors)
+    return np.sqrt(np.square(diff).sum(axis=(1, 2, 3))) / norm_d
+
+
+def _als(d: np.ndarray, factors, max_sweeps: int):
+    """ALS on stacked cores d (B, I, J, K) from stacked factors (B, R, n_v).
+
+    Each pair sweeps until its relative error changes by less than ALS_TOL or
+    ``max_sweeps`` is reached; a pair whose start is already exact does not
+    sweep, since sweeping would only add ridge noise.  Finished pairs leave
+    the stack, so the others do the same arithmetic as they would alone.
+    Returns the final factors, relative errors, sweep counts, converged
+    flags and ridge flags, one entry per pair.
+    """
+    norm_d = np.array([np.linalg.norm(x) for x in d])
+    out = [np.array(f, dtype=np.float64) for f in factors]
+    err = _residual(d, out, norm_d)
+    sweeps = np.zeros(len(d), dtype=int)
+    converged = err <= ALS_TOL
+    ridged = np.zeros(len(d), dtype=bool)
+    eye = np.eye(out[0].shape[1])
+    live = np.flatnonzero(~converged)
+    F = [f[live] for f in out]
+    dl, nl, prev = d[live], norm_d[live], err[live]
+    grams = [f @ f.swapaxes(1, 2) for f in F]
+    sweep = 0
+    while live.size and sweep < max_sweeps:
+        sweep += 1
+        for mode, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+            gram = grams[i] * grams[j]
+            rhs = mttkrp(dl, F, mode)
+            lhs, low = _ridge(gram, eye)
+            if low is not None:
+                ridged[live[low]] = True
+            F[mode] = np.linalg.solve(lhs, rhs)
+            grams[mode] = F[mode] @ F[mode].swapaxes(1, 2)
+        # ||d - e||^2 = ||d||^2 - 2 <d, e> + ||e||^2: <d, e> from the last
+        # mode's MTTKRP, ||e||^2 from the unridged Gram of all three modes
+        sq = nl * nl
+        rel2 = (sq - 2.0 * (rhs * F[2]).sum(axis=(1, 2))
+                + (gram * grams[2]).sum(axis=(1, 2))) / sq
+        e = np.sqrt(np.maximum(rel2, 0.0))
+        near = rel2 < GRAM_ERROR_FLOOR
+        if near.all():
+            e = _residual(dl, F, nl)
+        elif near.any():
+            e[near] = _residual(dl[near], [f[near] for f in F], nl[near])
+        done = np.abs(prev - e) < ALS_TOL
+        prev = e
+        if done.any():
+            finished = live[done]
+            converged[finished] = True
+            sweeps[finished] = sweep
+            err[finished] = e[done]
+            for m in range(3):
+                out[m][finished] = F[m][done]
+            keep = ~done
+            live, dl, nl, prev = live[keep], dl[keep], nl[keep], prev[keep]
+            F = [f[keep] for f in F]
+            grams = [g[keep] for g in grams]
+    sweeps[live] = sweep
+    err[live] = prev
+    for m in range(3):
+        out[m][live] = F[m]
+    return out, err, sweeps, converged, ridged
+
+
+def _cp_stack(cores, R: int, options: CpdOptions | None) -> list[CpResult]:
+    """Best-of-restarts ALS of equally shaped cores, all (core, restart) pairs in one ALS."""
+    opt = options or CpdOptions()
+    d = [np.asarray(core, dtype=np.float64) for core in cores]
+    if not d:
+        return []
+    shape = d[0].shape
+    if len(shape) != 3:
+        raise ValueError(f"core tensor must be 3-way, got shape {shape}")
+    if any(core.shape != shape for core in d):
+        raise ValueError(f"cores decomposed together must share one shape, got "
+                         f"{sorted({core.shape for core in d})}")
+    if not (1 <= R <= d[0].size):
+        raise ValueError(f"rank must be in [1, {d[0].size}], got {R}")
+    if any(float(np.linalg.norm(core)) == 0.0 for core in d):
+        raise ValueError("cannot decompose an all-zero core tensor")
+
+    n_runs = max(1, opt.n_restarts)
+    seeds = np.random.SeedSequence(opt.seed).spawn(n_runs)
+    inits = [_init(core, R, r, seeds[r]) for core in d for r in range(n_runs)]
+    v, err, sweeps, converged, ridged = _als(
+        np.repeat(np.stack(d), n_runs, axis=0),
+        [np.stack([init[m] for init in inits]) for m in range(3)], opt.max_sweeps)
+    results = []
+    for first in range(0, len(inits), n_runs):
+        errors = tuple(float(e) for e in err[first:first + n_runs])
+        best = first + min(range(n_runs), key=lambda r: (errors[r], r))
+        results.append(CpResult(
+            v=tuple(m[best] for m in v), rec_error=errors[best - first],
+            restart_errors=errors, flags=("gram-ridge",) if ridged[best] else (),
+            sweeps=int(sweeps[best]), converged=bool(converged[best])))
+    return results
 
 
 def cp_decompose(d, R: int, options: CpdOptions | None = None) -> CpResult:
@@ -141,31 +260,7 @@ def cp_decompose(d, R: int, options: CpdOptions | None = None) -> CpResult:
     n_prod, from the entrywise exact decomposition, which ALS then keeps);
     the remaining restarts start from seeded Gaussian factors.
     """
-    opt = options or CpdOptions()
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim != 3:
-        raise ValueError(f"core tensor must be 3-way, got shape {d.shape}")
-    if not (1 <= R <= d.size):
-        raise ValueError(f"rank must be in [1, {d.size}], got {R}")
-    if float(np.linalg.norm(d)) == 0.0:
-        raise ValueError("cannot decompose an all-zero core tensor")
-
-    n_runs = max(1, opt.n_restarts)
-    seeds = np.random.SeedSequence(opt.seed).spawn(n_runs)
-    runs = []
-    for r in range(n_runs):
-        rng = np.random.default_rng(seeds[r])
-        if r == 0:
-            init = _exact_init(d) if R == d.size else _svd_init(d, R, rng)
-        else:
-            init = [rng.standard_normal((R, dim)) for dim in d.shape]
-        runs.append(_als_run(d, init, opt.max_sweeps))
-
-    errors = tuple(run[1] for run in runs)
-    best = min(range(n_runs), key=lambda r: (errors[r], r))
-    factors, err, flags = runs[best]
-    return CpResult(v=tuple(factors), rec_error=err,
-                    restart_errors=errors, flags=tuple(sorted(flags)))
+    return _cp_stack([d], R, options)[0]
 
 
 def normalize_factors(v, spec: LorentzianBasisSpec):
@@ -199,12 +294,11 @@ def normalize_factors(v, spec: LorentzianBasisSpec):
     lam = norms.prod(axis=0)
     # factor rows carry the sign convention; flipping a pair of directions
     # leaves every separable term unchanged
-    for r in range(lam.size):
-        for axis in (0, 1):
-            row = u[axis][r]
-            if row[int(np.argmax(np.abs(row)))] < 0.0:
-                u[axis][r] = -row
-                u[2][r] = -u[2][r]
+    for axis in (0, 1):
+        lead = u[axis][np.arange(lam.size), np.argmax(np.abs(u[axis]), axis=1)]
+        flip = np.where(lead < 0.0, -1.0, 1.0)[:, None]
+        u[axis] *= flip
+        u[2] *= flip
     order = np.argsort(-lam, kind="stable")
     return tuple(m[order] for m in u), lam[order]
 
@@ -219,9 +313,7 @@ def _overlap_terms(S1, core, lambdas, u):
     return canon_norm2, deviation
 
 
-def decompose_core(tucker: TuckerState, R: int, options: CpdOptions | None = None) -> CanonicalState:
-    """cp_decompose + normalize_factors + deviation, bundled."""
-    result = cp_decompose(tucker.core, R, options)
+def _canonical(tucker: TuckerState, result: CpResult, R: int) -> CanonicalState:
     u, lam = normalize_factors(result.v, tucker.spec)
     canon_norm2, deviation = _overlap_terms(tucker.spec.overlaps, tucker.core, lam, u)
     flags = list(result.flags)
@@ -229,7 +321,22 @@ def decompose_core(tucker: TuckerState, R: int, options: CpdOptions | None = Non
         flags.append("rank-reduced")
     return CanonicalState(
         R=int(lam.size), u=u, lambdas=lam, spec=tucker.spec,
-        deviation=deviation, canon_norm2=canon_norm2, flags=tuple(flags))
+        deviation=deviation, canon_norm2=canon_norm2, flags=tuple(flags),
+        sweeps=result.sweeps, converged=result.converged)
+
+
+def decompose_cores(tuckers, R: int, options: CpdOptions | None = None) -> list[CanonicalState]:
+    """Rank-R canonical form of each Tucker state, all cores and restarts in one ALS.
+
+    The cores must share a shape, as the MOs of one job do.
+    """
+    results = _cp_stack([t.core for t in tuckers], R, options)
+    return [_canonical(t, result, R) for t, result in zip(tuckers, results)]
+
+
+def decompose_core(tucker: TuckerState, R: int, options: CpdOptions | None = None) -> CanonicalState:
+    """cp_decompose + normalize_factors + deviation for one core; see ``decompose_cores``."""
+    return _canonical(tucker, cp_decompose(tucker.core, R, options), R)
 
 
 def canonical_statevector(spec: LorentzianBasisSpec, lambdas, u) -> np.ndarray:

@@ -2,23 +2,36 @@
 
 A CP form holds one term per factor row:
 cp_full(w, (A, B, C))[a, b, c] = sum_r w_r A[r, a] B[r, b] C[r, c].
-Unfoldings keep the other axes in C order.  The dense oracles
-(``overlap_3d``, ``solve_core``, ``lcu_postselect_oracle``) do not use these.
+Unfoldings keep the other axes in C order.
+
+``unfold``, ``khatri_rao``, ``cp_full`` and ``mttkrp`` act on the last three
+axes of a tensor (the last two of a factor matrix, the last one of a weight
+vector), so a leading batch axis runs one contraction per stack element: a
+stack of B cores (B, I, J, K) with factors (B, R, n_v) gives B MTTKRPs in one
+batched matmul.  Each element of a stack gets the same arithmetic whatever
+else the stack holds, so a result does not depend on what it was stacked
+with.  ``mode_product`` and ``metric_inner`` take a single tensor.  The
+dense oracles (``overlap_3d``, ``solve_core``, ``lcu_postselect_oracle``) do
+not use these.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["unfold", "mode_product", "cp_full", "mttkrp", "metric_inner"]
+__all__ = ["unfold", "mode_product", "khatri_rao", "cp_full", "mttkrp", "metric_inner"]
 
-_MTTKRP = ("abc,rb,rc->ra", "abc,ra,rc->rb", "abc,ra,rb->rc")
 _OTHERS = ((1, 2), (0, 2), (0, 1))
+_MTTKRP = ("abc,rb,rc->ra", "abc,ra,rc->rb", "abc,ra,rb->rc")
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` unfolding, shape (t.shape[mode], product of the others)."""
-    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1)
+    """Mode-``mode`` unfolding, shape (..., t.shape[mode], product of the others)."""
+    if mode == 1:
+        t = t.swapaxes(-3, -2)
+    elif mode == 2:
+        t = t.swapaxes(-2, -1).swapaxes(-3, -2)
+    return t.reshape(*t.shape[:-2], -1)
 
 
 def mode_product(t: np.ndarray, mats) -> np.ndarray:
@@ -34,17 +47,31 @@ def mode_product(t: np.ndarray, mats) -> np.ndarray:
     return t
 
 
+def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column r is kron(a[r], b[r]), first factor slowest: shape (..., I * J, R)."""
+    kr = a.swapaxes(-1, -2)[..., :, None, :] * b.swapaxes(-1, -2)[..., None, :, :]
+    return kr.reshape(*kr.shape[:-3], -1, kr.shape[-1])
+
+
 def cp_full(weights: np.ndarray, factors) -> np.ndarray:
     """Full tensor of a CP form: the first two factors' Khatri-Rao product times the third."""
     a, b, c = factors
-    kr = ((a.T * weights)[:, None, :] * b.T).reshape(-1, weights.size)
-    return (kr @ c).reshape(a.shape[1], b.shape[1], c.shape[1])
+    full = khatri_rao(a * weights[..., :, None], b) @ c
+    return full.reshape(*full.shape[:-2], a.shape[-1], b.shape[-1], c.shape[-1])
 
 
 def mttkrp(t: np.ndarray, factors, mode: int) -> np.ndarray:
-    """t times the Khatri-Rao product of the other two factors, shape (R, t.shape[mode])."""
+    """t times the Khatri-Rao product of the other two factors, shape (..., R, t.shape[mode]).
+
+    A stack is one batched matmul of its unfoldings with the Khatri-Rao
+    products.  A single tensor is one einsum instead, which measures faster
+    on the small cores of the width gradient; a stack of one still takes
+    the matmul, so a stacked result never depends on the stack's size.
+    """
     i, j = _OTHERS[mode]
-    return np.einsum(_MTTKRP[mode], t, factors[i], factors[j])
+    if t.ndim == 3:
+        return np.einsum(_MTTKRP[mode], t, factors[i], factors[j])
+    return (unfold(t, mode) @ khatri_rao(factors[i], factors[j])).swapaxes(-1, -2)
 
 
 def metric_inner(a: np.ndarray, b: np.ndarray, overlaps) -> float:

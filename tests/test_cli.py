@@ -179,6 +179,8 @@ class TestRunFit:
         assert canon["deviation"] <= 1e-12
         assert canon["success_probability"] == pytest.approx(1.0, abs=1e-12)
         assert canon["cnot"]["total"] == report["cnot_tucker"]["total"]
+        # the rank-1 core is exact at the SVD start
+        assert (canon["sweeps"], canon["converged"]) == (0, True)
 
     def test_booleans_written_as_json_booleans(self, single_report):
         _, path = single_report
@@ -349,6 +351,22 @@ class TestRunDecompose:
         original = Path(path).read_bytes()
         _, out = run_decompose(path, [1], out_path=tmp_path / "r2.json")
         assert Path(out) == tmp_path / "r2.json"
+        assert Path(path).read_bytes() == original
+
+    def test_names_and_ranks_checked_before_any_work(self, tmp_path, monkeypatch):
+        import mflo.cli as cli
+
+        _, path = run_fit(H2, out_path=tmp_path / "r.json")
+        original = Path(path).read_bytes()
+
+        def never(*args, **kwargs):
+            raise AssertionError("decomposed before validating")
+
+        monkeypatch.setattr(cli, "decompose_cores", never)
+        with pytest.raises(ValueError, match="no MO named"):
+            run_decompose(path, [1], mo_names=["bonding", "missing"])
+        with pytest.raises(ValueError, match="n_prod"):
+            run_decompose(path, [1, 99])
         assert Path(path).read_bytes() == original
 
     def test_bad_rank_and_mo(self, tmp_path):

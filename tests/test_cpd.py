@@ -12,6 +12,7 @@ from mflo.cpd import (
     canonical_statevector,
     cp_decompose,
     decompose_core,
+    decompose_cores,
     normalize_factors,
 )
 from mflo.encoding import success_prob_canonical, success_prob_tucker
@@ -45,6 +46,45 @@ def _tucker(core, spec):
 
 def _reconstruct(v):
     return np.einsum("ra,rb,rc->abc", v[0], v[1], v[2])
+
+
+_ORACLE_MTTKRP = ("abc,rb,rc->ra", "abc,ra,rc->rb", "abc,ra,rb->rc")
+
+
+def _oracle_als_run(d, factors, max_sweeps):
+    """One restart at a time, eigenvalue ridge test and direct residual (the former loop)."""
+    factors = [f.copy() for f in factors]
+    norm_d = float(np.linalg.norm(d))
+    flags = set()
+    err = float(np.linalg.norm(d - _reconstruct(factors))) / norm_d
+    if err <= cpd.ALS_TOL:
+        return factors, err, flags
+    err_prev = err
+    for _ in range(max_sweeps):
+        for mode in range(3):
+            others = [u for u in range(3) if u != mode]
+            gram = (factors[others[0]] @ factors[others[0]].T) * (
+                factors[others[1]] @ factors[others[1]].T)
+            rhs = np.einsum(_ORACLE_MTTKRP[mode], d, factors[others[0]], factors[others[1]])
+            trace = float(np.trace(gram))
+            if np.linalg.eigvalsh(gram)[0] <= cpd.RIDGE_SCALE * max(trace, 1e-300):
+                gram = gram + cpd.RIDGE_SCALE * trace * np.eye(gram.shape[0])
+                flags.add("gram-ridge")
+            factors[mode] = np.linalg.solve(gram, rhs)
+        err = float(np.linalg.norm(d - _reconstruct(factors))) / norm_d
+        if abs(err_prev - err) < cpd.ALS_TOL:
+            break
+        err_prev = err
+    return factors, err, flags
+
+
+def _oracle_cp_decompose(d, R, opt):
+    seeds = np.random.SeedSequence(opt.seed).spawn(opt.n_restarts)
+    runs = [_oracle_als_run(d, cpd._init(d, R, r, seeds[r]), opt.max_sweeps)
+            for r in range(opt.n_restarts)]
+    errors = [run[1] for run in runs]
+    best = min(range(len(runs)), key=lambda r: (errors[r], r))
+    return errors, best, runs[best][2]
 
 
 class TestCpDecompose:
@@ -125,6 +165,105 @@ class TestCpDecompose:
             cp_decompose(np.ones((2, 2, 2)), R)
 
 
+class TestStackedAls:
+    # below the typical rank, so the errors are well above round-off
+    @pytest.mark.parametrize("shape, R", [((3, 3, 3), 2), ((4, 3, 2), 2), ((4, 4, 3), 3),
+                                          ((2, 2, 2), 1), ((5, 4, 3), 4)])
+    def test_matches_sequential_oracle(self, shape, R):
+        rng = np.random.default_rng(sum(shape) + R)
+        d = rng.normal(size=shape)
+        opt = CpdOptions(n_restarts=5, max_sweeps=300, seed=2)
+        errors, best, flags = _oracle_cp_decompose(d, R, opt)
+        res = cp_decompose(d, R, opt)
+        np.testing.assert_allclose(res.restart_errors, errors, rtol=1e-10, atol=1e-15)
+        runner_up = min(e for r, e in enumerate(errors) if r != best)
+        if runner_up > errors[best] * (1.0 + 1e-9):
+            assert res.restart_errors.index(res.rec_error) == best
+        else:  # restarts that reach the same minimum tie up to round-off
+            assert res.rec_error == pytest.approx(errors[best], rel=1e-10)
+        assert set(res.flags) == flags
+
+    def test_exact_start_does_not_sweep(self):
+        rng = np.random.default_rng(30)
+        true = [rng.normal(size=(2, n)) for n in (3, 2, 2)]
+        d = _reconstruct(true)
+        starts = [true] + [[rng.normal(size=(2, n)) for n in (3, 2, 2)] for _ in range(2)]
+        factors = [np.stack([s[m] for s in starts]) for m in range(3)]
+        v, err, sweeps, converged, _ = cpd._als(np.stack([d] * 3), factors, 50)
+        assert sweeps[0] == 0 and converged[0] and err[0] <= cpd.ALS_TOL
+        for m in range(3):
+            np.testing.assert_array_equal(v[m][0], true[m])
+        assert np.all(sweeps[1:] > 0)
+
+    def test_sweep_cap_reported_as_unconverged(self):
+        d = np.random.default_rng(31).normal(size=(3, 3, 3))
+        capped = cp_decompose(d, 3, CpdOptions(n_restarts=2, max_sweeps=2, seed=0))
+        assert (capped.sweeps, capped.converged) == (2, False)
+        free = cp_decompose(d, 1, CpdOptions(n_restarts=2, seed=0))
+        assert free.converged and 0 < free.sweeps < 500
+
+    def test_core_result_independent_of_stack(self):
+        spec = _spec((3, 3, 3))
+        rng = np.random.default_rng(32)
+        tuckers = [_tucker(rng.normal(size=(3, 3, 3)), spec) for _ in range(3)]
+        opt = CpdOptions(n_restarts=3, max_sweeps=200, seed=4)
+        stacked = decompose_cores(tuckers, 3, opt)
+        alone = decompose_core(tuckers[1], 3, opt)
+        mine = stacked[1]
+        np.testing.assert_array_equal(mine.lambdas, alone.lambdas)
+        for m in range(3):
+            np.testing.assert_array_equal(mine.u[m], alone.u[m])
+        assert (mine.deviation, mine.canon_norm2, mine.flags, mine.sweeps, mine.converged) == (
+            alone.deviation, alone.canon_norm2, alone.flags, alone.sweeps, alone.converged)
+
+    def test_mixed_shapes_rejected(self):
+        spec_a, spec_b = _spec((2, 2, 2)), _spec((2, 2, 1))
+        tuckers = [_tucker(np.ones((2, 2, 2)), spec_a), _tucker(np.ones((2, 2, 1)), spec_b)]
+        with pytest.raises(ValueError, match="share one shape"):
+            decompose_cores(tuckers, 1)
+
+    @pytest.mark.parametrize("noise", [1.0, 1e-6])
+    def test_gram_identity_error_matches_direct_residual(self, noise):
+        # noise 1: the Gram identity gives the error; 1e-6: the squared error
+        # is below GRAM_ERROR_FLOOR and the direct residual replaces it.
+        # Starts are the true factors jittered by about the noise.
+        rng = np.random.default_rng(33)
+        true = [rng.normal(size=(2, n)) for n in (4, 3, 3)]
+        d = _reconstruct(true) + noise * rng.normal(size=(4, 3, 3))
+        starts = [[f + noise * 0.01 * rng.normal(size=f.shape) for f in true] for _ in range(2)]
+        factors = [np.stack([s[m] for s in starts]) for m in range(3)]
+        stack = np.stack([d, d])
+        v, err, sweeps, _, _ = cpd._als(stack, factors, 1)
+        assert np.all(sweeps == 1)
+        direct = np.array([np.linalg.norm(d - _reconstruct([m[b] for m in v])) / np.linalg.norm(d)
+                           for b in range(2)])
+        np.testing.assert_allclose(err, direct, rtol=1e-12, atol=1e-15)
+        if noise < 1e-3:
+            assert np.all(err ** 2 < cpd.GRAM_ERROR_FLOOR)
+            norm = np.array([np.linalg.norm(d)] * 2)
+            np.testing.assert_array_equal(err, cpd._residual(stack, v, norm))
+        else:
+            assert np.all(err ** 2 > cpd.GRAM_ERROR_FLOOR)
+
+
+def _exact_init_loop(d):
+    I, J, K = d.shape
+    A, B, C = np.zeros((d.size, I)), np.zeros((d.size, J)), np.zeros((d.size, K))
+    r = 0
+    for i in range(I):
+        for j in range(J):
+            for k in range(K):
+                A[r, i], B[r, j], C[r, k] = d[i, j, k], 1.0, 1.0
+                r += 1
+    return [A, B, C]
+
+
+def test_exact_init_matches_loop():
+    d = np.random.default_rng(34).normal(size=(3, 2, 4))
+    for got, want in zip(cpd._exact_init(d), _exact_init_loop(d)):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestNormalizeFactors:
     def _factors(self, seed=0, R=2, dims=(2, 2, 2)):
         rng = np.random.default_rng(seed)
@@ -156,6 +295,22 @@ class TestNormalizeFactors:
         for axis in (0, 1):
             for row in u[axis]:
                 assert row[int(np.argmax(np.abs(row)))] >= 0
+
+    def test_sign_flip_matches_row_loop(self):
+        spec = _spec()
+        v = self._factors(seed=5, R=6)
+        u, lam = normalize_factors(v, spec)
+        norms = [np.sqrt(np.einsum("rl,lm,rm->r", m, S, m)) for m, S in zip(v, spec.overlaps)]
+        want = [m / n[:, None] for m, n in zip(v, norms)]
+        for r in range(6):
+            for axis in (0, 1):
+                row = want[axis][r]
+                if row[int(np.argmax(np.abs(row)))] < 0.0:
+                    want[axis][r] = -row
+                    want[2][r] = -want[2][r]
+        order = np.argsort(-np.prod(norms, axis=0), kind="stable")
+        for m in range(3):
+            np.testing.assert_array_equal(u[m], want[m][order])
 
     def test_vanishing_row_dropped_without_warning(self):
         spec = _spec()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mflo.tensor import cp_full, metric_inner, mode_product, mttkrp, unfold
+from mflo.tensor import cp_full, khatri_rao, metric_inner, mode_product, mttkrp, unfold
 
 SHAPE = (3, 4, 5)
 
@@ -72,6 +72,54 @@ class TestUnfold:
         np.testing.assert_array_equal(unfold(t, 0), t.reshape(3, -1))
         np.testing.assert_array_equal(unfold(t, 1), t.transpose(1, 0, 2).reshape(4, -1))
         np.testing.assert_array_equal(unfold(t, 2), t.transpose(2, 0, 1).reshape(5, -1))
+
+
+class TestBatchAxis:
+    """A leading batch axis runs one contraction per element."""
+
+    B = 4
+
+    def _stack(self, seed, R=3):
+        rng = np.random.default_rng(seed)
+        t = rng.normal(size=(self.B, *SHAPE))
+        f = [rng.normal(size=(self.B, R, n)) for n in SHAPE]
+        return rng, t, f
+
+    def test_khatri_rao_columns(self):
+        _, _, f = self._stack(50)
+        out = khatri_rao(f[0], f[1])
+        assert out.shape == (self.B, SHAPE[0] * SHAPE[1], 3)
+        for b in range(self.B):
+            np.testing.assert_array_equal(out[b], _khatri_rao(f[0][b], f[1][b]))
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_unfold_and_mttkrp(self, mode):
+        _, t, f = self._stack(51 + mode)
+        unfolded = unfold(t, mode)
+        batched = mttkrp(t, f, mode)
+        assert batched.shape == (self.B, 3, SHAPE[mode])
+        for b in range(self.B):
+            np.testing.assert_array_equal(unfolded[b], unfold(t[b], mode))
+            # a single tensor takes the einsum form, so agreement is to round-off
+            np.testing.assert_allclose(batched[b], mttkrp(t[b], [m[b] for m in f], mode),
+                                       rtol=0, atol=1e-13)
+
+    def test_cp_full(self):
+        rng, _, f = self._stack(54)
+        w = rng.normal(size=(self.B, 3))
+        batched = cp_full(w, f)
+        assert batched.shape == (self.B, *SHAPE)
+        for b in range(self.B):
+            np.testing.assert_array_equal(batched[b], cp_full(w[b], [m[b] for m in f]))
+
+    @pytest.mark.parametrize("keep", [[0, 2], [3]])
+    def test_subset_of_stack(self, keep):
+        # the stacked ALS drops finished members; the rest must not notice,
+        # down to a stack of one
+        _, t, f = self._stack(55)
+        for mode in range(3):
+            np.testing.assert_array_equal(mttkrp(t[keep], [m[keep] for m in f], mode),
+                                          mttkrp(t, f, mode)[keep])
 
 
 class TestModeProduct:
