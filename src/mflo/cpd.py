@@ -15,14 +15,11 @@ of live pairs; a finished pair leaves the stack.  So a pair does the same
 arithmetic as it would alone, and a core's result does not depend on what it
 was stacked with.  A mode Gram whose smallest eigenvalue is at most
 RIDGE_SCALE times its trace gets that much added to its diagonal, and the pair
-is flagged ``gram-ridge``.  The test is one batched Cholesky factorization of
-gram - RIDGE_SCALE tr(gram) I, which succeeds exactly when no Gram of the
-stack needs the ridge; the eigenvalues are computed only when it fails.  The
-relative error after a sweep comes from the Gram identity
-||d - e||^2 = ||d||^2 - 2 <d, e> + ||e||^2, with <d, e> from the last mode's
-MTTKRP and ||e||^2 the sum of the Hadamard product of the three Grams.  Once
-the squared relative error falls below GRAM_ERROR_FLOOR, where cancellation
-would blur the ALS_TOL test, the direct residual replaces it.
+is flagged ``gram-ridge``.  One batched Cholesky factorization of
+gram - 2 RIDGE_SCALE tr(gram) I that succeeds clears the whole stack; the
+eigenvalues are computed only when it fails, so the rule is the eigenvalue
+test for every pair.  The relative error after each sweep is the direct
+residual ||d - e|| / ||d||.
 
 Factors are then rescaled in the LF overlap metric,
 N_r^(v) = sqrt(v_r . S^(v) v_r), so each row u_r = v_r / N_r describes a
@@ -39,7 +36,7 @@ renormalized; its squared norm enters the post-selection success probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +57,6 @@ __all__ = [
 
 RIDGE_SCALE = 1e-12
 ALS_TOL = 1e-12  # stop when the relative fit change drops below this
-#: squared relative error below which the direct residual replaces the Gram
-#: identity, whose cancellation error would otherwise approach ALS_TOL
-GRAM_ERROR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,8 +74,8 @@ class CpResult:
     rec_error: float                 # ||d - reconstruction||_F / ||d||_F
     restart_errors: tuple[float, ...]
     flags: tuple[str, ...]
-    sweeps: int = 0                  # ALS sweeps of the winning restart
-    converged: bool = True           # it met ALS_TOL (or was exact at init), not max_sweeps
+    sweeps: int                      # ALS sweeps of the winning restart
+    converged: bool                  # it met ALS_TOL (or was exact at init), not max_sweeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +88,9 @@ class CanonicalState:
     spec: LorentzianBasisSpec
     deviation: float             # 1 - overlap^2 / (|phi_T|^2 |phi_C|^2)
     canon_norm2: float           # |phi_canon|^2, the state is not renormalized
-    flags: tuple[str, ...] = field(default=())
-    sweeps: int = 0              # of the winning ALS restart, see CpResult
-    converged: bool = True
+    flags: tuple[str, ...]
+    sweeps: int                  # of the winning ALS restart, see CpResult
+    converged: bool
 
 
 def _exact_init(d: np.ndarray) -> list[np.ndarray]:
@@ -135,16 +129,17 @@ def _init(d: np.ndarray, R: int, restart: int, seed: np.random.SeedSequence) -> 
 def _ridge(gram: np.ndarray, eye: np.ndarray):
     """Add RIDGE_SCALE tr to the diagonal of each Gram whose smallest eigenvalue is at most that.
 
-    Cholesky of gram - RIDGE_SCALE tr I succeeds exactly when no Gram of the
-    stack needs the ridge; only when it fails are the eigenvalues computed.
-    Returns the Grams to solve with and a mask of the ridged ones (None when
-    there are none).
+    A Cholesky factorization of gram - 2 RIDGE_SCALE tr I that succeeds for
+    the whole stack shows that no Gram needs the ridge, by a margin far above
+    round-off; only when it fails are the eigenvalues computed.  Either way
+    each Gram is judged by its own eigenvalue, whatever else the stack holds.
+    Returns the Grams to solve with and the mask of ridged ones.
     """
     trace = gram.diagonal(0, 1, 2).sum(axis=1)
     ridge = (RIDGE_SCALE * trace)[:, None, None] * eye
     try:
-        np.linalg.cholesky(gram - ridge)
-        return gram, None
+        np.linalg.cholesky(gram - 2.0 * ridge)
+        return gram, np.zeros(len(gram), dtype=bool)
     except np.linalg.LinAlgError:
         low = np.linalg.eigvalsh(gram)[:, 0] <= RIDGE_SCALE * np.maximum(trace, 1e-300)
     return gram + low[:, None, None] * ridge, low
@@ -181,24 +176,11 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     while live.size and sweep < max_sweeps:
         sweep += 1
         for mode, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
-            gram = grams[i] * grams[j]
-            rhs = mttkrp(dl, F, mode)
-            lhs, low = _ridge(gram, eye)
-            if low is not None:
-                ridged[live[low]] = True
-            F[mode] = np.linalg.solve(lhs, rhs)
+            lhs, low = _ridge(grams[i] * grams[j], eye)
+            ridged[live[low]] = True
+            F[mode] = np.linalg.solve(lhs, mttkrp(dl, F, mode))
             grams[mode] = F[mode] @ F[mode].swapaxes(1, 2)
-        # ||d - e||^2 = ||d||^2 - 2 <d, e> + ||e||^2: <d, e> from the last
-        # mode's MTTKRP, ||e||^2 from the unridged Gram of all three modes
-        sq = nl * nl
-        rel2 = (sq - 2.0 * (rhs * F[2]).sum(axis=(1, 2))
-                + (gram * grams[2]).sum(axis=(1, 2))) / sq
-        e = np.sqrt(np.maximum(rel2, 0.0))
-        near = rel2 < GRAM_ERROR_FLOOR
-        if near.all():
-            e = _residual(dl, F, nl)
-        elif near.any():
-            e[near] = _residual(dl[near], [f[near] for f in F], nl[near])
+        e = _residual(dl, F, nl)
         done = np.abs(prev - e) < ALS_TOL
         prev = e
         if done.any():

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = ["unfold", "mode_product", "khatri_rao", "cp_full", "mttkrp", "metric_inner"]
 
 _OTHERS = ((1, 2), (0, 2), (0, 1))
-_MTTKRP = ("abc,rb,rc->ra", "abc,ra,rc->rb", "abc,ra,rb->rc")
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
@@ -63,14 +62,9 @@ def cp_full(weights: np.ndarray, factors) -> np.ndarray:
 def mttkrp(t: np.ndarray, factors, mode: int) -> np.ndarray:
     """t times the Khatri-Rao product of the other two factors, shape (..., R, t.shape[mode]).
 
-    A stack is one batched matmul of its unfoldings with the Khatri-Rao
-    products.  A single tensor is one einsum instead, which measures faster
-    on the small cores of the width gradient; a stack of one still takes
-    the matmul, so a stacked result never depends on the stack's size.
+    One (batched) matmul of the mode unfolding with the Khatri-Rao product.
     """
     i, j = _OTHERS[mode]
-    if t.ndim == 3:
-        return np.einsum(_MTTKRP[mode], t, factors[i], factors[j])
     return (unfold(t, mode) @ khatri_rao(factors[i], factors[j])).swapaxes(-1, -2)
 
 

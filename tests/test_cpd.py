@@ -216,34 +216,35 @@ class TestStackedAls:
         assert (mine.deviation, mine.canon_norm2, mine.flags, mine.sweeps, mine.converged) == (
             alone.deviation, alone.canon_norm2, alone.flags, alone.sweeps, alone.converged)
 
+    def test_ridge_decision_per_gram(self):
+        # Grams whose smallest eigenvalue sweeps through RIDGE_SCALE tr in
+        # steps of 5e-5 relative, alone and stacked with a rank-one Gram that
+        # always needs the ridge: each is ridged exactly by the eigenvalue rule
+        n = 8
+        eye, rank_one = np.eye(n), np.ones((n, n))
+        decisions = set()
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            lam = np.abs(rng.normal(size=n)) + 0.1
+            for k in range(-40, 41):
+                lam[0] = cpd.RIDGE_SCALE * lam[1:].sum() * (1.0 + k * 5e-5)
+                gram = (q * lam) @ q.T
+                gram = 0.5 * (gram + gram.T)
+                low = np.linalg.eigvalsh(gram)[0] <= cpd.RIDGE_SCALE * np.trace(gram)
+                decisions.add(bool(low))
+                alone, low_alone = cpd._ridge(gram[None], eye)
+                stacked, low_stacked = cpd._ridge(np.stack([gram, rank_one]), eye)
+                assert bool(low_alone[0]) == bool(low_stacked[0]) == low
+                np.testing.assert_array_equal(alone[0], stacked[0])
+                assert low_stacked[1]
+        assert decisions == {False, True}
+
     def test_mixed_shapes_rejected(self):
         spec_a, spec_b = _spec((2, 2, 2)), _spec((2, 2, 1))
         tuckers = [_tucker(np.ones((2, 2, 2)), spec_a), _tucker(np.ones((2, 2, 1)), spec_b)]
         with pytest.raises(ValueError, match="share one shape"):
             decompose_cores(tuckers, 1)
-
-    @pytest.mark.parametrize("noise", [1.0, 1e-6])
-    def test_gram_identity_error_matches_direct_residual(self, noise):
-        # noise 1: the Gram identity gives the error; 1e-6: the squared error
-        # is below GRAM_ERROR_FLOOR and the direct residual replaces it.
-        # Starts are the true factors jittered by about the noise.
-        rng = np.random.default_rng(33)
-        true = [rng.normal(size=(2, n)) for n in (4, 3, 3)]
-        d = _reconstruct(true) + noise * rng.normal(size=(4, 3, 3))
-        starts = [[f + noise * 0.01 * rng.normal(size=f.shape) for f in true] for _ in range(2)]
-        factors = [np.stack([s[m] for s in starts]) for m in range(3)]
-        stack = np.stack([d, d])
-        v, err, sweeps, _, _ = cpd._als(stack, factors, 1)
-        assert np.all(sweeps == 1)
-        direct = np.array([np.linalg.norm(d - _reconstruct([m[b] for m in v])) / np.linalg.norm(d)
-                           for b in range(2)])
-        np.testing.assert_allclose(err, direct, rtol=1e-12, atol=1e-15)
-        if noise < 1e-3:
-            assert np.all(err ** 2 < cpd.GRAM_ERROR_FLOOR)
-            norm = np.array([np.linalg.norm(d)] * 2)
-            np.testing.assert_array_equal(err, cpd._residual(stack, v, norm))
-        else:
-            assert np.all(err ** 2 > cpd.GRAM_ERROR_FLOOR)
 
 
 def _exact_init_loop(d):
@@ -386,7 +387,7 @@ class TestDecomposeCore:
              np.array([[0.7, 1.0], [0.0, 0.0]]),
              np.array([[1.0, 0.4], [0.6, 0.9]]))
         monkeypatch.setattr(cpd, "cp_decompose", lambda d, R, options=None: CpResult(
-            v=v, rec_error=0.5, restart_errors=(0.5,), flags=()))
+            v=v, rec_error=0.5, restart_errors=(0.5,), flags=(), sweeps=7, converged=True))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             canon = decompose_core(tucker, 2)

@@ -100,9 +100,7 @@ class TestBatchAxis:
         assert batched.shape == (self.B, 3, SHAPE[mode])
         for b in range(self.B):
             np.testing.assert_array_equal(unfolded[b], unfold(t[b], mode))
-            # a single tensor takes the einsum form, so agreement is to round-off
-            np.testing.assert_allclose(batched[b], mttkrp(t[b], [m[b] for m in f], mode),
-                                       rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(batched[b], mttkrp(t[b], [m[b] for m in f], mode))
 
     def test_cp_full(self):
         rng, _, f = self._stack(54)
