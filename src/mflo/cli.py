@@ -459,6 +459,8 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
                 "iterations": diag.iterations,
                 "grad_norm": diag.grad_norm,
                 "converged": diag.converged,
+                "stop_reason": diag.stop_reason,
+                "evaluations": diag.evaluations,
                 "flags": list(diag.flags),
                 "restart_fidelities": list(diag.restart_fidelities),
                 "fidelity_history": list(diag.fidelity_history),

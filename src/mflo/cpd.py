@@ -6,6 +6,14 @@ Bader, SIAM Review 51, 455 (2009)): each mode update solves the exact linear
 least-squares problem through the Khatri-Rao Gram identity (Hadamard product
 of the other two factor Grams), with the MTTKRP as right-hand side.
 
+ALS runs in the metric the report uses.  With the Cholesky factorization
+S_v = L_v L_v^T of each direction's LF overlap, ``decompose_cores`` hands
+ALS the core d' = (L_x^T (x) L_y^T (x) L_z^T) d, whose Euclidean norm is the
+metric norm of d, and maps the factors back with v = L_v^-T v'.  So ALS
+minimizes ||d - e||_S, and at a converged rank its squared relative residual
+is the reported deviation.  ``cp_decompose`` runs ALS on a bare tensor, in
+the Euclidean norm.
+
 There is one ALS loop, and it runs stacked factors of shape (B, R, n_v).  B
 counts (core, restart) pairs: every restart of every core of a report (the
 MOs of a job share one core shape) sweeps in the same stack, with one batched
@@ -13,13 +21,13 @@ Gram product, MTTKRP and solve per mode and sweep.  Each pair keeps its own
 stopping test, a change of its relative error below ALS_TOL, through the set
 of live pairs; a finished pair leaves the stack.  So a pair does the same
 arithmetic as it would alone, and a core's result does not depend on what it
-was stacked with.  A mode Gram whose smallest eigenvalue is at most
-RIDGE_SCALE times its trace gets that much added to its diagonal, and the pair
-is flagged ``gram-ridge``.  One batched Cholesky factorization of
-gram - 2 RIDGE_SCALE tr(gram) I that succeeds clears the whole stack; the
-eigenvalues are computed only when it fails, so the rule is the eigenvalue
-test for every pair.  The relative error after each sweep is the direct
-residual ||d - e|| / ||d||.
+was stacked with.  Every mode update solves with the Gram plus
+RIDGE_SCALE tr(Gram) on its diagonal, a ridge at round-off scale.  A result
+is flagged ``gram-ridge`` when it swept and one of its final mode Grams has
+its smallest eigenvalue at most that ridge, so the ridge shaped the solve.
+The relative error after each sweep is the direct residual ||d - e|| / ||d||.
+Restarts whose final errors agree within ALS_TOL are tied, and the lowest
+restart index among them wins, so round-off does not pick the winner.
 
 Factors are then rescaled in the LF overlap metric,
 N_r^(v) = sqrt(v_r . S^(v) v_r), so each row u_r = v_r / N_r describes a
@@ -42,7 +50,7 @@ import numpy as np
 
 from .fitting import TuckerState
 from .lorentzian import LorentzianBasisSpec
-from .tensor import cp_full, metric_inner, mttkrp, unfold
+from .tensor import cp_full, metric_inner, mode_product, mttkrp, unfold
 
 __all__ = [
     "CanonicalState",
@@ -55,7 +63,7 @@ __all__ = [
     "canonical_statevector",
 ]
 
-RIDGE_SCALE = 1e-12
+RIDGE_SCALE = 1e-14  # ridge of every mode solve, relative to the Gram's trace
 ALS_TOL = 1e-12  # stop when the relative fit change drops below this
 
 
@@ -68,10 +76,10 @@ class CpdOptions:
 
 @dataclass(frozen=True, eq=False)
 class CpResult:
-    """Raw ALS output: factors v[(x, y, z)][r, l] plus run diagnostics."""
+    """Raw ALS output: factors v[(x, y, z)][r, l] in the coordinates ALS ran in, and diagnostics."""
 
     v: tuple[np.ndarray, np.ndarray, np.ndarray]
-    rec_error: float                 # ||d - reconstruction||_F / ||d||_F
+    rec_error: float                 # ||d - reconstruction|| / ||d||, in the norm ALS ran in
     restart_errors: tuple[float, ...]
     flags: tuple[str, ...]
     sweeps: int                      # ALS sweeps of the winning restart
@@ -126,25 +134,6 @@ def _init(d: np.ndarray, R: int, restart: int, seed: np.random.SeedSequence) -> 
     return [rng.standard_normal((R, dim)) for dim in d.shape]
 
 
-def _ridge(gram: np.ndarray, eye: np.ndarray):
-    """Add RIDGE_SCALE tr to the diagonal of each Gram whose smallest eigenvalue is at most that.
-
-    A Cholesky factorization of gram - 2 RIDGE_SCALE tr I that succeeds for
-    the whole stack shows that no Gram needs the ridge, by a margin far above
-    round-off; only when it fails are the eigenvalues computed.  Either way
-    each Gram is judged by its own eigenvalue, whatever else the stack holds.
-    Returns the Grams to solve with and the mask of ridged ones.
-    """
-    trace = gram.diagonal(0, 1, 2).sum(axis=1)
-    ridge = (RIDGE_SCALE * trace)[:, None, None] * eye
-    try:
-        np.linalg.cholesky(gram - 2.0 * ridge)
-        return gram, np.zeros(len(gram), dtype=bool)
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(gram)[:, 0] <= RIDGE_SCALE * np.maximum(trace, 1e-300)
-    return gram + low[:, None, None] * ridge, low
-
-
 def _residual(d: np.ndarray, factors, norm_d: np.ndarray) -> np.ndarray:
     """Direct relative residual ||d - e|| / ||d|| of each stacked CP form."""
     diff = d - cp_full(np.ones(factors[0].shape[:-1]), factors)
@@ -159,14 +148,13 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     sweep, since sweeping would only add ridge noise.  Finished pairs leave
     the stack, so the others do the same arithmetic as they would alone.
     Returns the final factors, relative errors, sweep counts, converged
-    flags and ridge flags, one entry per pair.
+    flags and ridge flags (see the module docstring), one entry per pair.
     """
     norm_d = np.array([np.linalg.norm(x) for x in d])
     out = [np.array(f, dtype=np.float64) for f in factors]
     err = _residual(d, out, norm_d)
     sweeps = np.zeros(len(d), dtype=int)
     converged = err <= ALS_TOL
-    ridged = np.zeros(len(d), dtype=bool)
     eye = np.eye(out[0].shape[1])
     live = np.flatnonzero(~converged)
     F = [f[live] for f in out]
@@ -176,9 +164,9 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     while live.size and sweep < max_sweeps:
         sweep += 1
         for mode, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
-            lhs, low = _ridge(grams[i] * grams[j], eye)
-            ridged[live[low]] = True
-            F[mode] = np.linalg.solve(lhs, mttkrp(dl, F, mode))
+            gram = grams[i] * grams[j]
+            ridge = RIDGE_SCALE * gram.diagonal(0, 1, 2).sum(axis=1)
+            F[mode] = np.linalg.solve(gram + ridge[:, None, None] * eye, mttkrp(dl, F, mode))
             grams[mode] = F[mode] @ F[mode].swapaxes(1, 2)
         e = _residual(dl, F, nl)
         done = np.abs(prev - e) < ALS_TOL
@@ -198,7 +186,13 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     err[live] = prev
     for m in range(3):
         out[m][live] = F[m]
-    return out, err, sweeps, converged, ridged
+    grams = [f @ f.swapaxes(1, 2) for f in out]
+    ridged = np.zeros(len(d), dtype=bool)
+    for i, j in ((1, 2), (0, 2), (0, 1)):
+        gram = grams[i] * grams[j]
+        trace = gram.diagonal(0, 1, 2).sum(axis=1)
+        ridged |= np.linalg.eigvalsh(gram)[:, 0] <= RIDGE_SCALE * trace
+    return out, err, sweeps, converged, ridged & (sweeps > 0)
 
 
 def _cp_stack(cores, R: int, options: CpdOptions | None) -> list[CpResult]:
@@ -227,7 +221,7 @@ def _cp_stack(cores, R: int, options: CpdOptions | None) -> list[CpResult]:
     results = []
     for first in range(0, len(inits), n_runs):
         errors = tuple(float(e) for e in err[first:first + n_runs])
-        best = first + min(range(n_runs), key=lambda r: (errors[r], r))
+        best = first + _best_restart(errors)
         results.append(CpResult(
             v=tuple(m[best] for m in v), rec_error=errors[best - first],
             restart_errors=errors, flags=("gram-ridge",) if ridged[best] else (),
@@ -235,8 +229,14 @@ def _cp_stack(cores, R: int, options: CpdOptions | None) -> list[CpResult]:
     return results
 
 
+def _best_restart(errors) -> int:
+    """Lowest restart index whose error is within ALS_TOL of the smallest."""
+    floor = min(errors) + ALS_TOL
+    return next(r for r, e in enumerate(errors) if e <= floor)
+
+
 def cp_decompose(d, R: int, options: CpdOptions | None = None) -> CpResult:
-    """Best-of-restarts ALS decomposition of a 3-way core tensor.
+    """Best-of-restarts ALS decomposition of a 3-way tensor, in the Euclidean norm.
 
     Restart 0 starts from the per-mode SVD basis (or, when R equals the full
     n_prod, from the entrywise exact decomposition, which ALS then keeps);
@@ -295,8 +295,9 @@ def _overlap_terms(S1, core, lambdas, u):
     return canon_norm2, deviation
 
 
-def _canonical(tucker: TuckerState, result: CpResult, R: int) -> CanonicalState:
-    u, lam = normalize_factors(result.v, tucker.spec)
+def _canonical(tucker: TuckerState, v, result: CpResult, R: int) -> CanonicalState:
+    """Canonical state of factors v (in the LF basis) with ``result``'s run diagnostics."""
+    u, lam = normalize_factors(v, tucker.spec)
     canon_norm2, deviation = _overlap_terms(tucker.spec.overlaps, tucker.core, lam, u)
     flags = list(result.flags)
     if lam.size < R:
@@ -310,15 +311,21 @@ def _canonical(tucker: TuckerState, result: CpResult, R: int) -> CanonicalState:
 def decompose_cores(tuckers, R: int, options: CpdOptions | None = None) -> list[CanonicalState]:
     """Rank-R canonical form of each Tucker state, all cores and restarts in one ALS.
 
-    The cores must share a shape, as the MOs of one job do.
+    ALS runs on each core in its own metric (see the module docstring).  The
+    cores must share a shape, as the MOs of one job do.
     """
-    results = _cp_stack([t.core for t in tuckers], R, options)
-    return [_canonical(t, result, R) for t, result in zip(tuckers, results)]
+    chol = [[np.linalg.cholesky(s) for s in t.spec.overlaps] for t in tuckers]
+    results = _cp_stack([mode_product(t.core, L) for t, L in zip(tuckers, chol)], R, options)
+    states = []
+    for t, L, result in zip(tuckers, chol, results):
+        v = tuple(np.linalg.solve(l.T, f.T).T for l, f in zip(L, result.v))
+        states.append(_canonical(t, v, result, R))
+    return states
 
 
 def decompose_core(tucker: TuckerState, R: int, options: CpdOptions | None = None) -> CanonicalState:
-    """cp_decompose + normalize_factors + deviation for one core; see ``decompose_cores``."""
-    return _canonical(tucker, cp_decompose(tucker.core, R, options), R)
+    """``decompose_cores`` of one Tucker state."""
+    return decompose_cores([tucker], R, options)[0]
 
 
 def canonical_statevector(spec: LorentzianBasisSpec, lambdas, u) -> np.ndarray:

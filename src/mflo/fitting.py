@@ -10,12 +10,29 @@ the generalized problem (t t^T) d = kappa S d, where t collects the overlaps
 between the ideal state and each 3D LF product basis (the T tensor).  Because
 the left side is rank one, the maximal eigenpair is d ~ S^-1 t with
 kappa_max = t.S^-1 t, evaluated in the subspace kept by canonical
-orthogonalization of S.  Widths are then improved by projected gradient
-ascent using the analytic derivative
+orthogonalization of S.  Widths are then improved by a projected BFGS ascent
+(Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1190 (1995)) on
+WIDTH_BOUNDS, using the analytic derivative
 
     dF/da = 2 f g - kappa_max d.(dS/da) d - dP/da,
 
-with f = sum(T d) and g the core-weighted derivative of T.
+with f = sum(T d) and g the core-weighted derivative of T.  Widths on an
+active bound are held; the rest follow the quasi-Newton direction along the
+projected path clip(a + t p), with a backtracking (Armijo) line search.  A
+guard rejects trial points that discard a metric dimension or whose core
+needs |d|^2 > COEF_CAP (with d.S d = 1): growing widths can raise the
+fidelity by ever larger cancelling coefficients, until d.S d = 1 no longer
+holds to round-off (it is evaluated to about 1e-15 |d|^2).  Once the guard has
+rejected a point, its linearization constrains the direction and a
+second-order correction pulls trial points back onto it, so the ascent
+converges along the guard instead of stalling on it.
+
+The ascent stops with ``grad_tol`` (projected gradient max|clip(a + g) - a|
+below it), ``f_tol`` (the last step gains less, or the quasi-Newton model
+predicts less for the next; or the line search fails to find a gain that
+the model puts below the round-off of F), ``max_iter`` or ``stalled`` (no
+acceptable step, even from a fresh model); the last two flag the fit
+``unconverged``.  A start with T = 0 stops at once as ``degenerate``.
 
 Everything here works in LF coefficient space; statevector assembly is
 provided only for oracles and exports.  T is a CP form over the primitive
@@ -52,10 +69,11 @@ __all__ = [
 
 EIG_CUTOFF = 1e-10  # relative eigenvalue cutoff of canonical orthogonalization
 WIDTH_BOUNDS = (1e-3, 50.0)
-# backtracking line search of the width ascent
-ARMIJO_C = 1e-4
-BACKTRACK_FACTOR = 0.5
-MAX_BACKTRACKS = 40
+#: the width ascent keeps |d|^2 (with d.S d = 1) at most this, or no higher
+#: than at its start: d.S d is evaluated to about 1e-15 |d|^2, and
+#: P_tucker = 1 / (n_prod |d|^2)
+COEF_CAP = 1e4
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +117,11 @@ class FitProblem:
 
 @dataclass(frozen=True)
 class OptimizeDiagnostics:
-    iterations: int
+    iterations: int           # accepted steps of the winning restart
     grad_norm: float
-    converged: bool
+    converged: bool           # stop_reason is grad_tol or f_tol (or the start is degenerate)
+    stop_reason: str          # grad_tol, f_tol, max_iter, stalled or degenerate
+    evaluations: int          # fidelity evaluations of the winning restart
     flags: tuple[str, ...]
     restart_fidelities: tuple[float, ...]
     fidelity_history: tuple[float, ...]
@@ -185,12 +205,16 @@ class _Engine:
         prof, V, S1, M, T = self.assemble(widths)
         tr1, tr2 = _traces(S1)
         pen = _penalty(tr1, tr2, self.alpha, T.size)
-        d, kappa, degenerate, discarded = _solve_core_factored(T, S1)
+        eigs = [np.linalg.eigh(s) for s in S1]
+        d, kappa, degenerate, discarded = _solve_core_factored(T, eigs)
         f = float(np.sum(T * d))
-        return _Eval(profiles=prof, widths=widths, V=V, S1=S1, tr1=tr1, tr2=tr2,
+        norm2 = float(np.sum(d * d))
+        lam_max = math.prod(float(e[0][-1]) for e in eigs)
+        return _Eval(profiles=prof, widths=widths, V=V, S1=S1, eigs=eigs, tr1=tr1, tr2=tr2,
                      M=M, T=T, core=d, kappa=kappa, pen=pen,
                      fidelity=kappa - pen, f=f, degenerate=degenerate,
-                     discarded=discarded)
+                     discarded=discarded, margin=-math.log(norm2),
+                     resolution=_EPS * lam_max * kappa * norm2)
 
     def gradient(self, ev: "_Eval") -> np.ndarray:
         d, tr1, tr2 = ev.core, ev.tr1, ev.tr2
@@ -218,6 +242,36 @@ class _Engine:
             grad.append(2.0 * ev.f * g - ev.kappa * d_sdd - d_pen)
         return np.concatenate(grad)
 
+    def margin_gradient(self, ev: "_Eval") -> np.ndarray:
+        """Width gradient of the coefficient margin -log|d|^2 at the optimal core.
+
+        With d = S^+ t / sqrt(kappa), f = T.d and e = S^+ d (both on the kept
+        subspace), d log|d|^2 / da_l = 2 (e.dT_l / f - e.dS_l d) / |d|^2
+        - 2 d.dT_l / f + d.dS_l d, where dT_l and dS_l are the width
+        derivatives of T and S.
+        """
+        d = ev.core
+        lam = cp_full(np.ones(1), [w[None, :] for w, _ in ev.eigs])
+        keep = lam >= EIG_CUTOFF * lam.max()
+        Q = [q for _, q in ev.eigs]
+        e = mode_product(np.where(keep, mode_product(d, Q) / np.where(keep, lam, 1.0), 0.0),
+                         [q.T for q in Q])
+        norm2 = float(np.sum(d * d))
+        out = []
+        for v, prof in enumerate(ev.profiles):
+            dV = prof.states_da()
+            dM = self.col_pref[v] * (self.h[v] @ dV.T)
+            q = dV @ ev.V[v].T
+            ds = unfold(mode_product(d, [None if u == v else s for u, s in enumerate(ev.S1)]), v)
+            d_dd = unfold(d, v) @ ds.T
+            d_ed = unfold(e, v) @ ds.T
+            t_d = self.wpref @ (dM * mttkrp(d, ev.M, v))
+            t_e = self.wpref @ (dM * mttkrp(e, ev.M, v))
+            s_dd = 2.0 * np.einsum("lj,lj->l", q, d_dd)
+            s_ed = np.einsum("lj,lj->l", q, d_ed + d_ed.T)
+            out.append(2.0 * (t_e / ev.f - s_ed) / norm2 - 2.0 * t_d / ev.f + s_dd)
+        return -np.concatenate(out)
+
 
 @dataclass
 class _Eval:
@@ -225,6 +279,7 @@ class _Eval:
     widths: np.ndarray
     V: list
     S1: list
+    eigs: list  # (eigenvalues, eigenvectors) of each S_v
     tr1: list  # Tr(S_v) per direction
     tr2: list  # Tr(S_v^2) per direction
     M: list
@@ -236,6 +291,10 @@ class _Eval:
     f: float
     degenerate: bool
     discarded: int
+    margin: float  # -log |d|^2, see _Engine.margin_gradient
+    # round-off of the fidelity: the metric eigenvalues carry errors of
+    # eps lam_max, and kappa = sum tt^2 / lam amplifies them by |d|^2
+    resolution: float
 
 
 def _traces(S1) -> tuple[list[float], list[float]]:
@@ -258,9 +317,8 @@ def _degenerate_core(lam: np.ndarray, Q: list) -> np.ndarray:
     return d if lead >= 0 else -d
 
 
-def _solve_core_factored(T: np.ndarray, S1):
-    """Top eigenpair of (t t^T) d = kappa S d using the per-axis eigenbases."""
-    eigs = [np.linalg.eigh(s) for s in S1]
+def _solve_core_factored(T: np.ndarray, eigs):
+    """Top eigenpair of (t t^T) d = kappa S d from the per-axis eigenpairs ``eigh(S_v)``."""
     Q = [e[1] for e in eigs]
     lam = cp_full(np.ones(1), [e[0][None, :] for e in eigs])
     lam_max = float(lam.max())
@@ -362,60 +420,139 @@ class OptimizeOptions:
     seed: int = 0
 
 
-def _ascend(engine: _Engine, a0: np.ndarray, opt: OptimizeOptions):
+def _direction(engine: _Engine, ev: _Eval, g: np.ndarray, H, floor: float | None):
+    """Quasi-Newton ascent direction at ``ev`` with widths on an active bound held.
+
+    ``H`` is the inverse Hessian model of -F (None: the identity).  With a
+    ``floor``, the direction also obeys the guard's linearization: a step may
+    close at most half the gap between the coefficient margin -log|d|^2 and
+    its floor.
+    Returns the direction and, with a floor, the guard's (normal, H normal).
+    """
     lo, hi = WIDTH_BOUNDS
-    a = np.clip(a0, lo, hi)
-    ev = engine.evaluate(a)
+    a = ev.widths
+    free = ~(((a <= lo) & (g < 0.0)) | ((a >= hi) & (g > 0.0)))
+    Hf = np.eye(np.count_nonzero(free)) if H is None else H[np.ix_(free, free)]
+    p = np.zeros_like(a)
+    p[free] = Hf @ g[free]
+    if floor is None:
+        return p, None
+    n = np.where(free, engine.margin_gradient(ev), 0.0)
+    Hn = np.zeros_like(a)
+    Hn[free] = Hf @ n[free]
+    slack = float(n @ p) - 0.5 * (floor - ev.margin)
+    if slack < 0.0:
+        p -= (slack / float(n @ Hn)) * Hn
+    return p, (n, Hn)
+
+
+def _line_search(engine: _Engine, ev: _Eval, g: np.ndarray, p: np.ndarray, step: float,
+                 floor: float, normal):
+    """Backtracking (Armijo) search on the projected path clip(a + t p).
+
+    The guard rejects a trial point that discards a metric dimension or
+    whose coefficient margin falls below ``floor``.  Given the guard's
+    linearization ``normal``, a point below the floor first gets up to three
+    second-order corrections along H n toward the margin the linearization
+    predicted.  Returns the accepted evaluation (or None), the
+    evaluations made and whether the guard rejected a point.
+    """
+    lo, hi = WIDTH_BOUNDS
+    a = ev.widths
+    evaluations, hit = 0, False
+    for _ in range(40):
+        widths = np.clip(a + step * p, lo, hi)
+        if float(g @ (widths - a)) <= 0.0:
+            break
+        trial = engine.evaluate(widths)
+        evaluations += 1
+        for _ in range(3 if normal is not None else 0):
+            if trial.discarded != ev.discarded or trial.margin >= floor:
+                break
+            n, Hn = normal
+            short = ev.margin + step * float(n @ p) - trial.margin
+            widths = np.clip(widths + (short / float(n @ Hn)) * Hn, lo, hi)
+            if float(g @ (widths - a)) <= 0.0:
+                break
+            trial = engine.evaluate(widths)
+            evaluations += 1
+        if trial.discarded > ev.discarded or trial.margin < floor:
+            hit = True
+        elif trial.fidelity >= ev.fidelity + 1e-4 * float(g @ (trial.widths - a)):
+            return trial, evaluations, hit
+        step *= 0.5
+    return None, evaluations, hit
+
+
+def _ascend(engine: _Engine, a0: np.ndarray, opt: OptimizeOptions):
+    """Projected BFGS ascent from a0; see ``optimize_widths``.
+
+    Returns (final evaluation, accepted steps, grad_norm, stop_reason,
+    evaluations, fidelity history).
+    """
+    lo, hi = WIDTH_BOUNDS
+    ev = engine.evaluate(np.clip(a0, lo, hi))
+    evaluations = 1
     history = [ev.fidelity]
-    flags: list[str] = []
     if ev.degenerate:
-        return ev, 0, float("nan"), True, ["degenerate"], history
-    iterations = 0
-    grad_norm = float("inf")
-    converged = False
-    step = 1.0
-    for iterations in range(1, opt.max_iter + 1):
-        g = engine.gradient(ev)
+        return ev, 0, float("nan"), "degenerate", evaluations, history
+    floor = min(ev.margin, -math.log(COEF_CAP))
+    g = engine.gradient(ev)
+    H = None                    # inverse Hessian model of -F; None is the identity
+    guarded = False             # the guard has rejected a trial point
+    improvement = math.inf
+    while True:
+        a = ev.widths
         grad_norm = float(np.max(np.abs(np.clip(a + g, lo, hi) - a)))
-        if grad_norm < opt.grad_tol:
-            converged = True
-            break
-        step = min(1.0, 2.0 * step)
-        accepted = None
-        for _ in range(MAX_BACKTRACKS):
-            a_new = np.clip(a + step * g, lo, hi)
-            move = a_new - a
-            if not np.any(move):
+        stop = ("grad_tol" if grad_norm < opt.grad_tol else
+                "f_tol" if improvement < opt.f_tol else
+                "max_iter" if len(history) > opt.max_iter else None)
+        while not stop:
+            p, normal = _direction(engine, ev, g, H, floor if guarded else None)
+            gain = 0.5 * float(g @ (np.clip(a + p, lo, hi) - a))  # the model's prediction
+            if H is not None and gain < opt.f_tol:
+                stop = "f_tol"
                 break
-            trial = engine.evaluate(a_new)
-            if trial.fidelity >= ev.fidelity + ARMIJO_C * float(g @ move):
-                accepted = (a_new, trial)
+            # the identity model has no length scale: cap its first move
+            scale = float(np.max(np.abs(p)))
+            step = min(1.0, 0.1 / scale) if H is None and scale > 0.0 else 1.0
+            trial, n_evals, hit = _line_search(engine, ev, g, p, step, floor, normal)
+            evaluations += n_evals
+            if trial is not None:
                 break
-            step *= BACKTRACK_FACTOR
-        if accepted is None:
-            flags.append("line-search-stalled")
-            break
-        a, new_ev = accepted
-        improvement = new_ev.fidelity - ev.fidelity
-        ev = new_ev
+            if gain < ev.resolution:
+                stop = "f_tol"  # the gain sought is below the round-off of F
+            elif hit and not guarded:
+                guarded = True
+            elif H is not None:
+                H = None
+            else:
+                stop = "stalled"
+        if stop:
+            return ev, len(history) - 1, grad_norm, stop, evaluations, history
+        guarded |= hit
+        g_new = engine.gradient(trial)
+        s, y = trial.widths - a, g - g_new
+        sy = float(s @ y)
+        if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
+            # BFGS update of the inverse Hessian; the first pair also sets its scale
+            H = np.eye(a.size) * (sy / float(y @ y)) if H is None else H
+            rho = 1.0 / sy
+            Hy = H @ y
+            H = H + ((rho * rho * float(y @ Hy) + rho) * np.outer(s, s)
+                     - rho * (np.outer(Hy, s) + np.outer(s, Hy)))
+        improvement = trial.fidelity - ev.fidelity
+        ev, g = trial, g_new
         history.append(ev.fidelity)
-        if improvement < opt.f_tol:
-            converged = True
-            break
-    else:
-        flags.append("max-iter")
-    if not converged:
-        flags.append("unconverged")
-    return ev, iterations, grad_norm, converged, flags, history
 
 
 def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None) -> TuckerState:
-    """Projected gradient ascent on the widths; centers stay fixed.
+    """Projected BFGS ascent on the widths; centers stay fixed.
 
     The ascent starts from the problem spec's widths.  Restarts beyond the
     first jitter them multiplicatively (seeded); the best final fidelity
-    wins.  A fit that stops by hitting max_iter or a stalled line search is
-    returned flagged "unconverged" with the best iterate seen.
+    wins.  A fit that stops at max_iter or with a stalled line search is
+    returned flagged "unconverged" with its last (and best) iterate.
     """
     opt = options or OptimizeOptions()
     engine = _Engine(problem)
@@ -429,17 +566,25 @@ def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None)
         restart_fids.append(result[0].fidelity)
         if best is None or result[0].fidelity > best[0].fidelity:
             best = result
-    ev, iterations, grad_norm, converged, flags, history = best
+    ev, iterations, grad_norm, stop_reason, evaluations, history = best
 
+    flags = []
+    if stop_reason == "degenerate":
+        flags.append("degenerate")
+    converged = stop_reason not in ("max_iter", "stalled")
+    if not converged:
+        flags.append("unconverged")
     spec = problem.spec.with_widths(ev.widths)
     for v in range(3):
         mass = boundary_mass(spec, v)
         for l in np.nonzero(mass > 1e-3)[0]:
-            flags = list(flags) + [f"boundary-{AXES[v]}{l}"]
+            flags.append(f"boundary-{AXES[v]}{l}")
     diag = OptimizeDiagnostics(
         iterations=iterations,
         grad_norm=grad_norm,
         converged=converged,
+        stop_reason=stop_reason,
+        evaluations=evaluations,
         flags=tuple(flags),
         restart_fidelities=tuple(restart_fids),
         fidelity_history=tuple(history),

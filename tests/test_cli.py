@@ -193,6 +193,8 @@ class TestRunFit:
         diag = report["mos"]["ground"]["diagnostics"]
         hist = diag["fidelity_history"]
         assert len(hist) == diag["iterations"] + 1
+        assert diag["stop_reason"] in ("grad_tol", "f_tol")
+        assert diag["evaluations"] >= len(hist)
         assert hist[-1] == pytest.approx(report["mos"]["ground"]["fidelity"], rel=1e-12)
         assert all(b >= a - 1e-12 for a, b in zip(hist, hist[1:]))
 

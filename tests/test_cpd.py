@@ -18,6 +18,7 @@ from mflo.cpd import (
 from mflo.encoding import success_prob_canonical, success_prob_tucker
 from mflo.fitting import TuckerState, overlap_3d, tucker_statevector
 from mflo.lorentzian import LorentzianBasisSpec
+from mflo.tensor import cp_full, metric_inner
 
 
 def _spec(n_l=(2, 2, 2)):
@@ -32,6 +33,15 @@ def _spec(n_l=(2, 2, 2)):
         n=4,
         widths=tuple(np.asarray(w, dtype=float) for w in widths),
         centers=tuple(np.asarray(c, dtype=int) for c in centers),
+    )
+
+
+def _wide_spec():
+    """Broad LFs on close centers: each S_v is far from the identity (cond 400-7600)."""
+    return LorentzianBasisSpec(
+        n=4,
+        widths=tuple(np.asarray(w) for w in ((1.6, 2.2, 1.9), (2.0, 1.4, 2.5), (1.8, 2.4, 1.5))),
+        centers=tuple(np.asarray(c) for c in ((6, 8, 10), (7, 8, 9), (6, 8, 10))),
     )
 
 
@@ -51,31 +61,37 @@ def _reconstruct(v):
 _ORACLE_MTTKRP = ("abc,rb,rc->ra", "abc,ra,rc->rb", "abc,ra,rb->rc")
 
 
+def _mode_grams(factors):
+    return [(factors[i] @ factors[i].T) * (factors[j] @ factors[j].T)
+            for i, j in ((1, 2), (0, 2), (0, 1))]
+
+
 def _oracle_als_run(d, factors, max_sweeps):
-    """One restart at a time, eigenvalue ridge test and direct residual (the former loop)."""
+    """One restart at a time, einsum contractions and direct residual.
+
+    Every solve adds RIDGE_SCALE tr to the Gram's diagonal; a run that swept
+    is flagged when a final mode Gram's smallest eigenvalue is at most that.
+    """
     factors = [f.copy() for f in factors]
     norm_d = float(np.linalg.norm(d))
-    flags = set()
     err = float(np.linalg.norm(d - _reconstruct(factors))) / norm_d
     if err <= cpd.ALS_TOL:
-        return factors, err, flags
+        return factors, err, set()
     err_prev = err
     for _ in range(max_sweeps):
         for mode in range(3):
             others = [u for u in range(3) if u != mode]
-            gram = (factors[others[0]] @ factors[others[0]].T) * (
-                factors[others[1]] @ factors[others[1]].T)
+            gram = _mode_grams(factors)[mode]
             rhs = np.einsum(_ORACLE_MTTKRP[mode], d, factors[others[0]], factors[others[1]])
-            trace = float(np.trace(gram))
-            if np.linalg.eigvalsh(gram)[0] <= cpd.RIDGE_SCALE * max(trace, 1e-300):
-                gram = gram + cpd.RIDGE_SCALE * trace * np.eye(gram.shape[0])
-                flags.add("gram-ridge")
-            factors[mode] = np.linalg.solve(gram, rhs)
+            ridge = cpd.RIDGE_SCALE * float(np.trace(gram))
+            factors[mode] = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
         err = float(np.linalg.norm(d - _reconstruct(factors))) / norm_d
         if abs(err_prev - err) < cpd.ALS_TOL:
             break
         err_prev = err
-    return factors, err, flags
+    ridged = any(np.linalg.eigvalsh(g)[0] <= cpd.RIDGE_SCALE * np.trace(g)
+                 for g in _mode_grams(factors))
+    return factors, err, {"gram-ridge"} if ridged else set()
 
 
 def _oracle_cp_decompose(d, R, opt):
@@ -123,6 +139,12 @@ class TestCpDecompose:
         d = rng.normal(size=(3, 3, 3))
         res = cp_decompose(d, 27, CpdOptions(n_restarts=1, seed=0))
         assert res.rec_error < 1e-12
+
+    def test_exact_start_not_flagged_ridge(self):
+        # the exact start's mode Grams are singular, but it never solves with them
+        d = np.random.default_rng(7).normal(size=(3, 3, 3))
+        res = cp_decompose(d, 27, CpdOptions(n_restarts=1, seed=0))
+        assert (res.sweeps, res.flags) == (0, ())
 
     def test_more_sweeps_never_worse(self):
         rng = np.random.default_rng(8)
@@ -216,29 +238,26 @@ class TestStackedAls:
         assert (mine.deviation, mine.canon_norm2, mine.flags, mine.sweeps, mine.converged) == (
             alone.deviation, alone.canon_norm2, alone.flags, alone.sweeps, alone.converged)
 
-    def test_ridge_decision_per_gram(self):
-        # Grams whose smallest eigenvalue sweeps through RIDGE_SCALE tr in
-        # steps of 5e-5 relative, alone and stacked with a rank-one Gram that
-        # always needs the ridge: each is ridged exactly by the eigenvalue rule
-        n = 8
-        eye, rank_one = np.eye(n), np.ones((n, n))
-        decisions = set()
-        for seed in range(8):
-            rng = np.random.default_rng(seed)
-            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            lam = np.abs(rng.normal(size=n)) + 0.1
-            for k in range(-40, 41):
-                lam[0] = cpd.RIDGE_SCALE * lam[1:].sum() * (1.0 + k * 5e-5)
-                gram = (q * lam) @ q.T
-                gram = 0.5 * (gram + gram.T)
-                low = np.linalg.eigvalsh(gram)[0] <= cpd.RIDGE_SCALE * np.trace(gram)
-                decisions.add(bool(low))
-                alone, low_alone = cpd._ridge(gram[None], eye)
-                stacked, low_stacked = cpd._ridge(np.stack([gram, rank_one]), eye)
-                assert bool(low_alone[0]) == bool(low_stacked[0]) == low
-                np.testing.assert_array_equal(alone[0], stacked[0])
-                assert low_stacked[1]
-        assert decisions == {False, True}
+    def test_tied_restarts_pick_lowest_index(self):
+        # both restarts reach the best rank-one term; restart 1 ends 4e-14
+        # lower by round-off, so the exact minimum would pick it
+        d = np.random.default_rng(0).normal(size=(3, 3, 2))
+        res = cp_decompose(d, 1, CpdOptions(n_restarts=2, seed=0))
+        first, second = res.restart_errors
+        assert second < first < second + cpd.ALS_TOL
+        assert res.rec_error == first
+        alone = cp_decompose(d, 1, CpdOptions(n_restarts=1, seed=0))
+        for m in range(3):
+            np.testing.assert_array_equal(res.v[m], alone.v[m])
+
+    @pytest.mark.parametrize("errors, best", [
+        ((0.5 + 1e-13, 0.5, 0.7), 0),
+        ((0.6, 0.5, 0.5 + 1e-13), 1),
+        ((0.5 + 2e-12, 0.5), 1),
+        ((0.3,), 0),
+    ])
+    def test_best_restart_tie_rule(self, errors, best):
+        assert cpd._best_restart(errors) == best
 
     def test_mixed_shapes_rejected(self):
         spec_a, spec_b = _spec((2, 2, 2)), _spec((2, 2, 1))
@@ -380,14 +399,40 @@ class TestDecomposeCore:
                 for R in (1, 2, 4, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(devs, devs[1:]))
 
+    def test_deviation_is_minimized_metric_residual(self):
+        spec = _wide_spec()
+        tucker = _tucker(np.random.default_rng(2).normal(size=(3, 3, 3)), spec)
+        canon = decompose_core(tucker, 2, CpdOptions(n_restarts=4, seed=0))
+        assert canon.converged
+        e = cp_full(canon.lambdas, canon.u)
+        residual = (metric_inner(tucker.core - e, tucker.core - e, spec.overlaps)
+                    / metric_inner(tucker.core, tucker.core, spec.overlaps))
+        assert canon.deviation == pytest.approx(residual, rel=1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_metric_objective_beats_euclidean(self, seed):
+        spec = _wide_spec()
+        assert min(np.linalg.cond(s) for s in spec.overlaps) > 100.0
+        tucker = _tucker(np.random.default_rng(seed).normal(size=(3, 3, 3)), spec)
+        opt = CpdOptions(n_restarts=4, seed=0)
+        devs = []
+        for R in (1, 2, 3, 4):
+            metric = decompose_core(tucker, R, opt).deviation
+            u, lam = normalize_factors(cp_decompose(tucker.core, R, opt).v, spec)
+            _, euclidean = cpd._overlap_terms(spec.overlaps, tucker.core, lam, u)
+            assert metric <= euclidean
+            devs.append(metric)
+        assert all(a >= b for a, b in zip(devs, devs[1:]))
+
     def test_vanishing_component_flagged_rank_reduced(self, monkeypatch):
         spec = _spec((2, 2, 2))
         tucker = _tucker(np.random.default_rng(20).normal(size=(2, 2, 2)), spec)
         v = (np.array([[1.0, 0.5], [0.3, 0.2]]),
              np.array([[0.7, 1.0], [0.0, 0.0]]),
              np.array([[1.0, 0.4], [0.6, 0.9]]))
-        monkeypatch.setattr(cpd, "cp_decompose", lambda d, R, options=None: CpResult(
-            v=v, rec_error=0.5, restart_errors=(0.5,), flags=(), sweeps=7, converged=True))
+        # factors in the metric's Cholesky coordinates; the zero row stays zero
+        monkeypatch.setattr(cpd, "_cp_stack", lambda cores, R, options=None: [CpResult(
+            v=v, rec_error=0.5, restart_errors=(0.5,), flags=(), sweeps=7, converged=True)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             canon = decompose_core(tucker, 2)

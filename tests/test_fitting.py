@@ -13,6 +13,7 @@ from mflo.basis import MolecularOrbital, SimulationCell, build_ideal_state, gaus
 from mflo.exceptions import ConditioningError
 from mflo.fitting import (
     EIG_CUTOFF,
+    COEF_CAP,
     _Engine,
     FitProblem,
     OptimizeOptions,
@@ -305,17 +306,29 @@ class TestGradient:
             fidelity_gradient(problem, np.ones((3, 1, 1)), 1.0)
 
 
-def _h2_box_problem():
-    """H2 bonding MO on a 6x4x4 LF box at n_qe=7 (STO-3G H 1s on each atom)."""
+def _h2_box_problem(coefficients=(1.0, 1.0)):
+    """H2 MO (bonding by default) on a 6x4x4 LF box at n_qe=7 (STO-3G H 1s on each atom)."""
     cell = SimulationCell(origin=[0.0, 0.0, 0.0], edge_lengths=[8.0, 8.0, 8.0], n_qe=7)
     aos = tuple(gaussian_ao([3.42525091, 0.62391373, 0.1688554],
                             [0.15432897, 0.53532814, 0.44463454], (0, 0, 0), [x, 4.0, 4.0])
                 for x in (3.3, 4.7))
-    mo = MolecularOrbital(ao_list=aos, coefficients=[1.0, 1.0])
+    mo = MolecularOrbital(ao_list=aos, coefficients=list(coefficients))
     centers = box_centers(cell, (2.5, 3.0, 3.0), (3.0, 2.0, 2.0), (6, 4, 4))
     spec = LorentzianBasisSpec(n=7, widths=tuple(np.full(c.size, 0.3) for c in centers),
                                centers=centers)
     return FitProblem.build(mo, cell, spec)
+
+
+def _guard_problem():
+    """Antibonding pair of diffuse s functions on three x-LFs, n_qe=4.
+
+    Its fidelity keeps rising as the x widths grow, with ever larger
+    cancelling core coefficients, until the coefficient guard stops them.
+    """
+    aos = tuple(gaussian_ao([0.1], [1.0], (0, 0, 0), [x, 4.0, 4.0]) for x in (3.0, 5.0))
+    mo = MolecularOrbital(ao_list=aos, coefficients=[1.0, -1.0])
+    spec = _spec(widths=((0.6, 0.6, 0.6), (0.6,), (0.6,)), centers=((5, 8, 11), (8,), (8,)))
+    return FitProblem.build(mo, _cube(n_qe=4), spec)
 
 
 class TestEngine:
@@ -345,6 +358,20 @@ class TestEngine:
         assert engine.evaluate(np.array([0.8, 1.3, 1.0, 0.9])).fidelity > 0.0
         with pytest.raises(ValueError, match="duplicate"):
             engine.evaluate(np.array([1.1, 1.1, 1.0, 0.9]))
+
+    def test_margin_gradient_matches_central_differences(self):
+        problem = _guard_problem()
+        engine = _Engine(problem)
+        a = np.array([2.0, 0.9, 1.7, 0.8, 1.1])
+        ev = engine.evaluate(a)
+        assert ev.margin == pytest.approx(-math.log(float(np.sum(ev.core ** 2))), rel=1e-12)
+        grad = engine.margin_gradient(ev)
+        for i in range(a.size):
+            h = 1e-6 * a[i]
+            ap = a.copy(); ap[i] += h
+            am = a.copy(); am[i] -= h
+            fd = (engine.evaluate(ap).margin - engine.evaluate(am).margin) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
     def test_invalid_trial_widths_rejected(self, bad):
@@ -450,6 +477,46 @@ class TestOptimizeWidths:
         fit = optimize_widths(_problem(), options=OptimizeOptions(max_iter=1))
         assert not fit.diagnostics.converged
         assert "unconverged" in fit.diagnostics.flags
+        assert (fit.diagnostics.stop_reason, fit.diagnostics.iterations) == ("max_iter", 1)
+
+    @pytest.mark.parametrize("problem, options", [
+        (_problem, OptimizeOptions()),
+        (_problem, OptimizeOptions(max_iter=3)),
+        (lambda: _problem(alpha=0.1), OptimizeOptions(restarts=3, seed=7)),
+        (_guard_problem, OptimizeOptions()),
+    ])
+    def test_diagnostics_contract(self, problem, options):
+        diag = optimize_widths(problem(), options=options).diagnostics
+        assert diag.stop_reason in ("grad_tol", "f_tol", "max_iter", "stalled")
+        assert diag.converged == (diag.stop_reason not in ("max_iter", "stalled"))
+        assert ("unconverged" in diag.flags) == (not diag.converged)
+        hist = np.asarray(diag.fidelity_history)
+        assert hist.size == diag.iterations + 1
+        assert np.all(np.diff(hist) >= 0.0)
+        assert diag.evaluations >= diag.iterations + 1
+
+    def test_frozen_by_grad_tol_above_width_range(self):
+        # a grad_tol above the width range stops the ascent at its start:
+        # max|clip(a + g) - a| cannot exceed the span of WIDTH_BOUNDS
+        problem = _guard_problem()
+        fit = optimize_widths(problem, options=OptimizeOptions(grad_tol=1e3))
+        np.testing.assert_array_equal(fit.spec.widths_flat(), problem.spec.widths_flat())
+        diag = fit.diagnostics
+        assert (diag.iterations, diag.stop_reason, diag.converged) == (0, "grad_tol", True)
+        assert diag.evaluations == 1 and len(diag.fidelity_history) == 1
+        assert "unconverged" not in diag.flags
+        assert 0.0 < diag.grad_norm < WIDTH_BOUNDS[1] - WIDTH_BOUNDS[0]
+
+    def test_guard_caps_coefficients(self):
+        # unguarded, this ascent reaches |d|^2 ~ 3e8, where d.S d = 1 no
+        # longer holds to 1e-10 in floating point
+        fit = optimize_widths(_guard_problem())
+        assert fit.diagnostics.converged
+        assert fit.diagnostics.discarded_dim == 0
+        # the optimum sits on the guard, not short of it
+        assert 0.99 * COEF_CAP < float(np.sum(fit.core ** 2)) <= COEF_CAP * (1.0 + 1e-12)
+        dd = fit.core.ravel()
+        assert float(dd @ overlap_3d(fit.spec) @ dd) == pytest.approx(1.0, abs=1e-10)
 
     def test_boundary_flag_on_edge_center(self):
         spec = _spec(widths=((0.8,), (1.0,), (0.9,)), centers=((0,), (8,), (8,)))
@@ -458,6 +525,16 @@ class TestOptimizeWidths:
         problem = FitProblem.build(mo, _cube(n_qe=4), spec)
         fit = optimize_widths(problem)
         assert any(f.startswith("boundary-x") for f in fit.diagnostics.flags)
+
+    def test_box_antibonding_converges_along_guard(self):
+        # the optimum sits on the coefficient guard, where F is resolved to
+        # about 1e-11; second-order corrections keep the ascent near one
+        # evaluation per step (about 8 without them)
+        fit = optimize_widths(_h2_box_problem(coefficients=(1.0, -1.0)))
+        diag = fit.diagnostics
+        assert diag.converged, diag.stop_reason
+        assert float(np.sum(fit.core ** 2)) > 0.99 * COEF_CAP
+        assert diag.evaluations <= 4 * (diag.iterations + 1)
 
     def test_statevector_overlap_matches_report(self):
         problem = _problem()
