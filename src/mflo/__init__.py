@@ -46,10 +46,7 @@ from .fitting import (
 from .cpd import (
     CanonicalState,
     CpdOptions,
-    CpResult,
     canonical_statevector,
-    cp_decompose,
-    decompose_core,
     decompose_cores,
     normalize_factors,
 )
@@ -74,7 +71,6 @@ __all__ = [
     "CircuitCostReport",
     "ConditioningError",
     "ContractedGaussianAO",
-    "CpResult",
     "CpdOptions",
     "DEFAULT_MAX_QUBITS",
     "DegenerateInputError",
@@ -94,8 +90,6 @@ __all__ = [
     "canonical_statevector",
     "cnot_count_canonical",
     "cnot_count_tucker",
-    "cp_decompose",
-    "decompose_core",
     "decompose_cores",
     "fidelity_gradient",
     "gaussian_ao",

@@ -22,6 +22,7 @@ import math
 import struct
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .basis import (
     gaussian_ao,
     require_grid,
 )
-from .cpd import CanonicalState, CpdOptions, canonical_statevector, decompose_core, decompose_cores
+from .cpd import CanonicalState, CpdOptions, canonical_statevector, decompose_cores
 from .encoding import (
     ancilla_counts,
     cnot_count_canonical,
@@ -444,7 +445,6 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
         prob = success_prob_tucker(tucker)
         if not 0.0 < prob <= 1.0 + 1e-12:
             raise RuntimeError(f"Tucker success probability {prob} outside (0, 1]")
-        diag = tucker.diagnostics
         entry = {
             "norm_factor": problem.norm_factor,
             **_spec_payload(tucker.spec),
@@ -455,17 +455,8 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
             "kappa_max": tucker.kappa_max,
             "success_probability_tucker": prob,
             "identity_residuals": residuals,
-            "diagnostics": {
-                "iterations": diag.iterations,
-                "grad_norm": diag.grad_norm,
-                "converged": diag.converged,
-                "stop_reason": diag.stop_reason,
-                "evaluations": diag.evaluations,
-                "flags": list(diag.flags),
-                "restart_fidelities": list(diag.restart_fidelities),
-                "fidelity_history": list(diag.fidelity_history),
-                "discarded_dim": diag.discarded_dim,
-            },
+            "diagnostics": {k: list(v) if isinstance(v, tuple) else v
+                            for k, v in asdict(tucker.diagnostics).items()},
             "canonical": {},
         }
         report["mos"][name] = entry
@@ -583,6 +574,8 @@ def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dic
         n_prod = math.prod(report["mos"][name]["core"]["shape"])
         if any(r > n_prod for r in ranks):
             raise ValueError(f"rank sweep exceeds n_prod={n_prod}")
+        if any(r < 1 for r in ranks):
+            raise ValueError(f"rank must be in [1, {n_prod}], got {min(ranks)}")
     entries = [report["mos"][name] for name in names]
     tuckers = [_tucker_from_payload(entry, n_qe) for entry in entries]
     _rank_sweep(entries, tuckers, ranks, options, n_qe)
@@ -791,7 +784,7 @@ def _check_cp_exactness(report: dict) -> str:
     name = sorted(report["mos"])[0]
     tucker = _tucker_from_payload(report["mos"][name], n_qe)
     n_prod = tucker.spec.n_prod
-    canon = decompose_core(tucker, n_prod, CpdOptions(n_restarts=2))
+    canon = decompose_cores([tucker], n_prod, CpdOptions(n_restarts=2))[0]
     if canon.deviation >= 1e-10:
         raise AssertionError(f"full-rank deviation {canon.deviation:.3e}")
     prob = success_prob_canonical(canon)

@@ -11,8 +11,7 @@ S_v = L_v L_v^T of each direction's LF overlap, ``decompose_cores`` hands
 ALS the core d' = (L_x^T (x) L_y^T (x) L_z^T) d, whose Euclidean norm is the
 metric norm of d, and maps the factors back with v = L_v^-T v'.  So ALS
 minimizes ||d - e||_S, and at a converged rank its squared relative residual
-is the reported deviation.  ``cp_decompose`` runs ALS on a bare tensor, in
-the Euclidean norm.
+is the reported deviation.  ``decompose_cores`` is the only entry point.
 
 There is one ALS loop, and it runs stacked factors of shape (B, R, n_v).  B
 counts (core, restart) pairs: every restart of every core of a report (the
@@ -55,10 +54,7 @@ from .tensor import cp_full, metric_inner, mode_product, mttkrp, unfold
 __all__ = [
     "CanonicalState",
     "CpdOptions",
-    "CpResult",
-    "cp_decompose",
     "normalize_factors",
-    "decompose_core",
     "decompose_cores",
     "canonical_statevector",
 ]
@@ -196,7 +192,7 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
 
 
 def _cp_stack(cores, R: int, options: CpdOptions | None) -> list[CpResult]:
-    """Best-of-restarts ALS of equally shaped cores, all (core, restart) pairs in one ALS."""
+    """Best-of-restarts Euclidean ALS of equally shaped cores, all (core, restart) pairs stacked."""
     opt = options or CpdOptions()
     d = [np.asarray(core, dtype=np.float64) for core in cores]
     if not d:
@@ -235,23 +231,13 @@ def _best_restart(errors) -> int:
     return next(r for r, e in enumerate(errors) if e <= floor)
 
 
-def cp_decompose(d, R: int, options: CpdOptions | None = None) -> CpResult:
-    """Best-of-restarts ALS decomposition of a 3-way tensor, in the Euclidean norm.
-
-    Restart 0 starts from the per-mode SVD basis (or, when R equals the full
-    n_prod, from the entrywise exact decomposition, which ALS then keeps);
-    the remaining restarts start from seeded Gaussian factors.
-    """
-    return _cp_stack([d], R, options)[0]
-
-
 def normalize_factors(v, spec: LorentzianBasisSpec):
     """Metric-normalize factor rows and collect canonical coefficients.
 
     Returns (u, lambdas) with u_r . S^(v) u_r = 1 per direction in the
     spec's ``overlaps``, lambdas positive and sorted descending, and the
     reconstruction unchanged.  Rows whose metric norm vanishes are dropped,
-    so the effective rank shrinks; ``decompose_core`` flags that as
+    so the effective rank shrinks; ``decompose_cores`` flags that as
     ``rank-reduced``.
     """
     v = [np.asarray(m, dtype=np.float64) for m in v]
@@ -321,11 +307,6 @@ def decompose_cores(tuckers, R: int, options: CpdOptions | None = None) -> list[
         v = tuple(np.linalg.solve(l.T, f.T).T for l, f in zip(L, result.v))
         states.append(_canonical(t, v, result, R))
     return states
-
-
-def decompose_core(tucker: TuckerState, R: int, options: CpdOptions | None = None) -> CanonicalState:
-    """``decompose_cores`` of one Tucker state."""
-    return decompose_cores([tucker], R, options)[0]
 
 
 def canonical_statevector(spec: LorentzianBasisSpec, lambdas, u) -> np.ndarray:

@@ -155,7 +155,7 @@ def success_prob_canonical(canon: CanonicalState) -> float:
 
         P = |phi_canon|^2 / (R n_prod sum_r lambda~_r^2),
 
-    with |phi_canon|^2 the ``canon_norm2`` that ``decompose_core`` stored.
+    with |phi_canon|^2 the ``canon_norm2`` that ``decompose_cores`` stored.
     """
     lam_t = canon.lambdas.copy()
     for axis in range(3):

@@ -36,14 +36,15 @@ acceptable step, even from a fresh model); the last two flag the fit
 
 Everything here works in LF coefficient space; statevector assembly is
 provided only for oracles and exports.  T is a CP form over the primitive
-pairs (``tensor.cp_full``), and g contracts d with its factor tables
-(``tensor.mttkrp``).
+pairs (``tensor.cp_full``); g contracts d with its factor tables
+(``tensor.mttkrp``) in the one derivative pass per point, which the guard's
+margin gradient shares.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,8 +152,8 @@ class _Engine:
     parity on the unshifted grid, the gather index of each center) or the
     groups of LFs that share a center, so they are built once here.  Each
     evaluation then runs one vectorized profile build per direction and the
-    small per-direction matrices; the gradient reuses that build's raw
-    profiles, denominators and norms.  Trial widths are not wrapped in a
+    small per-direction matrices; the derivative tables reuse that build's
+    raw profiles, denominators and norms.  Trial widths are not wrapped in a
     validated ``LorentzianBasisSpec``; ``optimize_widths`` builds one for the
     returned state only.
     """
@@ -206,39 +207,44 @@ class _Engine:
         tr1, tr2 = _traces(S1)
         pen = _penalty(tr1, tr2, self.alpha, T.size)
         eigs = [np.linalg.eigh(s) for s in S1]
-        d, kappa, degenerate, discarded = _solve_core_factored(T, eigs)
+        d, kappa, lam, keep = _solve_core_factored(T, eigs)
         f = float(np.sum(T * d))
         norm2 = float(np.sum(d * d))
-        lam_max = math.prod(float(e[0][-1]) for e in eigs)
-        return _Eval(profiles=prof, widths=widths, V=V, S1=S1, eigs=eigs, tr1=tr1, tr2=tr2,
-                     M=M, T=T, core=d, kappa=kappa, pen=pen,
-                     fidelity=kappa - pen, f=f, degenerate=degenerate,
-                     discarded=discarded, margin=-math.log(norm2),
-                     resolution=_EPS * lam_max * kappa * norm2)
+        return _Eval(profiles=prof, widths=widths, V=V, S1=S1, Q=[q for _, q in eigs], lam=lam,
+                     keep=keep, tr1=tr1, tr2=tr2, M=M, T=T, core=d, kappa=kappa, pen=pen,
+                     fidelity=kappa - pen, f=f, discarded=int(T.size - np.count_nonzero(keep)),
+                     margin=-math.log(norm2), resolution=_EPS * float(lam.max()) * kappa * norm2)
+
+    def _derivatives(self, ev: "_Eval") -> list:
+        """Width-derivative tables at ``ev``, built once and kept on it.
+
+        Per direction v: dM_v, q = dV_v V_v^T (row l plus its transpose is
+        dS_v/da_l), the S-contracted core unfolded along v, g and d.(dS/da_l) d.
+        """
+        if ev.derivs is None:
+            d, tables = ev.core, []
+            for v, prof in enumerate(ev.profiles):
+                dV = prof.states_da()
+                # g[l] = sum over the other axes of d times dT/da_l, where dT/da_l
+                # swaps M_v for dM_v in T: the MTTKRP of d with the other two M
+                # tables, weighted by dM_v and summed over primitives
+                dM = self.col_pref[v] * (self.h[v] @ dV.T)
+                g = self.wpref @ (dM * mttkrp(d, ev.M, v))
+                ds = unfold(mode_product(d, [*ev.S1[:v], None, *ev.S1[v + 1:]]), v)
+                q = dV @ ev.V[v].T
+                d_sdd = 2.0 * np.einsum("lj,lj->l", q, unfold(d, v) @ ds.T)
+                tables.append((dM, q, ds, g, d_sdd))
+            ev.derivs = tables
+        return ev.derivs
 
     def gradient(self, ev: "_Eval") -> np.ndarray:
-        d, tr1, tr2 = ev.core, ev.tr1, ev.tr2
-        n_prod = d.size
         grad = []
-        for v, prof in enumerate(ev.profiles):
-            dV = prof.states_da()
-            others = [u for u in range(3) if u != v]
-            # g[l] = sum over the other axes of d times dT/da_l, where dT/da_l
-            # swaps M_v for dM_v in T: the MTTKRP of d with the other two M
-            # tables, weighted by dM_v and summed over primitives
-            dM = self.col_pref[v] * (self.h[v] @ dV.T)
-            g = self.wpref @ (dM * mttkrp(d, ev.M, v))
-            # D[i, j]: core contracted with the metric on the other two axes
-            ds = mode_product(d, [None if u == v else s for u, s in enumerate(ev.S1)])
-            D = unfold(d, v) @ unfold(ds, v).T
-            q = dV @ ev.V[v].T
-            d_sdd = 2.0 * np.einsum("lj,lj->l", q, D)
+        for v, (_, q, _, g, d_sdd) in enumerate(self._derivatives(ev)):
+            a, b = (u for u in range(3) if u != v)
             tr_s_ds = 2.0 * np.einsum("lj,lj->l", q, ev.S1[v])
             tr_ds = 2.0 * np.diag(q)
-            d_pen = (2.0 * self.alpha / n_prod) * (
-                tr_s_ds * tr2[others[0]] * tr2[others[1]]
-                - tr_ds * tr1[others[0]] * tr1[others[1]]
-            )
+            d_pen = (2.0 * self.alpha / ev.core.size) * (
+                tr_s_ds * ev.tr2[a] * ev.tr2[b] - tr_ds * ev.tr1[a] * ev.tr1[b])
             grad.append(2.0 * ev.f * g - ev.kappa * d_sdd - d_pen)
         return np.concatenate(grad)
 
@@ -248,26 +254,16 @@ class _Engine:
         With d = S^+ t / sqrt(kappa), f = T.d and e = S^+ d (both on the kept
         subspace), d log|d|^2 / da_l = 2 (e.dT_l / f - e.dS_l d) / |d|^2
         - 2 d.dT_l / f + d.dS_l d, where dT_l and dS_l are the width
-        derivatives of T and S.
+        derivatives of T and S.  The d terms are the gradient's own tables.
         """
-        d = ev.core
-        lam = cp_full(np.ones(1), [w[None, :] for w, _ in ev.eigs])
-        keep = lam >= EIG_CUTOFF * lam.max()
-        Q = [q for _, q in ev.eigs]
+        d, Q, lam, keep = ev.core, ev.Q, ev.lam, ev.keep
         e = mode_product(np.where(keep, mode_product(d, Q) / np.where(keep, lam, 1.0), 0.0),
                          [q.T for q in Q])
         norm2 = float(np.sum(d * d))
         out = []
-        for v, prof in enumerate(ev.profiles):
-            dV = prof.states_da()
-            dM = self.col_pref[v] * (self.h[v] @ dV.T)
-            q = dV @ ev.V[v].T
-            ds = unfold(mode_product(d, [None if u == v else s for u, s in enumerate(ev.S1)]), v)
-            d_dd = unfold(d, v) @ ds.T
+        for v, (dM, q, ds, t_d, s_dd) in enumerate(self._derivatives(ev)):
             d_ed = unfold(e, v) @ ds.T
-            t_d = self.wpref @ (dM * mttkrp(d, ev.M, v))
             t_e = self.wpref @ (dM * mttkrp(e, ev.M, v))
-            s_dd = 2.0 * np.einsum("lj,lj->l", q, d_dd)
             s_ed = np.einsum("lj,lj->l", q, d_ed + d_ed.T)
             out.append(2.0 * (t_e / ev.f - s_ed) / norm2 - 2.0 * t_d / ev.f + s_dd)
         return -np.concatenate(out)
@@ -279,7 +275,9 @@ class _Eval:
     widths: np.ndarray
     V: list
     S1: list
-    eigs: list  # (eigenvalues, eigenvectors) of each S_v
+    Q: list  # eigenvectors of each S_v
+    lam: np.ndarray  # eigenvalues of S = S_x (x) S_y (x) S_z, as a 3-way tensor
+    keep: np.ndarray  # the eigenvalues kept by canonical orthogonalization
     tr1: list  # Tr(S_v) per direction
     tr2: list  # Tr(S_v^2) per direction
     M: list
@@ -289,12 +287,12 @@ class _Eval:
     pen: float
     fidelity: float
     f: float
-    degenerate: bool
     discarded: int
     margin: float  # -log |d|^2, see _Engine.margin_gradient
     # round-off of the fidelity: the metric eigenvalues carry errors of
     # eps lam_max, and kappa = sum tt^2 / lam amplifies them by |d|^2
     resolution: float
+    derivs: list | None = field(default=None, init=False)  # see _Engine._derivatives
 
 
 def _traces(S1) -> tuple[list[float], list[float]]:
@@ -318,7 +316,10 @@ def _degenerate_core(lam: np.ndarray, Q: list) -> np.ndarray:
 
 
 def _solve_core_factored(T: np.ndarray, eigs):
-    """Top eigenpair of (t t^T) d = kappa S d from the per-axis eigenpairs ``eigh(S_v)``."""
+    """Top eigenpair of (t t^T) d = kappa S d from the per-axis eigenpairs ``eigh(S_v)``.
+
+    Returns d, kappa (0 for T = 0), and the spectrum of S with its kept entries.
+    """
     Q = [e[1] for e in eigs]
     lam = cp_full(np.ones(1), [e[0][None, :] for e in eigs])
     lam_max = float(lam.max())
@@ -326,16 +327,15 @@ def _solve_core_factored(T: np.ndarray, eigs):
         raise ConditioningError("overlap metric has no positive eigenvalue",
                                 discarded=T.size)
     keep = lam >= EIG_CUTOFF * lam_max
-    discarded = int(T.size - np.count_nonzero(keep))
     tt = mode_product(T, Q)
     kappa = float(np.sum(np.where(keep, tt * tt / np.where(keep, lam, 1.0), 0.0)))
     if kappa <= 0.0:
-        return _degenerate_core(lam, Q), 0.0, True, discarded
+        return _degenerate_core(lam, Q), 0.0, lam, keep
     dt = np.where(keep, tt / np.where(keep, lam, 1.0), 0.0)
     d = mode_product(dt, [q.T for q in Q]) / math.sqrt(kappa)
     if float(np.sum(T * d)) < 0.0:
         d = -d
-    return d, kappa, False, discarded
+    return d, kappa, lam, keep
 
 
 def t_tensor(problem: FitProblem) -> np.ndarray:
@@ -404,10 +404,8 @@ def fidelity_gradient(problem: FitProblem, d, kappa_max: float) -> np.ndarray:
     core = np.asarray(d, dtype=np.float64)
     if core.shape != ev.T.shape:
         raise ValueError(f"core shape {core.shape} does not match spec {ev.T.shape}")
-    ev.core = core
-    ev.kappa = float(kappa_max)
-    ev.f = float(np.sum(ev.T * core))
-    return engine.gradient(ev)
+    return engine.gradient(replace(ev, core=core, kappa=float(kappa_max),
+                                   f=float(np.sum(ev.T * core))))
 
 
 @dataclass(frozen=True)
@@ -494,7 +492,7 @@ def _ascend(engine: _Engine, a0: np.ndarray, opt: OptimizeOptions):
     ev = engine.evaluate(np.clip(a0, lo, hi))
     evaluations = 1
     history = [ev.fidelity]
-    if ev.degenerate:
+    if ev.kappa == 0.0:  # T = 0
         return ev, 0, float("nan"), "degenerate", evaluations, history
     floor = min(ev.margin, -math.log(COEF_CAP))
     g = engine.gradient(ev)

@@ -19,7 +19,7 @@ import pytest
 
 from mflo.basis import MolecularOrbital, SimulationCell, build_ideal_state, gaussian_ao
 from mflo.cli import run_fit
-from mflo.cpd import CpdOptions, decompose_core
+from mflo.cpd import CpdOptions, decompose_cores
 from mflo.encoding import (
     cnot_count_canonical,
     cnot_count_tucker,
@@ -191,13 +191,13 @@ def test_criterion_6_cp_exactness_and_monotonicity():
         kappa = float(core.ravel() @ S @ core.ravel())
         tucker333 = TuckerState(spec=spec333, core=core, fidelity=kappa,
                                 squared_overlap=kappa, penalty=0.0, kappa_max=kappa)
-        exact = decompose_core(tucker333, 27, CpdOptions(n_restarts=8, seed=0))
+        exact = decompose_cores([tucker333], 27, CpdOptions(n_restarts=8, seed=0))[0]
         assert exact.deviation < 1e-10
 
         _, fit, _ = _synthetic_two_gaussian_fit()
         devs = []
         for R in range(1, fit.spec.n_prod + 1):
-            canon = decompose_core(fit, R, CpdOptions(n_restarts=8, seed=0))
+            canon = decompose_cores([fit], R, CpdOptions(n_restarts=8, seed=0))[0]
             devs.append(canon.deviation)
         assert all(a >= b - 1e-12 for a, b in zip(devs, devs[1:]))
         assert devs[-1] < 1e-10

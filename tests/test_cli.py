@@ -3,6 +3,8 @@
 import json
 import math
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +371,8 @@ class TestRunDecompose:
             run_decompose(path, [1], mo_names=["bonding", "missing"])
         with pytest.raises(ValueError, match="n_prod"):
             run_decompose(path, [1, 99])
+        with pytest.raises(ValueError, match=r"rank must be in \[1, 2\], got 0"):
+            run_decompose(path, [2, 0])
         assert Path(path).read_bytes() == original
 
     def test_bad_rank_and_mo(self, tmp_path):
@@ -505,3 +509,10 @@ def test_run_verify_reports_failures(tmp_path, capsys):
     assert code == EXIT_FAIL
     assert "failed:" in out
     assert "pipeline-identities" in out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy alone adds about 49 MB to a bare interpreter's peak RSS
+    code = "import sys, mflo.cli; sys.exit('scipy' in sys.modules and 'scipy was imported')"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

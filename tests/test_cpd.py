@@ -10,8 +10,6 @@ from mflo.cpd import (
     CpdOptions,
     CpResult,
     canonical_statevector,
-    cp_decompose,
-    decompose_core,
     decompose_cores,
     normalize_factors,
 )
@@ -108,7 +106,7 @@ class TestCpDecompose:
         rng = np.random.default_rng(0)
         d = np.einsum("a,b,c->abc", rng.normal(size=3), rng.normal(size=3),
                       rng.normal(size=3))
-        res = cp_decompose(d, 1, CpdOptions(n_restarts=1, seed=0))
+        res = cpd._cp_stack([d], 1, CpdOptions(n_restarts=1, seed=0))[0]
         assert res.rec_error < 1e-12
         np.testing.assert_allclose(_reconstruct(res.v), d, atol=1e-12)
 
@@ -118,7 +116,7 @@ class TestCpDecompose:
         y = rng.normal(size=(2, 3))
         z = rng.normal(size=(2, 3))
         d = np.einsum("ra,rb,rc->abc", x, y, z)
-        res = cp_decompose(d, 2, CpdOptions(n_restarts=4, seed=0))
+        res = cpd._cp_stack([d], 2, CpdOptions(n_restarts=4, seed=0))[0]
         assert res.rec_error < 1e-10
         np.testing.assert_allclose(_reconstruct(res.v), d, atol=1e-9)
 
@@ -129,7 +127,7 @@ class TestCpDecompose:
         spec = _spec((3, 3, 3))
         true = [rng.normal(size=(2, 3)) for _ in range(3)]
         d = np.einsum("ra,rb,rc->abc", *true)
-        res = cp_decompose(d, 2, CpdOptions(n_restarts=4, seed=0))
+        res = cpd._cp_stack([d], 2, CpdOptions(n_restarts=4, seed=0))[0]
         _, lam = normalize_factors(res.v, spec)
         _, lam_true = normalize_factors(true, spec)
         np.testing.assert_allclose(lam, lam_true, rtol=1e-8)
@@ -137,34 +135,34 @@ class TestCpDecompose:
     def test_full_rank_exact(self):
         rng = np.random.default_rng(7)
         d = rng.normal(size=(3, 3, 3))
-        res = cp_decompose(d, 27, CpdOptions(n_restarts=1, seed=0))
+        res = cpd._cp_stack([d], 27, CpdOptions(n_restarts=1, seed=0))[0]
         assert res.rec_error < 1e-12
 
     def test_exact_start_not_flagged_ridge(self):
         # the exact start's mode Grams are singular, but it never solves with them
         d = np.random.default_rng(7).normal(size=(3, 3, 3))
-        res = cp_decompose(d, 27, CpdOptions(n_restarts=1, seed=0))
+        res = cpd._cp_stack([d], 27, CpdOptions(n_restarts=1, seed=0))[0]
         assert (res.sweeps, res.flags) == (0, ())
 
     def test_more_sweeps_never_worse(self):
         rng = np.random.default_rng(8)
         d = rng.normal(size=(3, 3, 3))
-        errs = [cp_decompose(d, 2, CpdOptions(n_restarts=1, max_sweeps=s, seed=3)).rec_error
+        errs = [cpd._cp_stack([d], 2, CpdOptions(n_restarts=1, max_sweeps=s, seed=3))[0].rec_error
                 for s in (1, 2, 8, 60)]
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
 
     def test_best_restart_selected(self):
         rng = np.random.default_rng(9)
         d = rng.normal(size=(3, 3, 3))
-        res = cp_decompose(d, 3, CpdOptions(n_restarts=6, seed=1))
+        res = cpd._cp_stack([d], 3, CpdOptions(n_restarts=6, seed=1))[0]
         assert res.rec_error == min(res.restart_errors)
         assert len(res.restart_errors) == 6
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(10)
         d = rng.normal(size=(2, 2, 2))
-        a = cp_decompose(d, 2, CpdOptions(n_restarts=3, seed=5))
-        b = cp_decompose(d, 2, CpdOptions(n_restarts=3, seed=5))
+        a = cpd._cp_stack([d], 2, CpdOptions(n_restarts=3, seed=5))[0]
+        b = cpd._cp_stack([d], 2, CpdOptions(n_restarts=3, seed=5))[0]
         assert a.rec_error == b.rec_error
         for ma, mb in zip(a.v, b.v):
             np.testing.assert_array_equal(ma, mb)
@@ -173,18 +171,18 @@ class TestCpDecompose:
         rng = np.random.default_rng(0)
         d = np.einsum("a,b,c->abc", rng.normal(size=3), rng.normal(size=3),
                       rng.normal(size=3))
-        res = cp_decompose(d, 2, CpdOptions(n_restarts=2, seed=0))
+        res = cpd._cp_stack([d], 2, CpdOptions(n_restarts=2, seed=0))[0]
         assert "gram-ridge" in res.flags
         assert res.rec_error < 1e-9
 
     def test_zero_core_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            cp_decompose(np.zeros((2, 2, 2)), 1)
+            cpd._cp_stack([np.zeros((2, 2, 2))], 1, None)[0]
 
     @pytest.mark.parametrize("R", [0, 9, -1])
     def test_rank_bounds(self, R):
         with pytest.raises(ValueError, match="rank"):
-            cp_decompose(np.ones((2, 2, 2)), R)
+            cpd._cp_stack([np.ones((2, 2, 2))], R, None)[0]
 
 
 class TestStackedAls:
@@ -196,7 +194,7 @@ class TestStackedAls:
         d = rng.normal(size=shape)
         opt = CpdOptions(n_restarts=5, max_sweeps=300, seed=2)
         errors, best, flags = _oracle_cp_decompose(d, R, opt)
-        res = cp_decompose(d, R, opt)
+        res = cpd._cp_stack([d], R, opt)[0]
         np.testing.assert_allclose(res.restart_errors, errors, rtol=1e-10, atol=1e-15)
         runner_up = min(e for r, e in enumerate(errors) if r != best)
         if runner_up > errors[best] * (1.0 + 1e-9):
@@ -219,9 +217,9 @@ class TestStackedAls:
 
     def test_sweep_cap_reported_as_unconverged(self):
         d = np.random.default_rng(31).normal(size=(3, 3, 3))
-        capped = cp_decompose(d, 3, CpdOptions(n_restarts=2, max_sweeps=2, seed=0))
+        capped = cpd._cp_stack([d], 3, CpdOptions(n_restarts=2, max_sweeps=2, seed=0))[0]
         assert (capped.sweeps, capped.converged) == (2, False)
-        free = cp_decompose(d, 1, CpdOptions(n_restarts=2, seed=0))
+        free = cpd._cp_stack([d], 1, CpdOptions(n_restarts=2, seed=0))[0]
         assert free.converged and 0 < free.sweeps < 500
 
     def test_core_result_independent_of_stack(self):
@@ -230,7 +228,7 @@ class TestStackedAls:
         tuckers = [_tucker(rng.normal(size=(3, 3, 3)), spec) for _ in range(3)]
         opt = CpdOptions(n_restarts=3, max_sweeps=200, seed=4)
         stacked = decompose_cores(tuckers, 3, opt)
-        alone = decompose_core(tuckers[1], 3, opt)
+        alone = decompose_cores([tuckers[1]], 3, opt)[0]
         mine = stacked[1]
         np.testing.assert_array_equal(mine.lambdas, alone.lambdas)
         for m in range(3):
@@ -242,11 +240,11 @@ class TestStackedAls:
         # both restarts reach the best rank-one term; restart 1 ends 4e-14
         # lower by round-off, so the exact minimum would pick it
         d = np.random.default_rng(0).normal(size=(3, 3, 2))
-        res = cp_decompose(d, 1, CpdOptions(n_restarts=2, seed=0))
+        res = cpd._cp_stack([d], 1, CpdOptions(n_restarts=2, seed=0))[0]
         first, second = res.restart_errors
         assert second < first < second + cpd.ALS_TOL
         assert res.rec_error == first
-        alone = cp_decompose(d, 1, CpdOptions(n_restarts=1, seed=0))
+        alone = cpd._cp_stack([d], 1, CpdOptions(n_restarts=1, seed=0))[0]
         for m in range(3):
             np.testing.assert_array_equal(res.v[m], alone.v[m])
 
@@ -355,7 +353,7 @@ class TestDecomposeCore:
         spec = _spec((3, 3, 3))
         rng = np.random.default_rng(12)
         tucker = _tucker(rng.normal(size=(3, 3, 3)), spec)
-        canon = decompose_core(tucker, 27, CpdOptions(n_restarts=2, seed=0))
+        canon = decompose_cores([tucker], 27, CpdOptions(n_restarts=2, seed=0))[0]
         assert canon.deviation < 1e-10
         assert canon.R == 27
 
@@ -363,7 +361,7 @@ class TestDecomposeCore:
         spec = _spec((2, 2, 2))
         rng = np.random.default_rng(13)
         tucker = _tucker(rng.normal(size=(2, 2, 2)), spec)
-        canon = decompose_core(tucker, 2, CpdOptions(n_restarts=4, seed=0))
+        canon = decompose_cores([tucker], 2, CpdOptions(n_restarts=4, seed=0))[0]
         phi_t = tucker_statevector(spec, tucker.core)
         phi_c = canonical_statevector(spec, canon.lambdas, canon.u)
         ov = float(phi_t @ phi_c)
@@ -375,7 +373,7 @@ class TestDecomposeCore:
         spec = _spec((2, 2, 1))
         rng = np.random.default_rng(14)
         tucker = _tucker(rng.normal(size=(2, 2, 1)), spec)
-        canon = decompose_core(tucker, 2, CpdOptions(n_restarts=2, seed=1))
+        canon = decompose_cores([tucker], 2, CpdOptions(n_restarts=2, seed=1))[0]
         phi_t = tucker_statevector(spec, tucker.core)
         phi_c = canonical_statevector(spec, canon.lambdas, canon.u)
         ov = float(phi_t @ phi_c)
@@ -388,21 +386,21 @@ class TestDecomposeCore:
         rng = np.random.default_rng(15)
         tucker = _tucker(rng.normal(size=(2, 2, 2)), spec)
         for R in (1, 2, 3):
-            canon = decompose_core(tucker, R, CpdOptions(n_restarts=3, seed=0))
+            canon = decompose_cores([tucker], R, CpdOptions(n_restarts=3, seed=0))[0]
             assert 0 <= canon.deviation <= 1.0
 
     def test_deviation_non_increasing_in_rank(self):
         spec = _spec((2, 2, 2))
         rng = np.random.default_rng(16)
         tucker = _tucker(rng.normal(size=(2, 2, 2)), spec)
-        devs = [decompose_core(tucker, R, CpdOptions(n_restarts=8, seed=0)).deviation
+        devs = [decompose_cores([tucker], R, CpdOptions(n_restarts=8, seed=0))[0].deviation
                 for R in (1, 2, 4, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(devs, devs[1:]))
 
     def test_deviation_is_minimized_metric_residual(self):
         spec = _wide_spec()
         tucker = _tucker(np.random.default_rng(2).normal(size=(3, 3, 3)), spec)
-        canon = decompose_core(tucker, 2, CpdOptions(n_restarts=4, seed=0))
+        canon = decompose_cores([tucker], 2, CpdOptions(n_restarts=4, seed=0))[0]
         assert canon.converged
         e = cp_full(canon.lambdas, canon.u)
         residual = (metric_inner(tucker.core - e, tucker.core - e, spec.overlaps)
@@ -417,8 +415,8 @@ class TestDecomposeCore:
         opt = CpdOptions(n_restarts=4, seed=0)
         devs = []
         for R in (1, 2, 3, 4):
-            metric = decompose_core(tucker, R, opt).deviation
-            u, lam = normalize_factors(cp_decompose(tucker.core, R, opt).v, spec)
+            metric = decompose_cores([tucker], R, opt)[0].deviation
+            u, lam = normalize_factors(cpd._cp_stack([tucker.core], R, opt)[0].v, spec)
             _, euclidean = cpd._overlap_terms(spec.overlaps, tucker.core, lam, u)
             assert metric <= euclidean
             devs.append(metric)
@@ -435,7 +433,7 @@ class TestDecomposeCore:
             v=v, rec_error=0.5, restart_errors=(0.5,), flags=(), sweeps=7, converged=True)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            canon = decompose_core(tucker, 2)
+            canon = decompose_cores([tucker], 2)[0]
         assert canon.R == 1
         assert canon.lambdas.shape == (1,)
         assert canon.flags == ("rank-reduced",)
@@ -444,7 +442,7 @@ class TestDecomposeCore:
         # factors of a 2x2x1 core cannot be normalized in a 2x2x2 metric
         spec_a = _spec((2, 2, 2))
         rng = np.random.default_rng(17)
-        result = cp_decompose(rng.normal(size=(2, 2, 1)), 1, CpdOptions(n_restarts=1, seed=0))
+        result = cpd._cp_stack([rng.normal(size=(2, 2, 1))], 1, CpdOptions(n_restarts=1, seed=0))[0]
         with pytest.raises(ValueError, match="spec"):
             normalize_factors(result.v, spec_a)
 
@@ -462,7 +460,7 @@ class TestDecomposeCore:
             return states(self)
 
         monkeypatch.setattr(lorentzian.AxisProfiles, "states", counting)
-        canon = decompose_core(tucker, 2, CpdOptions(n_restarts=2, seed=0))
+        canon = decompose_cores([tucker], 2, CpdOptions(n_restarts=2, seed=0))[0]
         success_prob_tucker(tucker)
         success_prob_canonical(canon)
         assert len(calls) == 3

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mflo.cpd import CpdOptions, decompose_core
+from mflo.cpd import CpdOptions, decompose_cores
 from mflo.encoding import (
     CircuitCostReport,
     TWO_CENTER_COLUMNS,
@@ -193,7 +193,7 @@ class TestCanonicalSuccess:
         spec = _spec(n_l)
         rng = np.random.default_rng(seed)
         tucker = _tucker(rng.normal(size=n_l), spec)
-        canon = decompose_core(tucker, R, CpdOptions(n_restarts=4, seed=0))
+        canon = decompose_cores([tucker], R, CpdOptions(n_restarts=4, seed=0))[0]
         S = overlap_3d(spec)
         n_prod = spec.n_prod
         w = np.einsum("r,ra,rb,rc->rabc", canon.lambdas, *canon.u).reshape(-1)
@@ -207,7 +207,7 @@ class TestCanonicalSuccess:
         spec = _spec((2, 1, 1))
         rng = np.random.default_rng(30)
         tucker = _tucker(rng.normal(size=(2, 1, 1)), spec)
-        canon = decompose_core(tucker, 1, CpdOptions(n_restarts=2, seed=0))
+        canon = decompose_cores([tucker], 1, CpdOptions(n_restarts=2, seed=0))[0]
         assert canon.deviation < 1e-12
         assert success_prob_canonical(canon) == pytest.approx(
             success_prob_tucker(tucker), rel=1e-10)
@@ -217,7 +217,7 @@ class TestCanonicalSuccess:
         spec = _spec((2, 2, 2))
         rng = np.random.default_rng(seed + 40)
         tucker = _tucker(rng.normal(size=(2, 2, 2)), spec)
-        canon = decompose_core(tucker, 2, CpdOptions(n_restarts=2, seed=0))
+        canon = decompose_cores([tucker], 2, CpdOptions(n_restarts=2, seed=0))[0]
         p = success_prob_canonical(canon)
         assert 0.0 < p <= 1.0
 

@@ -28,7 +28,7 @@ from mflo.fitting import (
     t_tensor,
     tucker_statevector,
 )
-from mflo.lorentzian import LorentzianBasisSpec, lf_state
+from mflo.lorentzian import AxisProfiles, LorentzianBasisSpec, lf_state
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -372,6 +372,28 @@ class TestEngine:
             am = a.copy(); am[i] -= h
             fd = (engine.evaluate(ap).margin - engine.evaluate(am).margin) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+    def test_one_derivative_build_per_gradient(self, monkeypatch):
+        # the guard's margin gradient reads the tables its point's gradient built
+        calls = dict.fromkeys(("states_da", "gradient", "margin_gradient"), 0)
+        for owner, name in ((AxisProfiles, "states_da"), (_Engine, "gradient"),
+                            (_Engine, "margin_gradient")):
+            def counting(*args, _original=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        optimize_widths(_guard_problem())
+        assert calls["margin_gradient"] > 0
+        assert calls["states_da"] == 3 * calls["gradient"]
+
+    def test_margin_gradient_same_bits_after_gradient(self):
+        engine = _Engine(_guard_problem())
+        a = np.array([2.0, 0.9, 1.7, 0.8, 1.1])
+        ev = engine.evaluate(a)
+        engine.gradient(ev)
+        np.testing.assert_array_equal(engine.margin_gradient(ev),
+                                      engine.margin_gradient(engine.evaluate(a)))
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
     def test_invalid_trial_widths_rejected(self, bad):
