@@ -398,9 +398,9 @@ def _canonical_entry(canon: CanonicalState, rank: int, n_qe: int) -> dict:
 
 def _rank_sweep(entries: list[dict], tuckers: list[TuckerState], ranks, options: CpdOptions,
                 n_qe: int) -> None:
-    """Fill each entry's ``canonical`` map: one stacked decomposition of all cores per rank."""
-    for rank in ranks:
-        for entry, canon in zip(entries, decompose_cores(tuckers, rank, options)):
+    """Fill each entry's ``canonical`` map from one rank ladder over all cores."""
+    for rank, canons in decompose_cores(tuckers, ranks, options).items():
+        for entry, canon in zip(entries, canons):
             entry["canonical"][str(rank)] = _canonical_entry(canon, rank, n_qe)
 
 

@@ -1,32 +1,55 @@
 """Canonical (CP) decomposition of the fitted core tensor.
 
 The Tucker-form core d is approximated by a rank-R sum of separable terms,
-d ~ sum_r v_r^x (x) v_r^y (x) v_r^z, via alternating least squares (Kolda &
-Bader, SIAM Review 51, 455 (2009)): each mode update solves the exact linear
-least-squares problem through the Khatri-Rao Gram identity (Hadamard product
-of the other two factor Grams), with the MTTKRP as right-hand side.
+d ~ sum_r v_r^x (x) v_r^y (x) v_r^z.  CP runs in the metric the report uses.
+With the Cholesky factorization S_v = L_v L_v^T of each direction's LF
+overlap, ``decompose_cores`` hands CP the core d' = (L_x^T (x) L_y^T (x)
+L_z^T) d, whose Euclidean norm is the metric norm of d, and maps the factors
+back with v = L_v^-T v'.  So CP minimizes ||d - e||_S, and at a converged
+rank its squared relative residual is the reported deviation.
+``decompose_cores`` is the only entry point.
 
-ALS runs in the metric the report uses.  With the Cholesky factorization
-S_v = L_v L_v^T of each direction's LF overlap, ``decompose_cores`` hands
-ALS the core d' = (L_x^T (x) L_y^T (x) L_z^T) d, whose Euclidean norm is the
-metric norm of d, and maps the factors back with v = L_v^-T v'.  So ALS
-minimizes ||d - e||_S, and at a converged rank its squared relative residual
-is the reported deviation.  ``decompose_cores`` is the only entry point.
+Each rank runs three stages on stacked factors of shape (B, R, n_v), where B
+counts (core, candidate) pairs: every candidate of every core of a report
+(the MOs of a job share one core shape) sits in the same stack.
 
-There is one ALS loop, and it runs stacked factors of shape (B, R, n_v).  B
-counts (core, restart) pairs: every restart of every core of a report (the
-MOs of a job share one core shape) sweeps in the same stack, with one batched
-Gram product, MTTKRP and solve per mode and sweep.  Each pair keeps its own
-stopping test, a change of its relative error below ALS_TOL, through the set
-of live pairs; a finished pair leaves the stack.  So a pair does the same
-arithmetic as it would alone, and a core's result does not depend on what it
-was stacked with.  Every mode update solves with the Gram plus
-RIDGE_SCALE tr(Gram) on its diagonal, a ridge at round-off scale.  A result
-is flagged ``gram-ridge`` when it swept and one of its final mode Grams has
-its smallest eigenvalue at most that ridge, so the ridge shaped the solve.
-The relative error after each sweep is the direct residual ||d - e|| / ||d||.
-Restarts whose final errors agree within ALS_TOL are tied, and the lowest
-restart index among them wins, so round-off does not pick the winner.
+1. Warm-up.  Every candidate runs at most WARMUP_SWEEPS sweeps of alternating
+   least squares (Kolda & Bader, SIAM Review 51, 455 (2009)).  Each mode
+   update solves the exact linear least-squares problem through the
+   Khatri-Rao Gram identity (Hadamard product of the other two factor Grams)
+   with the MTTKRP as right-hand side, one batched Gram product, MTTKRP and
+   solve per mode and sweep.  Every solve adds RIDGE_SCALE tr(Gram) to the
+   diagonal, a ridge at round-off scale.  A pair stops when its relative
+   error changes by less than ALS_TOL.
+2. Finish.  Each core's best candidate that did not stop in the warm-up runs
+   Levenberg-Marquardt (LM) for at most LM_MAX_ITER iterations.  J^T J and
+   J^T r come from the factor Grams and the MTTKRP alone (Tomasi & Bro,
+   Comput. Stat. Data Anal. 2006; Phan, Tichavsky & Cichocki, IEEE TSP
+   2013), so no Jacobian is formed.  All of them share one batched solve of
+   size R (n_x + n_y + n_z) per iteration.  A step is kept only if it lowers
+   the error, and LM stops once a kept step lowers it by less than LM_RTOL,
+   relative (see ``_lm``).
+3. Choice.  The candidate with the lowest error wins.  Candidates whose
+   errors agree within ALS_TOL are tied, and the lowest index among them
+   wins, so round-off does not pick the winner.
+
+The candidates are the ``n_restarts`` seeded starts (SVD basis, or the exact
+form at R = n_prod, then random) and, on a ladder, one more.  A list of
+ranks is decomposed in increasing order, and each rank's extra candidate is
+the previous rank's winner plus greedy rank-one terms of its residual.  That
+start is no worse than the previous winner, and both stages only lower a
+candidate's error, so the error cannot rise with rank.  Once a rank's winner
+is exact (relative error at most ALS_TOL), every higher rank of the ladder
+reports that state, flagged ``rank-reduced``.  So a rank's result can depend
+on which lower ranks were decomposed with it.
+
+A finished pair leaves the stack in both stages, and every operation acts on
+each pair alone, so a core's result does not depend on what it was stacked
+with.  ``sweeps`` counts the winner's ALS sweeps plus LM iterations, at most
+``max_sweeps`` in total, and ``converged`` says that a stop test fired before
+that or the LM cap.  The relative error is always the direct residual ||d - e|| / ||d||.
+A result is flagged ``gram-ridge`` when it swept and one of its final mode
+Grams has its smallest eigenvalue at most the ridge.
 
 Factors are then rescaled in the LF overlap metric,
 N_r^(v) = sqrt(v_r . S^(v) v_r), so each row u_r = v_r / N_r describes a
@@ -43,13 +66,14 @@ renormalized; its squared norm enters the post-selection success probability.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fitting import TuckerState
 from .lorentzian import LorentzianBasisSpec
-from .tensor import cp_full, metric_inner, mode_product, mttkrp, unfold
+from .tensor import _OTHERS, cp_full, metric_inner, mode_product, mttkrp, unfold
 
 __all__ = [
     "CanonicalState",
@@ -61,6 +85,11 @@ __all__ = [
 
 RIDGE_SCALE = 1e-14  # ridge of every mode solve, relative to the Gram's trace
 ALS_TOL = 1e-12  # stop when the relative fit change drops below this
+WARMUP_SWEEPS = 30  # ALS sweeps of every candidate before LM
+LM_MAX_ITER = 100  # LM iterations of a core's best candidate
+LM_RTOL = 1e-8  # LM stops once an accepted step lowers the error less than this, relative
+LM_TAU = 1e-3  # initial damping, relative to the largest diagonal entry of J^T J
+LM_STEP_FLOOR = 1e-14  # a rejected step this small, relative to the factors, ends LM
 
 
 @dataclass(frozen=True)
@@ -72,14 +101,14 @@ class CpdOptions:
 
 @dataclass(frozen=True, eq=False)
 class CpResult:
-    """Raw ALS output: factors v[(x, y, z)][r, l] in the coordinates ALS ran in, and diagnostics."""
+    """Raw CP output: factors v[(x, y, z)][r, l] in the coordinates CP ran in, and diagnostics."""
 
     v: tuple[np.ndarray, np.ndarray, np.ndarray]
-    rec_error: float                 # ||d - reconstruction|| / ||d||, in the norm ALS ran in
-    restart_errors: tuple[float, ...]
+    rec_error: float                 # ||d - reconstruction|| / ||d||, in the norm CP ran in
+    restart_errors: tuple[float, ...]  # of every candidate, the ladder start last
     flags: tuple[str, ...]
-    sweeps: int                      # ALS sweeps of the winning restart
-    converged: bool                  # it met ALS_TOL (or was exact at init), not max_sweeps
+    sweeps: int                      # ALS sweeps plus LM iterations of the winner
+    converged: bool                  # a stop test fired (or it was exact at init), not a cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +122,7 @@ class CanonicalState:
     deviation: float             # 1 - overlap^2 / (|phi_T|^2 |phi_C|^2)
     canon_norm2: float           # |phi_canon|^2, the state is not renormalized
     flags: tuple[str, ...]
-    sweeps: int                  # of the winning ALS restart, see CpResult
+    sweeps: int                  # of the winning candidate, see CpResult
     converged: bool
 
 
@@ -136,6 +165,21 @@ def _residual(d: np.ndarray, factors, norm_d: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(diff).sum(axis=(1, 2, 3))) / norm_d
 
 
+def _norms(d: np.ndarray) -> np.ndarray:
+    return np.array([np.linalg.norm(x) for x in d])
+
+
+def _ridged(factors) -> np.ndarray:
+    """Whether a mode Gram of each stacked CP form is singular to the ridge."""
+    grams = [f @ f.swapaxes(1, 2) for f in factors]
+    ridged = np.zeros(len(factors[0]), dtype=bool)
+    for i, j in _OTHERS:
+        gram = grams[i] * grams[j]
+        trace = gram.diagonal(0, 1, 2).sum(axis=1)
+        ridged |= np.linalg.eigvalsh(gram)[:, 0] <= RIDGE_SCALE * trace
+    return ridged
+
+
 def _als(d: np.ndarray, factors, max_sweeps: int):
     """ALS on stacked cores d (B, I, J, K) from stacked factors (B, R, n_v).
 
@@ -146,7 +190,7 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     Returns the final factors, relative errors, sweep counts, converged
     flags and ridge flags (see the module docstring), one entry per pair.
     """
-    norm_d = np.array([np.linalg.norm(x) for x in d])
+    norm_d = _norms(d)
     out = [np.array(f, dtype=np.float64) for f in factors]
     err = _residual(d, out, norm_d)
     sweeps = np.zeros(len(d), dtype=int)
@@ -159,7 +203,7 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     sweep = 0
     while live.size and sweep < max_sweeps:
         sweep += 1
-        for mode, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+        for mode, (i, j) in enumerate(_OTHERS):
             gram = grams[i] * grams[j]
             ridge = RIDGE_SCALE * gram.diagonal(0, 1, 2).sum(axis=1)
             F[mode] = np.linalg.solve(gram + ridge[:, None, None] * eye, mttkrp(dl, F, mode))
@@ -182,47 +226,209 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     err[live] = prev
     for m in range(3):
         out[m][live] = F[m]
-    grams = [f @ f.swapaxes(1, 2) for f in out]
-    ridged = np.zeros(len(d), dtype=bool)
-    for i, j in ((1, 2), (0, 2), (0, 1)):
-        gram = grams[i] * grams[j]
-        trace = gram.diagonal(0, 1, 2).sum(axis=1)
-        ridged |= np.linalg.eigvalsh(gram)[:, 0] <= RIDGE_SCALE * trace
-    return out, err, sweeps, converged, ridged & (sweeps > 0)
+    return out, err, sweeps, converged, _ridged(out) & (sweeps > 0)
 
 
-def _cp_stack(cores, R: int, options: CpdOptions | None) -> list[CpResult]:
-    """Best-of-restarts Euclidean ALS of equally shaped cores, all (core, restart) pairs stacked."""
+def _jtj(factors) -> np.ndarray:
+    """Gauss-Newton matrix J^T J of stacked CP forms, from the factor Grams alone.
+
+    The unknowns are the entries of the row-wise concatenation [A | B | C]
+    of the factors, row-major, so unknown (r, a) is row r of the factor that
+    owns column a.  With G_m the factor Grams, the block of modes m and k
+    holds, at ((r, a), (s, b)),
+    - (G_i * G_j)[r, s] if a == b, else 0, for m == k with i, j the other modes;
+    - F_m[s, a] F_k[r, b] G_t[r, s] for m != k with t the third mode.
+    Each block is written straight into the one output array, since fresh
+    arrays of its size cost page faults at every LM iteration.
+    """
+    n_pairs, R = factors[0].shape[:2]
+    dims = [f.shape[2] for f in factors]
+    edges = np.cumsum([0] + dims)
+    grams = [f @ f.swapaxes(1, 2) for f in factors]
+    jtj = np.empty((n_pairs, R, edges[-1], R, edges[-1]))
+    for m in range(3):
+        for k in range(3):
+            block = jtj[:, :, edges[m]:edges[m + 1], :, edges[k]:edges[k + 1]]
+            if m == k:
+                i, j = _OTHERS[m]
+                np.multiply((grams[i] * grams[j])[:, :, None, :, None],
+                            np.eye(dims[m])[:, None, :], out=block)
+            else:
+                left = factors[m].swapaxes(1, 2)[:, None] * grams[3 - m - k][:, :, None]
+                np.multiply(left[..., None], factors[k][:, :, None, None, :], out=block)
+    return jtj.reshape(n_pairs, R * edges[-1], R * edges[-1])
+
+
+def _gradient(d: np.ndarray, factors) -> np.ndarray:
+    """J^T r of stacked CP forms, r = e - d: per mode W_m F_m - MTTKRP, ordered like ``_jtj``."""
+    grams = [f @ f.swapaxes(1, 2) for f in factors]
+    parts = [(grams[i] * grams[j]) @ factors[m] - mttkrp(d, factors, m)
+             for m, (i, j) in enumerate(_OTHERS)]
+    return np.concatenate(parts, axis=2).reshape(len(d), -1)
+
+
+def _lm(d: np.ndarray, factors, err: np.ndarray, max_iter: int):
+    """Levenberg-Marquardt on stacked cores d from stacked factors with relative errors ``err``.
+
+    Each iteration solves (J^T J + mu I) delta = -J^T r for every live pair
+    in one batched solve and keeps the step only if it lowers the pair's
+    error; mu follows Nielsen's gain-ratio rule per pair.  A pair stops, and
+    counts as converged, when an accepted step lowers its error by less than
+    LM_RTOL relative or to at most ALS_TOL, or when a rejected step is below
+    LM_STEP_FLOOR relative to the factors, since an error stalled at its
+    round-off floor above ALS_TOL rejects every step and mu would grow until
+    it overflows.  ``max_iter`` iterations do not count as converged.
+    Returns the factors, relative errors, iteration counts and converged
+    flags.  Finished pairs leave the stack, as in ``_als``.
+    """
+    norm_d = _norms(d)
+    out = [np.array(f, dtype=np.float64) for f in factors]
+    err = np.array(err, dtype=np.float64)
+    iters = np.zeros(len(d), dtype=int)
+    converged = np.zeros(len(d), dtype=bool)
+    R = out[0].shape[1]
+    cuts = np.cumsum([f.shape[2] for f in out])[:-1]
+    live = np.arange(len(d))
+    F, dl, nl, e = out, d, norm_d, err.copy()
+    # the diagonal of J^T J holds the products of the other two modes' squared row norms
+    norm2 = [np.square(f).sum(axis=2) for f in F]
+    mu = LM_TAU * np.max([norm2[i] * norm2[j] for i, j in _OTHERS], axis=(0, 2))
+    nu = np.full(len(d), 2.0)
+    it = 0
+    while live.size and it < max_iter:
+        it += 1
+        grad = _gradient(dl, F)
+        lhs = _jtj(F)
+        lhs.reshape(len(lhs), -1)[:, ::lhs.shape[1] + 1] += mu[:, None]
+        step = np.linalg.solve(lhs, -grad[..., None])[..., 0]
+        del lhs  # freed before the next iteration builds another
+        trial = [f + s for f, s in zip(F, np.split(step.reshape(len(step), R, -1), cuts, axis=2))]
+        e_new = _residual(dl, trial, nl)
+        ok = e_new < e
+        gain = np.square(e) - np.square(e_new)
+        predicted = np.sum(step * (mu[:, None] * step - grad), axis=1)
+        rho = np.square(nl) * gain / np.where(ok, predicted, 1.0)
+        mu = np.where(ok, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), mu * nu)
+        nu = np.where(ok, 2.0, 2.0 * nu)
+        F = [np.where(ok[:, None, None], t, f) for t, f in zip(trial, F)]
+        x_norm = np.sqrt(sum(np.square(f).sum(axis=(1, 2)) for f in F))
+        stop = (e - e_new < LM_RTOL * e) | (e_new <= ALS_TOL)
+        done = np.where(ok, stop, np.sqrt(np.square(step).sum(axis=1)) <= LM_STEP_FLOOR * x_norm)
+        e = np.where(ok, e_new, e)
+        if done.any():
+            finished = live[done]
+            converged[finished] = True
+            iters[finished] = it
+            err[finished] = e[done]
+            for m in range(3):
+                out[m][finished] = F[m][done]
+            keep = ~done
+            live, dl, nl, e, mu, nu = live[keep], dl[keep], nl[keep], e[keep], mu[keep], nu[keep]
+            F = [f[keep] for f in F]
+    iters[live] = it
+    err[live] = e
+    for m in range(3):
+        out[m][live] = F[m]
+    return out, err, iters, converged
+
+
+def _ladder_start(d: np.ndarray, factors, R: int):
+    """Stacked factors plus greedy rank-one terms of each core's residual, up to rank R.
+
+    Each term is the ALS rank-one fit of what the factors so far leave over,
+    so the start's error is at most the factors' error.
+    """
+    out = list(factors)
+    rest = d - cp_full(np.ones(out[0].shape[:-1]), out)
+    for _ in range(R - out[0].shape[1]):
+        starts = [_svd_init(core, 1, None) for core in rest]
+        term = _als(rest, [np.stack([s[m] for s in starts]) for m in range(3)], WARMUP_SWEEPS)[0]
+        out = [np.concatenate([f, t], axis=1) for f, t in zip(out, term)]
+        rest = rest - cp_full(np.ones(term[0].shape[:-1]), term)
+    return out
+
+
+def _rank_stage(d: np.ndarray, R: int, opt: CpdOptions, prev) -> list[CpResult]:
+    """Best candidate of each stacked core d (C, I, J, K) at rank R.
+
+    The candidates are the seeded restarts and, when ``prev`` holds the
+    previous rank's stacked winning factors, the ladder start.  All of them
+    run the ALS warm-up together; each core's best candidate that did not
+    converge there goes on to LM, within ``max_sweeps`` in total.
+    """
+    n_runs = max(1, opt.n_restarts)
+    seeds = np.random.SeedSequence(opt.seed).spawn(n_runs)
+    starts = [[_init(core, R, r, seeds[r]) for r in range(n_runs)] for core in d]
+    if prev is not None:
+        ladder = _ladder_start(d, prev, R)
+        for c, core_starts in enumerate(starts):
+            core_starts.append([m[c] for m in ladder])
+    n_cand = len(starts[0])
+    flat = [s for core_starts in starts for s in core_starts]
+    warm_up = min(WARMUP_SWEEPS, opt.max_sweeps)
+    v, err, sweeps, converged, ridged = _als(
+        np.repeat(d, n_cand, axis=0), [np.stack([s[m] for s in flat]) for m in range(3)], warm_up)
+    best = np.array([c * n_cand + _best_restart(err[c * n_cand:(c + 1) * n_cand])
+                     for c in range(len(d))])
+    refine = best[~converged[best]]
+    budget = min(LM_MAX_ITER, opt.max_sweeps - warm_up)
+    if refine.size and budget > 0:
+        factors, err[refine], iters, converged[refine] = _lm(
+            d[refine // n_cand], [m[refine] for m in v], err[refine], budget)
+        for m in range(3):
+            v[m][refine] = factors[m]
+        sweeps[refine] += iters
+        ridged[refine] = _ridged(factors)
+    results = []
+    for first in range(0, len(flat), n_cand):
+        errors = tuple(float(e) for e in err[first:first + n_cand])
+        win = first + _best_restart(errors)
+        results.append(CpResult(
+            v=tuple(m[win] for m in v), rec_error=errors[win - first],
+            restart_errors=errors, flags=("gram-ridge",) if ridged[win] else (),
+            sweeps=int(sweeps[win]), converged=bool(converged[win])))
+    return results
+
+
+def _cp_stack(cores, ranks, options: CpdOptions | None):
+    """Euclidean CP of equally shaped cores, all (core, candidate) pairs stacked.
+
+    ``ranks`` is one rank, for which the list of each core's ``CpResult``
+    is returned, or a sequence of ranks, which are deduplicated and run as
+    the ascending ladder and returned as {rank: results}.  A core whose
+    winner is exact (relative error at most ALS_TOL) keeps that result at
+    every higher rank of the ladder.
+    """
     opt = options or CpdOptions()
+    single = isinstance(ranks, numbers.Integral)
+    ladder = sorted({int(R) for R in ([ranks] if single else ranks)})
     d = [np.asarray(core, dtype=np.float64) for core in cores]
     if not d:
-        return []
+        return [] if single else {R: [] for R in ladder}
     shape = d[0].shape
     if len(shape) != 3:
         raise ValueError(f"core tensor must be 3-way, got shape {shape}")
     if any(core.shape != shape for core in d):
         raise ValueError(f"cores decomposed together must share one shape, got "
                          f"{sorted({core.shape for core in d})}")
-    if not (1 <= R <= d[0].size):
-        raise ValueError(f"rank must be in [1, {d[0].size}], got {R}")
+    for R in ladder:
+        if not (1 <= R <= d[0].size):
+            raise ValueError(f"rank must be in [1, {d[0].size}], got {R}")
     if any(float(np.linalg.norm(core)) == 0.0 for core in d):
         raise ValueError("cannot decompose an all-zero core tensor")
 
-    n_runs = max(1, opt.n_restarts)
-    seeds = np.random.SeedSequence(opt.seed).spawn(n_runs)
-    inits = [_init(core, R, r, seeds[r]) for core in d for r in range(n_runs)]
-    v, err, sweeps, converged, ridged = _als(
-        np.repeat(np.stack(d), n_runs, axis=0),
-        [np.stack([init[m] for init in inits]) for m in range(3)], opt.max_sweeps)
-    results = []
-    for first in range(0, len(inits), n_runs):
-        errors = tuple(float(e) for e in err[first:first + n_runs])
-        best = first + _best_restart(errors)
-        results.append(CpResult(
-            v=tuple(m[best] for m in v), rec_error=errors[best - first],
-            restart_errors=errors, flags=("gram-ridge",) if ridged[best] else (),
-            sweeps=int(sweeps[best]), converged=bool(converged[best])))
-    return results
+    d = np.stack(d)
+    winners: list[CpResult | None] = [None] * len(d)
+    found = {}
+    for R in ladder:
+        todo = [c for c, w in enumerate(winners) if w is None or w.rec_error > ALS_TOL]
+        if todo:
+            prev = (None if winners[todo[0]] is None else
+                    [np.stack([winners[c].v[m] for c in todo]) for m in range(3)])
+            for c, result in zip(todo, _rank_stage(d[todo], R, opt, prev)):
+                winners[c] = result
+        found[R] = list(winners)
+    return found[ladder[0]] if single else found
 
 
 def _best_restart(errors) -> int:
@@ -294,19 +500,26 @@ def _canonical(tucker: TuckerState, v, result: CpResult, R: int) -> CanonicalSta
         sweeps=result.sweeps, converged=result.converged)
 
 
-def decompose_cores(tuckers, R: int, options: CpdOptions | None = None) -> list[CanonicalState]:
-    """Rank-R canonical form of each Tucker state, all cores and restarts in one ALS.
+def decompose_cores(tuckers, ranks, options: CpdOptions | None = None):
+    """Canonical forms of Tucker states, all cores and candidates of a rank stacked.
 
-    ALS runs on each core in its own metric (see the module docstring).  The
-    cores must share a shape, as the MOs of one job do.
+    ``ranks`` is one rank, which returns one state per Tucker state, or a
+    sequence of ranks, which returns {rank: states} for the ascending,
+    deduplicated ranks of the ladder (see the module docstring).  CP runs on
+    each core in its own metric.  The cores must share a shape, as the MOs
+    of one job do.
     """
     chol = [[np.linalg.cholesky(s) for s in t.spec.overlaps] for t in tuckers]
-    results = _cp_stack([mode_product(t.core, L) for t, L in zip(tuckers, chol)], R, options)
-    states = []
-    for t, L, result in zip(tuckers, chol, results):
-        v = tuple(np.linalg.solve(l.T, f.T).T for l, f in zip(L, result.v))
-        states.append(_canonical(t, v, result, R))
-    return states
+    found = _cp_stack([mode_product(t.core, L) for t, L in zip(tuckers, chol)], ranks, options)
+
+    def states(R, results):
+        return [_canonical(t, tuple(np.linalg.solve(l.T, f.T).T for l, f in zip(L, result.v)),
+                           result, R)
+                for t, L, result in zip(tuckers, chol, results)]
+
+    if isinstance(found, dict):
+        return {R: states(R, results) for R, results in found.items()}
+    return states(ranks, found)
 
 
 def canonical_statevector(spec: LorentzianBasisSpec, lambdas, u) -> np.ndarray:

@@ -375,6 +375,34 @@ class TestRunDecompose:
             run_decompose(path, [2, 0])
         assert Path(path).read_bytes() == original
 
+    def test_each_rank_decomposed_once_in_ascending_order(self, tmp_path, monkeypatch):
+        import mflo.cpd as cpd
+
+        # off-center y LFs give the 2x2x1 cores rank 2, so rank 4 repeats rank 2
+        job = json.loads(H2.read_text())
+        job["lorentzian"]["centers"]["y"] = [26, 34]
+        (tmp_path / "job.json").write_text(json.dumps(job))
+        _, path = run_fit(tmp_path / "job.json", out_path=tmp_path / "r.json")
+        ranks = []
+        stage = cpd._rank_stage
+        monkeypatch.setattr(cpd, "_rank_stage",
+                            lambda d, R, opt, prev: ranks.append(R) or stage(d, R, opt, prev))
+        assert main(["decompose", "--report", str(path), "--ranks", "4,1,2,1"]) == EXIT_OK
+        assert ranks == [1, 2]
+        for entry in json.loads(Path(path).read_text())["mos"].values():
+            canon = entry["canonical"]
+            assert sorted(canon, key=int) == ["1", "2", "4"]
+            assert (canon["4"]["rank"], canon["4"]["flags"]) == (2, ["rank-reduced"])
+
+    def test_exact_rank_repeated_at_higher_ranks(self, tmp_path):
+        report, _ = run_fit(H2, out_path=tmp_path / "r.json")
+        for entry in report["mos"].values():
+            one, two = entry["canonical"]["1"], entry["canonical"]["2"]
+            assert (two["requested_rank"], two["rank"], two["flags"]) == (2, 1, ["rank-reduced"])
+            assert two["success_probability"] == one["success_probability"]
+            assert two["cnot"] == one["cnot"]
+            assert two["deviation"] == one["deviation"]
+
     def test_bad_rank_and_mo(self, tmp_path):
         _, path = run_fit(SINGLE, out_path=tmp_path / "r.json")
         with pytest.raises(ValueError, match="n_prod"):

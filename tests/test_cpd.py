@@ -16,7 +16,7 @@ from mflo.cpd import (
 from mflo.encoding import success_prob_canonical, success_prob_tucker
 from mflo.fitting import TuckerState, overlap_3d, tucker_statevector
 from mflo.lorentzian import LorentzianBasisSpec
-from mflo.tensor import cp_full, metric_inner
+from mflo.tensor import cp_full, khatri_rao, metric_inner
 
 
 def _spec(n_l=(2, 2, 2)):
@@ -25,6 +25,8 @@ def _spec(n_l=(2, 2, 2)):
         (3, 3, 3): (((0.8, 1.3, 0.5), (0.9, 0.6, 1.4), (1.1, 0.7, 0.4)),
                     ((3, 8, 13), (4, 8, 12), (5, 8, 11))),
         (2, 2, 1): (((0.8, 1.3), (0.9, 0.6), (1.1,)), ((5, 9), (6, 10), (8,))),
+        (4, 3, 2): (((0.8, 1.3, 0.5, 1.0), (0.9, 0.6, 1.4), (1.1, 0.7)),
+                    ((3, 6, 10, 13), (4, 8, 12), (5, 11))),
     }
     widths, centers = layouts[tuple(n_l)]
     return LorentzianBasisSpec(
@@ -90,6 +92,20 @@ def _oracle_als_run(d, factors, max_sweeps):
     ridged = any(np.linalg.eigvalsh(g)[0] <= cpd.RIDGE_SCALE * np.trace(g)
                  for g in _mode_grams(factors))
     return factors, err, {"gram-ridge"} if ridged else set()
+
+
+def _als_restarts(d, R, opt):
+    """The seeded restarts of one core through the ALS stage alone, winner by the tie rule."""
+    seeds = np.random.SeedSequence(opt.seed).spawn(opt.n_restarts)
+    starts = [cpd._init(d, R, r, seeds[r]) for r in range(opt.n_restarts)]
+    v, err, sweeps, converged, ridged = cpd._als(
+        np.stack([d] * opt.n_restarts), [np.stack([s[m] for s in starts]) for m in range(3)],
+        opt.max_sweeps)
+    errors = tuple(float(e) for e in err)
+    best = cpd._best_restart(errors)
+    return CpResult(v=tuple(m[best] for m in v), rec_error=errors[best], restart_errors=errors,
+                    flags=("gram-ridge",) if ridged[best] else (), sweeps=int(sweeps[best]),
+                    converged=bool(converged[best]))
 
 
 def _oracle_cp_decompose(d, R, opt):
@@ -194,7 +210,7 @@ class TestStackedAls:
         d = rng.normal(size=shape)
         opt = CpdOptions(n_restarts=5, max_sweeps=300, seed=2)
         errors, best, flags = _oracle_cp_decompose(d, R, opt)
-        res = cpd._cp_stack([d], R, opt)[0]
+        res = _als_restarts(d, R, opt)
         np.testing.assert_allclose(res.restart_errors, errors, rtol=1e-10, atol=1e-15)
         runner_up = min(e for r, e in enumerate(errors) if r != best)
         if runner_up > errors[best] * (1.0 + 1e-9):
@@ -262,6 +278,125 @@ class TestStackedAls:
         tuckers = [_tucker(np.ones((2, 2, 2)), spec_a), _tucker(np.ones((2, 2, 1)), spec_b)]
         with pytest.raises(ValueError, match="share one shape"):
             decompose_cores(tuckers, 1)
+
+
+def _explicit_jacobian(factors):
+    """d vec(e) / d (r, a) over the concatenated factor columns, one Khatri-Rao column each."""
+    R = factors[0].shape[0]
+    cols = []
+    for r in range(R):
+        for m, f in enumerate(factors):
+            for a in range(f.shape[1]):
+                rows = [g[r:r + 1] for g in factors]
+                rows[m] = np.eye(f.shape[1])[a:a + 1]
+                cols.append(khatri_rao(khatri_rao(rows[0], rows[1]).T, rows[2])[:, 0])
+    return np.stack(cols, axis=1)
+
+
+class TestLevenbergMarquardt:
+    @pytest.mark.parametrize("dims, R", [((3, 3, 3), 3), ((4, 3, 2), 5), ((6, 4, 4), 2)])
+    def test_jtj_and_gradient_match_explicit_jacobian(self, dims, R):
+        rng = np.random.default_rng(sum(dims) + R)
+        factors = [rng.normal(size=(R, n)) for n in dims]
+        d = rng.normal(size=dims)
+        J = _explicit_jacobian(factors)
+        stacked = [f[None] for f in factors]
+        np.testing.assert_allclose(cpd._jtj(stacked)[0], J.T @ J, rtol=0, atol=1e-12)
+        r = (cp_full(np.ones(R), factors) - d).ravel()
+        np.testing.assert_allclose(cpd._gradient(d[None], stacked)[0], J.T @ r, rtol=0, atol=1e-12)
+
+    def test_lm_never_raises_error(self):
+        rng = np.random.default_rng(41)
+        d = rng.normal(size=(4, 4, 3, 2))
+        start = [rng.normal(size=(4, 3, n)) for n in (4, 3, 2)]
+        err = cpd._residual(d, start, cpd._norms(d))
+        prev = err
+        # a budget of k iterations returns the state after k steps of one trajectory
+        for budget in (1, 2, 3, 5, 10, 30, 100):
+            factors, got, iters, _ = cpd._lm(d, start, err, budget)
+            assert np.all(got <= prev) and np.all(iters <= budget)
+            np.testing.assert_allclose(got, cpd._residual(d, factors, cpd._norms(d)), rtol=1e-14)
+            prev = got
+        assert np.all(prev < 0.5 * err)
+
+    def test_lm_pair_independent_of_stack(self):
+        rng = np.random.default_rng(42)
+        d = rng.normal(size=(3, 3, 3, 3))
+        start = [rng.normal(size=(3, 3, 3)) for _ in range(3)]
+        err = cpd._residual(d, start, cpd._norms(d))
+        stacked = cpd._lm(d, start, err, 60)
+        alone = cpd._lm(d[1:2], [f[1:2] for f in start], err[1:2], 60)
+        for m in range(3):
+            np.testing.assert_array_equal(stacked[0][m][1], alone[0][m][0])
+        for a, b in zip(stacked[1:], alone[1:]):
+            assert a[1] == b[0]
+
+    def test_stalled_error_ends_lm_without_overflow(self):
+        # rank 5 stalls at a relative error of 1.2e-12, above ALS_TOL, where
+        # every step is rejected and the damping would grow without bound
+        tucker = _tucker(np.random.default_rng(1028).normal(size=(3, 3, 3)), _spec((3, 3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ladder = decompose_cores([tucker], range(1, 7), CpdOptions(n_restarts=2, seed=28))
+        five = ladder[5][0]
+        assert five.converged and five.sweeps < cpd.WARMUP_SWEEPS + cpd.LM_MAX_ITER
+
+    @pytest.mark.parametrize("max_sweeps", [31, 45])
+    def test_max_sweeps_caps_als_sweeps_plus_lm_iterations(self, max_sweeps):
+        d = np.random.default_rng(31).normal(size=(3, 3, 3))
+        res = cpd._cp_stack([d], 3, CpdOptions(n_restarts=2, max_sweeps=max_sweeps, seed=0))[0]
+        assert cpd.WARMUP_SWEEPS < res.sweeps <= max_sweeps
+
+
+class TestRankLadder:
+    @pytest.mark.parametrize("n_l", [(3, 3, 3), (4, 3, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_deviation_non_increasing_over_ranks(self, n_l, seed):
+        tucker = _tucker(np.random.default_rng(50 + seed).normal(size=n_l), _spec(n_l))
+        ladder = decompose_cores([tucker], range(1, 7), CpdOptions(n_restarts=3, seed=seed))
+        assert list(ladder) == [1, 2, 3, 4, 5, 6]
+        devs = [ladder[R][0].deviation for R in ladder]
+        assert all(b <= a for a, b in zip(devs, devs[1:]))
+
+    def test_ladder_start_no_worse_than_previous_winner(self):
+        d = np.random.default_rng(43).normal(size=(2, 4, 3, 2))
+        prev = cpd._cp_stack(list(d), 2, CpdOptions(n_restarts=2, seed=0))
+        factors = [np.stack([p.v[m] for p in prev]) for m in range(3)]
+        start = cpd._ladder_start(d, factors, 4)
+        assert [f.shape[1] for f in start] == [4, 4, 4]
+        for m in range(3):
+            np.testing.assert_array_equal(start[m][:, :2], factors[m])
+        before = cpd._residual(d, factors, cpd._norms(d))
+        assert np.all(cpd._residual(d, start, cpd._norms(d)) < before)
+
+    def test_ladder_candidate_joins_the_restarts(self):
+        d = list(np.random.default_rng(46).normal(size=(2, 4, 3, 2)))
+        found = cpd._cp_stack(d, [2, 4], CpdOptions(n_restarts=3, seed=0))
+        for low, high in zip(found[2], found[4]):
+            assert len(low.restart_errors) == 3 and len(high.restart_errors) == 4
+            assert high.restart_errors[-1] <= low.rec_error
+            assert high.rec_error <= high.restart_errors[-1]
+
+    def test_ranks_deduplicated_and_sorted(self):
+        tucker = _tucker(np.random.default_rng(44).normal(size=(2, 2, 2)), _spec((2, 2, 2)))
+        opt = CpdOptions(n_restarts=2, seed=0)
+        shuffled = decompose_cores([tucker], [2, 1, 2], opt)
+        ordered = decompose_cores([tucker], [1, 2], opt)
+        assert list(shuffled) == [1, 2]
+        for R in (1, 2):
+            np.testing.assert_array_equal(shuffled[R][0].lambdas, ordered[R][0].lambdas)
+
+    def test_exact_rank_reported_at_higher_ranks(self):
+        rng = np.random.default_rng(45)
+        d = np.einsum("a,b,c->abc", *(rng.normal(size=3) for _ in range(3)))
+        found = cpd._cp_stack([d], [3, 1], CpdOptions(n_restarts=2, seed=0))
+        assert found[1][0].rec_error <= cpd.ALS_TOL
+        assert found[3][0] is found[1][0]
+        ladder = decompose_cores([_tucker(d, _spec((3, 3, 3)))], [1, 3], CpdOptions(n_restarts=2))
+        one, three = ladder[1][0], ladder[3][0]
+        assert (three.R, three.flags) == (1, one.flags + ("rank-reduced",))
+        np.testing.assert_array_equal(three.lambdas, one.lambdas)
+        assert three.deviation == one.deviation
 
 
 def _exact_init_loop(d):
