@@ -183,11 +183,8 @@ JOB_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "max_iter": {"type": "integer", "minimum": 1},
                 "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-                "f_tol": {"type": "number", "exclusiveMinimum": 0},
                 "restarts": {"type": "integer", "minimum": 1},
-                "restart_jitter": {"type": "number", "minimum": 0},
                 "seed": {"type": "integer", "minimum": 0},
             },
         },
@@ -197,7 +194,6 @@ JOB_SCHEMA = {
             "properties": {
                 "ranks": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
                 "n_restarts": {"type": "integer", "minimum": 1},
-                "max_sweeps": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
             },
         },
@@ -325,6 +321,10 @@ def _job_spec(job: dict, cell: SimulationCell) -> LorentzianBasisSpec:
         raise JobError("/lorentzian", str(exc)) from exc
 
 
+def _job_cpd_options(job: dict) -> CpdOptions:
+    return CpdOptions(**{k: v for k, v in job.get("cpd", {}).items() if k != "ranks"})
+
+
 def _spec_payload(spec: LorentzianBasisSpec) -> dict:
     return {
         "widths": {ax: spec.widths[v] for v, ax in enumerate(AXES)},
@@ -418,7 +418,7 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
     spec = _job_spec(job, cell)
     opt = OptimizeOptions(**job.get("fit", {}))
     ranks = job.get("cpd", {}).get("ranks", [])
-    cpd_opt = CpdOptions(**{k: v for k, v in job.get("cpd", {}).items() if k != "ranks"})
+    cpd_opt = _job_cpd_options(job)
 
     n_a, n_al, _ = ancilla_counts(spec)
     tucker_counts = cnot_count_tucker(spec, cell.n_qe)
@@ -534,6 +534,8 @@ def read_state_export(path) -> tuple[np.ndarray, dict]:
     path = Path(path)
     data = path.read_bytes()
     if data[:4] == MAGIC:
+        if len(data) < 32:
+            raise ValueError(f"{path}: binary header needs 32 bytes, found {len(data)}")
         magic, version, n_qe, tag = struct.unpack(HEADER_FORMAT, data[:32])
         if version != BINARY_VERSION:
             raise ValueError(f"{path}: binary format version {version}, "
@@ -541,9 +543,10 @@ def read_state_export(path) -> tuple[np.ndarray, dict]:
         form = {v: k for k, v in FORM_TAGS.items()}.get(tag)
         if form is None:
             raise ValueError(f"{path}: unknown form tag {tag}")
+        if len(data) - 32 != 8 << (3 * n_qe):
+            raise ValueError(f"{path}: expected {1 << (3 * n_qe)} amplitudes of 8 bytes, "
+                             f"found {len(data) - 32} bytes")
         amps = np.frombuffer(data[32:], dtype="<f8")
-        if amps.size != 1 << (3 * n_qe):
-            raise ValueError(f"{path}: expected {1 << (3 * n_qe)} amplitudes, found {amps.size}")
         return amps.copy(), {"format": "binary", "version": version, "n_qe": n_qe, "form": form}
     lines = data.decode().splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -553,7 +556,10 @@ def read_state_export(path) -> tuple[np.ndarray, dict]:
     n_qe = (rows.bit_length() - 1) // 3
     if n_qe < 1 or rows != 1 << (3 * n_qe):
         raise ValueError(f"{path}: expected 8^n_qe amplitude rows, found {rows}")
-    vals = np.asarray([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
+    try:
+        vals = np.asarray([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
+    except (IndexError, ValueError):
+        raise ValueError(f"{path}: an amplitude row does not match {CSV_HEADER!r}") from None
     return vals, {"format": "csv", "n_qe": n_qe}
 
 
@@ -566,7 +572,7 @@ def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dic
     report = json.loads(report_path.read_text())
     job = report["job"]
     n_qe = job["cell"]["n_qe"]
-    options = CpdOptions(**{k: v for k, v in job.get("cpd", {}).items() if k != "ranks"})
+    options = _job_cpd_options(job)
     names = list(report["mos"]) if not mo_names else list(mo_names)
     for name in names:
         if name not in report["mos"]:
@@ -718,8 +724,7 @@ def _check_gradient_fd() -> str:
     for alpha in (0.0, 0.1):
         problem = _verify_problem(alpha)
         w0 = problem.spec.widths_flat()
-        d, kappa, _ = solve_core(t_tensor(problem), overlap_3d(problem.spec), alpha)
-        grad = fidelity_gradient(problem, d, kappa)
+        grad = fidelity_gradient(problem)
         fd = np.empty_like(grad)
         for i in range(w0.size):
             shift = np.zeros_like(w0)

@@ -45,9 +45,9 @@ on which lower ranks were decomposed with it.
 
 A finished pair leaves the stack in both stages, and every operation acts on
 each pair alone, so a core's result does not depend on what it was stacked
-with.  ``sweeps`` counts the winner's ALS sweeps plus LM iterations, at most
-``max_sweeps`` in total, and ``converged`` says that a stop test fired before
-that or the LM cap.  The relative error is always the direct residual ||d - e|| / ||d||.
+with.  ``sweeps`` counts the winner's ALS sweeps plus LM iterations, and
+``converged`` says that a stop test fired before the cap of the stage it
+ended in.  The relative error is always the direct residual ||d - e|| / ||d||.
 A result is flagged ``gram-ridge`` when it swept and one of its final mode
 Grams has its smallest eigenvalue at most the ridge.
 
@@ -95,7 +95,6 @@ LM_STEP_FLOOR = 1e-14  # a rejected step this small, relative to the factors, en
 @dataclass(frozen=True)
 class CpdOptions:
     n_restarts: int = 8
-    max_sweeps: int = 500
     seed: int = 0            # single seed governs every restart
 
 
@@ -353,8 +352,8 @@ def _rank_stage(d: np.ndarray, R: int, opt: CpdOptions, prev) -> list[CpResult]:
 
     The candidates are the seeded restarts and, when ``prev`` holds the
     previous rank's stacked winning factors, the ladder start.  All of them
-    run the ALS warm-up together; each core's best candidate that did not
-    converge there goes on to LM, within ``max_sweeps`` in total.
+    run at most WARMUP_SWEEPS ALS sweeps together; each core's best candidate
+    that did not converge there goes on to at most LM_MAX_ITER LM iterations.
     """
     n_runs = max(1, opt.n_restarts)
     seeds = np.random.SeedSequence(opt.seed).spawn(n_runs)
@@ -365,16 +364,15 @@ def _rank_stage(d: np.ndarray, R: int, opt: CpdOptions, prev) -> list[CpResult]:
             core_starts.append([m[c] for m in ladder])
     n_cand = len(starts[0])
     flat = [s for core_starts in starts for s in core_starts]
-    warm_up = min(WARMUP_SWEEPS, opt.max_sweeps)
     v, err, sweeps, converged, ridged = _als(
-        np.repeat(d, n_cand, axis=0), [np.stack([s[m] for s in flat]) for m in range(3)], warm_up)
+        np.repeat(d, n_cand, axis=0), [np.stack([s[m] for s in flat]) for m in range(3)],
+        WARMUP_SWEEPS)
     best = np.array([c * n_cand + _best_restart(err[c * n_cand:(c + 1) * n_cand])
                      for c in range(len(d))])
     refine = best[~converged[best]]
-    budget = min(LM_MAX_ITER, opt.max_sweeps - warm_up)
-    if refine.size and budget > 0:
+    if refine.size:
         factors, err[refine], iters, converged[refine] = _lm(
-            d[refine // n_cand], [m[refine] for m in v], err[refine], budget)
+            d[refine // n_cand], [m[refine] for m in v], err[refine], LM_MAX_ITER)
         for m in range(3):
             v[m][refine] = factors[m]
         sweeps[refine] += iters

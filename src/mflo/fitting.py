@@ -28,11 +28,11 @@ second-order correction pulls trial points back onto it, so the ascent
 converges along the guard instead of stalling on it.
 
 The ascent stops with ``grad_tol`` (projected gradient max|clip(a + g) - a|
-below it), ``f_tol`` (the last step gains less, or the quasi-Newton model
+below it), ``f_tol`` (the last step gains less than F_TOL, or the model
 predicts less for the next; or the line search fails to find a gain that
-the model puts below the round-off of F), ``max_iter`` or ``stalled`` (no
-acceptable step, even from a fresh model); the last two flag the fit
-``unconverged``.  A start with T = 0 stops at once as ``degenerate``.
+the model puts below the round-off of F), ``max_iter`` (MAX_ITER steps) or
+``stalled`` (no acceptable step, even from a fresh model); the last two flag
+the fit ``unconverged``.  A start with T = 0 stops at once as ``degenerate``.
 
 Everything here works in LF coefficient space; statevector assembly is
 provided only for oracles and exports.  T is a CP form over the primitive
@@ -44,7 +44,7 @@ margin gradient shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +74,9 @@ WIDTH_BOUNDS = (1e-3, 50.0)
 #: than at its start: d.S d is evaluated to about 1e-15 |d|^2, and
 #: P_tucker = 1 / (n_prod |d|^2)
 COEF_CAP = 1e4
+MAX_ITER = 2000  # accepted steps per restart
+F_TOL = 1e-12  # an ascent stops once a step gains, or its model predicts, less
+RESTART_JITTER = 0.25  # log-normal spread of the widths a restart starts from
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -393,28 +396,20 @@ def solve_core(T, S: np.ndarray, alpha_pen: float = 0.0):
     return d.reshape(values.shape), kappa, kappa - pen
 
 
-def fidelity_gradient(problem: FitProblem, d, kappa_max: float) -> np.ndarray:
+def fidelity_gradient(problem: FitProblem) -> np.ndarray:
     """Analytic dF/da at the problem's current widths, flat (x, y, z) order.
 
-    ``d`` must be the solve_core optimum for those widths (the stationarity
-    of d is what reduces the total derivative to this expression).
+    The derivative is taken at the optimal core for those widths, whose
+    stationarity reduces the total derivative to this expression.
     """
     engine = _Engine(problem)
-    ev = engine.evaluate(problem.spec.widths_flat())
-    core = np.asarray(d, dtype=np.float64)
-    if core.shape != ev.T.shape:
-        raise ValueError(f"core shape {core.shape} does not match spec {ev.T.shape}")
-    return engine.gradient(replace(ev, core=core, kappa=float(kappa_max),
-                                   f=float(np.sum(ev.T * core))))
+    return engine.gradient(engine.evaluate(problem.spec.widths_flat()))
 
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    max_iter: int = 2000
     grad_tol: float = 1e-7
-    f_tol: float = 1e-12
     restarts: int = 1
-    restart_jitter: float = 0.25
     seed: int = 0
 
 
@@ -482,7 +477,7 @@ def _line_search(engine: _Engine, ev: _Eval, g: np.ndarray, p: np.ndarray, step:
     return None, evaluations, hit
 
 
-def _ascend(engine: _Engine, a0: np.ndarray, opt: OptimizeOptions):
+def _ascend(engine: _Engine, a0: np.ndarray, grad_tol: float):
     """Projected BFGS ascent from a0; see ``optimize_widths``.
 
     Returns (final evaluation, accepted steps, grad_norm, stop_reason,
@@ -502,13 +497,13 @@ def _ascend(engine: _Engine, a0: np.ndarray, opt: OptimizeOptions):
     while True:
         a = ev.widths
         grad_norm = float(np.max(np.abs(np.clip(a + g, lo, hi) - a)))
-        stop = ("grad_tol" if grad_norm < opt.grad_tol else
-                "f_tol" if improvement < opt.f_tol else
-                "max_iter" if len(history) > opt.max_iter else None)
+        stop = ("grad_tol" if grad_norm < grad_tol else
+                "f_tol" if improvement < F_TOL else
+                "max_iter" if len(history) > MAX_ITER else None)
         while not stop:
             p, normal = _direction(engine, ev, g, H, floor if guarded else None)
             gain = 0.5 * float(g @ (np.clip(a + p, lo, hi) - a))  # the model's prediction
-            if H is not None and gain < opt.f_tol:
+            if H is not None and gain < F_TOL:
                 stop = "f_tol"
                 break
             # the identity model has no length scale: cap its first move
@@ -548,9 +543,9 @@ def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None)
     """Projected BFGS ascent on the widths; centers stay fixed.
 
     The ascent starts from the problem spec's widths.  Restarts beyond the
-    first jitter them multiplicatively (seeded); the best final fidelity
-    wins.  A fit that stops at max_iter or with a stalled line search is
-    returned flagged "unconverged" with its last (and best) iterate.
+    first jitter them multiplicatively by RESTART_JITTER (seeded); the best
+    final fidelity wins.  A fit that stops at max_iter or with a stalled line
+    search is returned flagged "unconverged" with its last (and best) iterate.
     """
     opt = options or OptimizeOptions()
     engine = _Engine(problem)
@@ -559,8 +554,8 @@ def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None)
     best = None
     restart_fids = []
     for r in range(max(1, opt.restarts)):
-        start = a0 if r == 0 else a0 * np.exp(opt.restart_jitter * rng.standard_normal(a0.size))
-        result = _ascend(engine, start, opt)
+        start = a0 if r == 0 else a0 * np.exp(RESTART_JITTER * rng.standard_normal(a0.size))
+        result = _ascend(engine, start, opt.grad_tol)
         restart_fids.append(result[0].fidelity)
         if best is None or result[0].fidelity > best[0].fidelity:
             best = result

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 AXES = ("x", "y", "z")
+BOUNDARY_MARGIN = 3  # grid points at each edge that ``boundary_mass`` sums over
 
 
 def _axis_index(axis) -> int:
@@ -274,12 +275,12 @@ class LorentzianBasisSpec:
         return np.concatenate(self.widths)
 
 
-def boundary_mass(spec: LorentzianBasisSpec, axis, margin: int = 3) -> np.ndarray:
-    """Squared amplitude of each LF within ``margin`` points of the grid edge.
+def boundary_mass(spec: LorentzianBasisSpec, axis) -> np.ndarray:
+    """Squared amplitude of each LF within BOUNDARY_MARGIN points of the grid edge.
 
     Large values mean the (periodically wrapped) basis function leaks across
     the cell boundary, which a hard-walled physical cell would not support.
     """
     states = spec.state_matrix(axis)
-    edge = np.r_[0:margin, spec.N - margin:spec.N]
+    edge = np.r_[0:BOUNDARY_MARGIN, spec.N - BOUNDARY_MARGIN:spec.N]
     return np.sum(states[:, edge] ** 2, axis=1)

@@ -159,10 +159,7 @@ def test_criterion_5_gradient_vs_finite_differences():
             for widths, centers in configs:
                 spec = _spec(4, widths, centers)
                 problem = FitProblem.build(mo, _cube(4), spec, alpha_pen=alpha)
-                T = t_tensor(problem)
-                S = overlap_3d(spec)
-                d, kappa, _ = solve_core(T, S, alpha_pen=alpha)
-                grad = fidelity_gradient(problem, d, kappa)
+                grad = fidelity_gradient(problem)
 
                 def fidelity_of(widths_flat):
                     moved = problem.with_spec(spec.with_widths(widths_flat))

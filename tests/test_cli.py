@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from mflo.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_SCHEMA,
+    JOB_SCHEMA,
     JobError,
     export_state,
     gate_count_table,
@@ -25,7 +27,9 @@ from mflo.cli import (
     run_fit,
     run_verify,
 )
+from mflo.cpd import CpdOptions
 from mflo.exceptions import ResourceLimitError
+from mflo.fitting import OptimizeOptions
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 SINGLE = JOBS / "single_gaussian.json"
@@ -79,11 +83,24 @@ class TestLoadJob:
             load_job(_broken_job(tmp_path, mutate))
         assert err.value.pointer == "/cell/n_qe"
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("field", ["/extra", "/fit/max_iter", "/fit/f_tol",
+                                       "/fit/restart_jitter", "/cpd/max_sweeps"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, field):
+        pointer, key = field.rsplit("/", 1)
+
         def mutate(j):
-            j["extra"] = 1
-        with pytest.raises(JobError, match="extra"):
-            load_job(_broken_job(tmp_path, mutate))
+            (j.setdefault(pointer[1:], {}) if pointer else j)[key] = 1
+        code = main(["fit", "--job", str(_broken_job(tmp_path, mutate))])
+        assert code == EXIT_SCHEMA
+        err = json.loads(capsys.readouterr().err)
+        assert err["pointer"] == pointer
+        assert key in err["message"]
+
+    def test_run_option_fields_match_the_options(self):
+        props = {name: set(JOB_SCHEMA["properties"][name]["properties"])
+                 for name in ("fit", "cpd")}
+        assert props["fit"] == {f.name for f in fields(OptimizeOptions)}
+        assert props["cpd"] == {f.name for f in fields(CpdOptions)} | {"ranks"}
 
     def test_centers_and_box_both_given(self, tmp_path):
         def mutate(j):
@@ -306,6 +323,14 @@ class TestExports:
         clipped.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="expected"):
             read_state_export(clipped)
+        odd = tmp_path / "odd.bin"
+        odd.write_bytes(data[:-3])
+        with pytest.raises(ValueError, match="odd.bin: expected"):
+            read_state_export(odd)
+        short = tmp_path / "short.bin"
+        short.write_bytes(data[:20])
+        with pytest.raises(ValueError, match="short.bin: binary header"):
+            read_state_export(short)
 
     def test_unknown_binary_version_rejected(self, single_report, tmp_path):
         report, _ = single_report
@@ -325,6 +350,10 @@ class TestExports:
         clipped.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="amplitude rows"):
             read_state_export(clipped)
+        joined = tmp_path / "joined.csv"
+        joined.write_text("\n".join([*lines[:-1], lines[-1].replace(",", " ")]) + "\n")
+        with pytest.raises(ValueError, match="joined.csv: an amplitude row"):
+            read_state_export(joined)
 
     def test_csv_without_header_rejected(self, single_report, tmp_path):
         report, _ = single_report

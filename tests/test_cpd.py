@@ -99,8 +99,7 @@ def _als_restarts(d, R, opt):
     seeds = np.random.SeedSequence(opt.seed).spawn(opt.n_restarts)
     starts = [cpd._init(d, R, r, seeds[r]) for r in range(opt.n_restarts)]
     v, err, sweeps, converged, ridged = cpd._als(
-        np.stack([d] * opt.n_restarts), [np.stack([s[m] for s in starts]) for m in range(3)],
-        opt.max_sweeps)
+        np.stack([d] * opt.n_restarts), [np.stack([s[m] for s in starts]) for m in range(3)], 300)
     errors = tuple(float(e) for e in err)
     best = cpd._best_restart(errors)
     return CpResult(v=tuple(m[best] for m in v), rec_error=errors[best], restart_errors=errors,
@@ -110,7 +109,7 @@ def _als_restarts(d, R, opt):
 
 def _oracle_cp_decompose(d, R, opt):
     seeds = np.random.SeedSequence(opt.seed).spawn(opt.n_restarts)
-    runs = [_oracle_als_run(d, cpd._init(d, R, r, seeds[r]), opt.max_sweeps)
+    runs = [_oracle_als_run(d, cpd._init(d, R, r, seeds[r]), 300)
             for r in range(opt.n_restarts)]
     errors = [run[1] for run in runs]
     best = min(range(len(runs)), key=lambda r: (errors[r], r))
@@ -160,11 +159,14 @@ class TestCpDecompose:
         res = cpd._cp_stack([d], 27, CpdOptions(n_restarts=1, seed=0))[0]
         assert (res.sweeps, res.flags) == (0, ())
 
-    def test_more_sweeps_never_worse(self):
+    def test_more_sweeps_never_worse(self, monkeypatch):
         rng = np.random.default_rng(8)
         d = rng.normal(size=(3, 3, 3))
-        errs = [cpd._cp_stack([d], 2, CpdOptions(n_restarts=1, max_sweeps=s, seed=3))[0].rec_error
-                for s in (1, 2, 8, 60)]
+        errs = []
+        for warm_up, lm in ((1, 0), (2, 0), (8, 0), (30, 30)):
+            monkeypatch.setattr(cpd, "WARMUP_SWEEPS", warm_up)
+            monkeypatch.setattr(cpd, "LM_MAX_ITER", lm)
+            errs.append(cpd._cp_stack([d], 2, CpdOptions(n_restarts=1, seed=3))[0].rec_error)
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
 
     def test_best_restart_selected(self):
@@ -208,7 +210,7 @@ class TestStackedAls:
     def test_matches_sequential_oracle(self, shape, R):
         rng = np.random.default_rng(sum(shape) + R)
         d = rng.normal(size=shape)
-        opt = CpdOptions(n_restarts=5, max_sweeps=300, seed=2)
+        opt = CpdOptions(n_restarts=5, seed=2)
         errors, best, flags = _oracle_cp_decompose(d, R, opt)
         res = _als_restarts(d, R, opt)
         np.testing.assert_allclose(res.restart_errors, errors, rtol=1e-10, atol=1e-15)
@@ -231,9 +233,12 @@ class TestStackedAls:
             np.testing.assert_array_equal(v[m][0], true[m])
         assert np.all(sweeps[1:] > 0)
 
-    def test_sweep_cap_reported_as_unconverged(self):
+    def test_sweep_cap_reported_as_unconverged(self, monkeypatch):
         d = np.random.default_rng(31).normal(size=(3, 3, 3))
-        capped = cpd._cp_stack([d], 3, CpdOptions(n_restarts=2, max_sweeps=2, seed=0))[0]
+        with monkeypatch.context() as m:
+            m.setattr(cpd, "WARMUP_SWEEPS", 2)
+            m.setattr(cpd, "LM_MAX_ITER", 0)
+            capped = cpd._cp_stack([d], 3, CpdOptions(n_restarts=2, seed=0))[0]
         assert (capped.sweeps, capped.converged) == (2, False)
         free = cpd._cp_stack([d], 1, CpdOptions(n_restarts=2, seed=0))[0]
         assert free.converged and 0 < free.sweeps < 500
@@ -242,7 +247,7 @@ class TestStackedAls:
         spec = _spec((3, 3, 3))
         rng = np.random.default_rng(32)
         tuckers = [_tucker(rng.normal(size=(3, 3, 3)), spec) for _ in range(3)]
-        opt = CpdOptions(n_restarts=3, max_sweeps=200, seed=4)
+        opt = CpdOptions(n_restarts=3, seed=4)
         stacked = decompose_cores(tuckers, 3, opt)
         alone = decompose_cores([tuckers[1]], 3, opt)[0]
         mine = stacked[1]
@@ -342,9 +347,10 @@ class TestLevenbergMarquardt:
         assert five.converged and five.sweeps < cpd.WARMUP_SWEEPS + cpd.LM_MAX_ITER
 
     @pytest.mark.parametrize("max_sweeps", [31, 45])
-    def test_max_sweeps_caps_als_sweeps_plus_lm_iterations(self, max_sweeps):
+    def test_max_sweeps_caps_als_sweeps_plus_lm_iterations(self, max_sweeps, monkeypatch):
+        monkeypatch.setattr(cpd, "LM_MAX_ITER", max_sweeps - cpd.WARMUP_SWEEPS)
         d = np.random.default_rng(31).normal(size=(3, 3, 3))
-        res = cpd._cp_stack([d], 3, CpdOptions(n_restarts=2, max_sweeps=max_sweeps, seed=0))[0]
+        res = cpd._cp_stack([d], 3, CpdOptions(n_restarts=2, seed=0))[0]
         assert cpd.WARMUP_SWEEPS < res.sweeps <= max_sweeps
 
 

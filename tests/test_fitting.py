@@ -287,10 +287,7 @@ class TestGradient:
     def test_matches_central_differences(self, alpha, widths, centers):
         spec = _spec(widths=widths, centers=centers)
         problem = _problem(alpha=alpha, spec=spec)
-        T = t_tensor(problem)
-        S = overlap_3d(spec)
-        d, kappa, _ = solve_core(T, S, alpha_pen=alpha)
-        grad = fidelity_gradient(problem, d, kappa)
+        grad = fidelity_gradient(problem)
         a0 = spec.widths_flat()
         assert grad.shape == a0.shape
         for i in range(a0.size):
@@ -299,11 +296,6 @@ class TestGradient:
             am = a0.copy(); am[i] -= h
             fd = (_fidelity_at(problem, ap) - _fidelity_at(problem, am)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=5e-6, abs=1e-12)
-
-    def test_core_shape_checked(self):
-        problem = _problem()
-        with pytest.raises(ValueError, match="core shape"):
-            fidelity_gradient(problem, np.ones((3, 1, 1)), 1.0)
 
 
 def _h2_box_problem(coefficients=(1.0, 1.0)):
@@ -495,19 +487,24 @@ class TestOptimizeWidths:
         w = fit.spec.widths_flat()
         assert np.all(w >= WIDTH_BOUNDS[0]) and np.all(w <= WIDTH_BOUNDS[1])
 
-    def test_max_iter_flagging(self):
-        fit = optimize_widths(_problem(), options=OptimizeOptions(max_iter=1))
+    def test_max_iter_flagging(self, monkeypatch):
+        monkeypatch.setattr(mflo.fitting, "MAX_ITER", 1)
+        fit = optimize_widths(_problem())
         assert not fit.diagnostics.converged
         assert "unconverged" in fit.diagnostics.flags
         assert (fit.diagnostics.stop_reason, fit.diagnostics.iterations) == ("max_iter", 1)
 
+    # options pairs the run options with a MAX_ITER override (None: the default)
     @pytest.mark.parametrize("problem, options", [
-        (_problem, OptimizeOptions()),
-        (_problem, OptimizeOptions(max_iter=3)),
-        (lambda: _problem(alpha=0.1), OptimizeOptions(restarts=3, seed=7)),
-        (_guard_problem, OptimizeOptions()),
+        (_problem, (OptimizeOptions(), None)),
+        (_problem, (OptimizeOptions(), 3)),
+        (lambda: _problem(alpha=0.1), (OptimizeOptions(restarts=3, seed=7), None)),
+        (_guard_problem, (OptimizeOptions(), None)),
     ])
-    def test_diagnostics_contract(self, problem, options):
+    def test_diagnostics_contract(self, problem, options, monkeypatch):
+        options, max_iter = options
+        if max_iter is not None:
+            monkeypatch.setattr(mflo.fitting, "MAX_ITER", max_iter)
         diag = optimize_widths(problem(), options=options).diagnostics
         assert diag.stop_reason in ("grad_tol", "f_tol", "max_iter", "stalled")
         assert diag.converged == (diag.stop_reason not in ("max_iter", "stalled"))
