@@ -22,13 +22,17 @@ counts (core, candidate) pairs: every candidate of every core of a report
    diagonal, a ridge at round-off scale.  A pair stops when its relative
    error changes by less than ALS_TOL.
 2. Finish.  Each core's best candidate that did not stop in the warm-up runs
-   Levenberg-Marquardt (LM) for at most LM_MAX_ITER iterations.  J^T J and
-   J^T r come from the factor Grams and the MTTKRP alone (Tomasi & Bro,
-   Comput. Stat. Data Anal. 2006; Phan, Tichavsky & Cichocki, IEEE TSP
-   2013), so no Jacobian is formed.  All of them share one batched solve of
-   size R (n_x + n_y + n_z) per iteration.  A step is kept only if it lowers
-   the error, and LM stops once a kept step lowers it by less than LM_RTOL,
-   relative (see ``_lm``).
+   Levenberg-Marquardt (LM) for at most LM_MAX_ITER iterations.  The
+   normal equations come from the factor Grams and the MTTKRP alone (Tomasi
+   & Bro, Comput. Stat. Data Anal. 2006; Phan, Tichavsky & Cichocki, IEEE
+   TSP 2013), so no Jacobian is formed.  Each step eliminates the longest
+   mode p by a Schur complement: its block of J^T J + mu I is
+   (W_p + mu I) (x) I, which one R x R inverse handles, so all pairs share
+   one batched solve of size R (n_x + n_y + n_z - n_p), 64 instead of 112
+   at R = 8 on a 6x4x4 basis, and mode p follows by back-substitution (see
+   ``_reduced_system``).  A step is kept only if it lowers the error, and
+   LM stops once a kept step lowers it by less than LM_RTOL, relative (see
+   ``_lm``).
 3. Choice.  The candidate with the lowest error wins.  Candidates whose
    errors agree within ALS_TOL are tied, and the lowest index among them
    wins, so round-off does not pick the winner.
@@ -136,25 +140,33 @@ def _exact_init(d: np.ndarray) -> list[np.ndarray]:
     return [A, B, C]
 
 
-def _svd_init(d: np.ndarray, R: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Leading singular vectors of each unfolding, padded randomly past the rank."""
+def _left_singular(d: np.ndarray) -> list[np.ndarray]:
+    """Left singular vectors of each mode unfolding of d, the SVD start of every rank."""
+    return [np.linalg.svd(unfold(d, mode), full_matrices=False)[0] for mode in range(3)]
+
+
+def _svd_init(bases, R: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Leading R of each unfolding's left singular vectors ``bases``, padded randomly past R."""
     out = []
-    for mode in range(3):
-        u_mat, _, _ = np.linalg.svd(unfold(d, mode), full_matrices=False)
+    for u_mat in bases:
         take = min(R, u_mat.shape[1])
-        fac = np.empty((R, d.shape[mode]))
+        fac = np.empty((R, u_mat.shape[0]))
         fac[:take] = u_mat[:, :take].T
         if take < R:
-            fac[take:] = rng.standard_normal((R - take, d.shape[mode]))
+            fac[take:] = rng.standard_normal((R - take, u_mat.shape[0]))
         out.append(fac)
     return out
 
 
-def _init(d: np.ndarray, R: int, restart: int, seed: np.random.SeedSequence) -> list[np.ndarray]:
-    """Restart 0 starts from the SVD basis (the exact form at R = n_prod), the rest at random."""
+def _init(d: np.ndarray, R: int, restart: int, seed: np.random.SeedSequence,
+          bases) -> list[np.ndarray]:
+    """Restart 0 starts from the SVD basis (the exact form at R = n_prod), the rest at random.
+
+    ``bases`` is ``_left_singular(d)``, computed once for every rank of a ladder.
+    """
     rng = np.random.default_rng(seed)
     if restart == 0:
-        return _exact_init(d) if R == d.size else _svd_init(d, R, rng)
+        return _exact_init(d) if R == d.size else _svd_init(bases, R, rng)
     return [rng.standard_normal((R, dim)) for dim in d.shape]
 
 
@@ -198,6 +210,7 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     live = np.flatnonzero(~converged)
     F = [f[live] for f in out]
     dl, nl, prev = d[live], norm_d[live], err[live]
+    unf = [unfold(dl, m) for m in range(3)]
     grams = [f @ f.swapaxes(1, 2) for f in F]
     sweep = 0
     while live.size and sweep < max_sweeps:
@@ -205,7 +218,8 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
         for mode, (i, j) in enumerate(_OTHERS):
             gram = grams[i] * grams[j]
             ridge = RIDGE_SCALE * gram.diagonal(0, 1, 2).sum(axis=1)
-            F[mode] = np.linalg.solve(gram + ridge[:, None, None] * eye, mttkrp(dl, F, mode))
+            rhs = mttkrp(unf[mode], F, mode)
+            F[mode] = np.linalg.solve(gram + ridge[:, None, None] * eye, rhs)
             grams[mode] = F[mode] @ F[mode].swapaxes(1, 2)
         e = _residual(dl, F, nl)
         done = np.abs(prev - e) < ALS_TOL
@@ -220,6 +234,7 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
             keep = ~done
             live, dl, nl, prev = live[keep], dl[keep], nl[keep], prev[keep]
             F = [f[keep] for f in F]
+            unf = [u[keep] for u in unf]
             grams = [g[keep] for g in grams]
     sweeps[live] = sweep
     err[live] = prev
@@ -228,49 +243,88 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     return out, err, sweeps, converged, _ridged(out) & (sweeps > 0)
 
 
-def _jtj(factors) -> np.ndarray:
-    """Gauss-Newton matrix J^T J of stacked CP forms, from the factor Grams alone.
+def _gradient(unfolded, factors, grams) -> list[np.ndarray]:
+    """J^T r of stacked CP forms, r = e - d, per mode: (G_i * G_j) F_m - MTTKRP.
 
-    The unknowns are the entries of the row-wise concatenation [A | B | C]
-    of the factors, row-major, so unknown (r, a) is row r of the factor that
-    owns column a.  With G_m the factor Grams, the block of modes m and k
-    holds, at ((r, a), (s, b)),
-    - (G_i * G_j)[r, s] if a == b, else 0, for m == k with i, j the other modes;
-    - F_m[s, a] F_k[r, b] G_t[r, s] for m != k with t the third mode.
-    Each block is written straight into the one output array, since fresh
-    arrays of its size cost page faults at every LM iteration.
+    ``unfolded`` holds the cores' mode unfoldings and ``grams`` the factor
+    Grams G_m = F_m F_m^T.
+    """
+    return [(grams[i] * grams[j]) @ factors[m] - mttkrp(unfolded[m], factors, m)
+            for m, (i, j) in enumerate(_OTHERS)]
+
+
+def _longest_mode(factors) -> int:
+    """The mode with the most columns, the lowest index among ties."""
+    return int(np.argmax([f.shape[2] for f in factors]))
+
+
+def _reduced_system(factors, grams, grad, mu):
+    """LM normal equations of stacked CP forms with the longest mode p eliminated.
+
+    J^T J + mu I has the blocks of Tomasi & Bro: with W_m = G_i * G_j, block
+    (m, m) is (W_m + mu I) (x) I, and block (m, k) holds F_m[s, a] F_k[r, b]
+    G_t[r, s] at ((r, a), (s, b)), t the third mode; unknown (r, a) is entry
+    a of row r of mode m's step.  Mode p's block needs one R x R inverse of
+    W~ = W_p + mu I.  The other two modes k < l keep their unknowns (r, c),
+    c over the columns of [F_k | F_l].  Their part of J^T J is
+    G_p[r, s] (J2^T J2)[(r, a), (s, b)], J2 the Jacobian of the two-way form
+    sum_r F_k[r] (x) F_l[r], and their coupling to mode p is F_p times
+    U[q, (s, c)] = G_t[q, s] F_m[q, c], with m the mode owning column c and
+    t the other kept mode.  So the Schur complement is
+    G_p * ([J2; U]^T [J2; -W~^-1 U]) + mu I, one matmul, and the right-hand
+    side is -g plus (G_t * H) F_m per kept mode, with H = F_p (W~^-1 g_p)^T.
+
+    Returns the reduced matrix (B, R n_y, R n_y), its right-hand side
+    (B, R n_y) and W~^-1, for n_y = n_k + n_l.
     """
     n_pairs, R = factors[0].shape[:2]
-    dims = [f.shape[2] for f in factors]
-    edges = np.cumsum([0] + dims)
-    grams = [f @ f.swapaxes(1, 2) for f in factors]
-    jtj = np.empty((n_pairs, R, edges[-1], R, edges[-1]))
-    for m in range(3):
-        for k in range(3):
-            block = jtj[:, :, edges[m]:edges[m + 1], :, edges[k]:edges[k + 1]]
-            if m == k:
-                i, j = _OTHERS[m]
-                np.multiply((grams[i] * grams[j])[:, :, None, :, None],
-                            np.eye(dims[m])[:, None, :], out=block)
-            else:
-                left = factors[m].swapaxes(1, 2)[:, None] * grams[3 - m - k][:, :, None]
-                np.multiply(left[..., None], factors[k][:, :, None, None, :], out=block)
-    return jtj.reshape(n_pairs, R * edges[-1], R * edges[-1])
+    p = _longest_mode(factors)
+    k, l = _OTHERS[p]
+    n_k, n_l = factors[k].shape[2], factors[l].shape[2]
+    n_y = n_k + n_l
+    winv = np.linalg.inv(grams[k] * grams[l] + mu[:, None, None] * np.eye(R))
+    j2 = np.zeros((n_pairs, n_k, n_l, R, n_y))
+    j2[:, np.arange(n_k), :, :, np.arange(n_k)] = factors[l].swapaxes(1, 2)
+    j2[:, :, np.arange(n_l), :, n_k + np.arange(n_l)] = factors[k].swapaxes(1, 2)
+    j2 = j2.reshape(n_pairs, n_k * n_l, R * n_y)
+    U = np.concatenate([grams[l][..., None] * factors[k][:, :, None],
+                        grams[k][..., None] * factors[l][:, :, None]], axis=3)
+    U = U.reshape(n_pairs, R, R * n_y)
+    lhs = (np.concatenate([j2, U], axis=1).swapaxes(1, 2)
+           @ np.concatenate([j2, -(winv @ U)], axis=1))
+    blocks = lhs.reshape(n_pairs, R, n_y, R, n_y)
+    blocks *= grams[p][:, :, None, :, None]
+    lhs.reshape(n_pairs, -1)[:, ::R * n_y + 1] += mu[:, None]
+    H = factors[p] @ (winv @ grad[p]).swapaxes(1, 2)
+    rhs = np.concatenate([(grams[l] * H) @ factors[k] - grad[k],
+                          (grams[k] * H) @ factors[l] - grad[l]], axis=2)
+    return lhs, rhs.reshape(n_pairs, -1), winv
 
 
-def _gradient(d: np.ndarray, factors) -> np.ndarray:
-    """J^T r of stacked CP forms, r = e - d: per mode W_m F_m - MTTKRP, ordered like ``_jtj``."""
-    grams = [f @ f.swapaxes(1, 2) for f in factors]
-    parts = [(grams[i] * grams[j]) @ factors[m] - mttkrp(d, factors, m)
-             for m, (i, j) in enumerate(_OTHERS)]
-    return np.concatenate(parts, axis=2).reshape(len(d), -1)
+def _lm_step(factors, grams, grad, mu) -> list[np.ndarray]:
+    """Solution of (J^T J + mu I) x = -J^T r per stacked CP form, one array per mode.
+
+    Solves the reduced system of ``_reduced_system``, then recovers the
+    longest mode p by back-substitution,
+    x_p = -W~^-1 (g_p + M F_p) with M = G_l * (F_k x_k^T) + G_k * (F_l x_l^T).
+    """
+    lhs, rhs, winv = _reduced_system(factors, grams, grad, mu)
+    p = _longest_mode(factors)
+    k, l = _OTHERS[p]
+    y = np.linalg.solve(lhs, rhs[..., None]).reshape(len(lhs), factors[0].shape[1], -1)
+    step = [None] * 3
+    step[k], step[l] = np.split(y, [factors[k].shape[2]], axis=2)
+    coupling = (grams[l] * (factors[k] @ step[k].swapaxes(1, 2))
+                + grams[k] * (factors[l] @ step[l].swapaxes(1, 2)))
+    step[p] = -(winv @ (grad[p] + coupling @ factors[p]))
+    return step
 
 
 def _lm(d: np.ndarray, factors, err: np.ndarray, max_iter: int):
     """Levenberg-Marquardt on stacked cores d from stacked factors with relative errors ``err``.
 
     Each iteration solves (J^T J + mu I) delta = -J^T r for every live pair
-    in one batched solve and keeps the step only if it lowers the pair's
+    through ``_lm_step`` and keeps the step only if it lowers the pair's
     error; mu follows Nielsen's gain-ratio rule per pair.  A pair stops, and
     counts as converged, when an accepted step lowers its error by less than
     LM_RTOL relative or to at most ALS_TOL, or when a rejected step is below
@@ -285,10 +339,9 @@ def _lm(d: np.ndarray, factors, err: np.ndarray, max_iter: int):
     err = np.array(err, dtype=np.float64)
     iters = np.zeros(len(d), dtype=int)
     converged = np.zeros(len(d), dtype=bool)
-    R = out[0].shape[1]
-    cuts = np.cumsum([f.shape[2] for f in out])[:-1]
     live = np.arange(len(d))
     F, dl, nl, e = out, d, norm_d, err.copy()
+    unf = [unfold(d, m) for m in range(3)]
     # the diagonal of J^T J holds the products of the other two modes' squared row norms
     norm2 = [np.square(f).sum(axis=2) for f in F]
     mu = LM_TAU * np.max([norm2[i] * norm2[j] for i, j in _OTHERS], axis=(0, 2))
@@ -296,23 +349,24 @@ def _lm(d: np.ndarray, factors, err: np.ndarray, max_iter: int):
     it = 0
     while live.size and it < max_iter:
         it += 1
-        grad = _gradient(dl, F)
-        lhs = _jtj(F)
-        lhs.reshape(len(lhs), -1)[:, ::lhs.shape[1] + 1] += mu[:, None]
-        step = np.linalg.solve(lhs, -grad[..., None])[..., 0]
-        del lhs  # freed before the next iteration builds another
-        trial = [f + s for f, s in zip(F, np.split(step.reshape(len(step), R, -1), cuts, axis=2))]
+        grams = [f @ f.swapaxes(1, 2) for f in F]
+        grad = _gradient(unf, F, grams)
+        step = _lm_step(F, grams, grad, mu)
+        trial = [f + s for f, s in zip(F, step)]
         e_new = _residual(dl, trial, nl)
         ok = e_new < e
         gain = np.square(e) - np.square(e_new)
-        predicted = np.sum(step * (mu[:, None] * step - grad), axis=1)
+        predicted = sum(np.sum(s * (mu[:, None, None] * s - g), axis=(1, 2))
+                        for s, g in zip(step, grad))
         rho = np.square(nl) * gain / np.where(ok, predicted, 1.0)
         mu = np.where(ok, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), mu * nu)
         nu = np.where(ok, 2.0, 2.0 * nu)
         F = [np.where(ok[:, None, None], t, f) for t, f in zip(trial, F)]
-        x_norm = np.sqrt(sum(np.square(f).sum(axis=(1, 2)) for f in F))
-        stop = (e - e_new < LM_RTOL * e) | (e_new <= ALS_TOL)
-        done = np.where(ok, stop, np.sqrt(np.square(step).sum(axis=1)) <= LM_STEP_FLOOR * x_norm)
+        done = ok & ((e - e_new < LM_RTOL * e) | (e_new <= ALS_TOL))
+        if not ok.all():
+            x_norm = np.sqrt(sum(np.square(f).sum(axis=(1, 2)) for f in F))
+            step_norm = np.sqrt(sum(np.square(s).sum(axis=(1, 2)) for s in step))
+            done |= ~ok & (step_norm <= LM_STEP_FLOOR * x_norm)
         e = np.where(ok, e_new, e)
         if done.any():
             finished = live[done]
@@ -324,6 +378,7 @@ def _lm(d: np.ndarray, factors, err: np.ndarray, max_iter: int):
             keep = ~done
             live, dl, nl, e, mu, nu = live[keep], dl[keep], nl[keep], e[keep], mu[keep], nu[keep]
             F = [f[keep] for f in F]
+            unf = [u[keep] for u in unf]
     iters[live] = it
     err[live] = e
     for m in range(3):
@@ -340,24 +395,26 @@ def _ladder_start(d: np.ndarray, factors, R: int):
     out = list(factors)
     rest = d - cp_full(np.ones(out[0].shape[:-1]), out)
     for _ in range(R - out[0].shape[1]):
-        starts = [_svd_init(core, 1, None) for core in rest]
+        starts = [_svd_init(_left_singular(core), 1, None) for core in rest]
         term = _als(rest, [np.stack([s[m] for s in starts]) for m in range(3)], WARMUP_SWEEPS)[0]
         out = [np.concatenate([f, t], axis=1) for f, t in zip(out, term)]
         rest = rest - cp_full(np.ones(term[0].shape[:-1]), term)
     return out
 
 
-def _rank_stage(d: np.ndarray, R: int, opt: CpdOptions, prev) -> list[CpResult]:
+def _rank_stage(d: np.ndarray, R: int, opt: CpdOptions, prev, bases) -> list[CpResult]:
     """Best candidate of each stacked core d (C, I, J, K) at rank R.
 
-    The candidates are the seeded restarts and, when ``prev`` holds the
-    previous rank's stacked winning factors, the ladder start.  All of them
+    The candidates are the seeded restarts, whose SVD starts read each core's
+    ``_left_singular`` in ``bases``, and, when ``prev`` holds the previous
+    rank's stacked winning factors, the ladder start.  All of them
     run at most WARMUP_SWEEPS ALS sweeps together; each core's best candidate
     that did not converge there goes on to at most LM_MAX_ITER LM iterations.
     """
     n_runs = max(1, opt.n_restarts)
     seeds = np.random.SeedSequence(opt.seed).spawn(n_runs)
-    starts = [[_init(core, R, r, seeds[r]) for r in range(n_runs)] for core in d]
+    starts = [[_init(core, R, r, seeds[r], basis) for r in range(n_runs)]
+              for core, basis in zip(d, bases)]
     if prev is not None:
         ladder = _ladder_start(d, prev, R)
         for c, core_starts in enumerate(starts):
@@ -416,6 +473,7 @@ def _cp_stack(cores, ranks, options: CpdOptions | None):
         raise ValueError("cannot decompose an all-zero core tensor")
 
     d = np.stack(d)
+    bases = [_left_singular(core) for core in d]
     winners: list[CpResult | None] = [None] * len(d)
     found = {}
     for R in ladder:
@@ -423,7 +481,8 @@ def _cp_stack(cores, ranks, options: CpdOptions | None):
         if todo:
             prev = (None if winners[todo[0]] is None else
                     [np.stack([winners[c].v[m] for c in todo]) for m in range(3)])
-            for c, result in zip(todo, _rank_stage(d[todo], R, opt, prev)):
+            results = _rank_stage(d[todo], R, opt, prev, [bases[c] for c in todo])
+            for c, result in zip(todo, results):
                 winners[c] = result
         found[R] = list(winners)
     return found[ladder[0]] if single else found

@@ -87,6 +87,12 @@ def ancilla_counts(spec, R: int | None = None):
     return n_a, sum(n_a), n_ac
 
 
+def _check_n_qe(n_qe: int) -> None:
+    # below one grid qubit per direction the closed forms go negative
+    if n_qe < 1:
+        raise ValueError(f"n_qe must be >= 1, got {n_qe}")
+
+
 def _qft_informational(n_qe: int) -> int:
     # textbook QFT per axis: n(n-1)/2 controlled phases at 2 CNOTs each,
     # plus 3 CNOTs per final swap; three axes
@@ -100,6 +106,7 @@ def cnot_count_tucker(spec, n_qe: int) -> CircuitCostReport:
     amplitude-encoding stage vanishes and its component is 0, not the raw
     2^0 - 2 of the closed form; all other layouts use the form verbatim.
     """
+    _check_n_qe(n_qe)
     n_a, n_al, _ = ancilla_counts(spec)
     pow_sum = sum(1 << v for v in n_a)
     cx_sph = -9 + 3 * n_qe * pow_sum
@@ -112,6 +119,7 @@ def cnot_count_tucker(spec, n_qe: int) -> CircuitCostReport:
 
 def cnot_count_canonical(spec, n_qe: int, R: int) -> CircuitCostReport:
     """CNOT counts for the rank-R canonical-form state, QFT excluded."""
+    _check_n_qe(n_qe)
     n_a, n_al, n_ac = ancilla_counts(spec, R)
     pow_sum = sum(1 << v for v in n_a)
     cx_sph = -9 + 3 * n_qe * pow_sum

@@ -232,10 +232,11 @@ class _Engine:
                 # swaps M_v for dM_v in T: the MTTKRP of d with the other two M
                 # tables, weighted by dM_v and summed over primitives
                 dM = self.col_pref[v] * (self.h[v] @ dV.T)
-                g = self.wpref @ (dM * mttkrp(d, ev.M, v))
+                d_v = unfold(d, v)
+                g = self.wpref @ (dM * mttkrp(d_v, ev.M, v))
                 ds = unfold(mode_product(d, [*ev.S1[:v], None, *ev.S1[v + 1:]]), v)
                 q = dV @ ev.V[v].T
-                d_sdd = 2.0 * np.einsum("lj,lj->l", q, unfold(d, v) @ ds.T)
+                d_sdd = 2.0 * np.einsum("lj,lj->l", q, d_v @ ds.T)
                 tables.append((dM, q, ds, g, d_sdd))
             ev.derivs = tables
         return ev.derivs
@@ -265,8 +266,9 @@ class _Engine:
         norm2 = float(np.sum(d * d))
         out = []
         for v, (dM, q, ds, t_d, s_dd) in enumerate(self._derivatives(ev)):
-            d_ed = unfold(e, v) @ ds.T
-            t_e = self.wpref @ (dM * mttkrp(e, ev.M, v))
+            e_v = unfold(e, v)
+            d_ed = e_v @ ds.T
+            t_e = self.wpref @ (dM * mttkrp(e_v, ev.M, v))
             s_ed = np.einsum("lj,lj->l", q, d_ed + d_ed.T)
             out.append(2.0 * (t_e / ev.f - s_ed) / norm2 - 2.0 * t_d / ev.f + s_dd)
         return -np.concatenate(out)

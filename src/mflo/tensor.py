@@ -30,7 +30,7 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
         t = t.swapaxes(-3, -2)
     elif mode == 2:
         t = t.swapaxes(-2, -1).swapaxes(-3, -2)
-    return t.reshape(*t.shape[:-2], -1)
+    return t.reshape(*t.shape[:-2], t.shape[-2] * t.shape[-1])  # also for an empty stack
 
 
 def mode_product(t: np.ndarray, mats) -> np.ndarray:
@@ -59,13 +59,15 @@ def cp_full(weights: np.ndarray, factors) -> np.ndarray:
     return full.reshape(*full.shape[:-2], a.shape[-1], b.shape[-1], c.shape[-1])
 
 
-def mttkrp(t: np.ndarray, factors, mode: int) -> np.ndarray:
-    """t times the Khatri-Rao product of the other two factors, shape (..., R, t.shape[mode]).
+def mttkrp(unfolded: np.ndarray, factors, mode: int) -> np.ndarray:
+    """A tensor times the Khatri-Rao product of the other two factors, shape (..., R, n_mode).
 
-    One (batched) matmul of the mode unfolding with the Khatri-Rao product.
+    ``unfolded`` is the tensor's mode-``mode`` unfolding, ``unfold(t, mode)``,
+    so a caller that needs it again, or keeps it across iterations, builds it
+    once.  One (batched) matmul of the unfolding with the Khatri-Rao product.
     """
     i, j = _OTHERS[mode]
-    return (unfold(t, mode) @ khatri_rao(factors[i], factors[j])).swapaxes(-1, -2)
+    return (unfolded @ khatri_rao(factors[i], factors[j])).swapaxes(-1, -2)
 
 
 def metric_inner(a: np.ndarray, b: np.ndarray, overlaps) -> float:

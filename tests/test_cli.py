@@ -415,7 +415,7 @@ class TestRunDecompose:
         ranks = []
         stage = cpd._rank_stage
         monkeypatch.setattr(cpd, "_rank_stage",
-                            lambda d, R, opt, prev: ranks.append(R) or stage(d, R, opt, prev))
+                            lambda d, R, *rest: ranks.append(R) or stage(d, R, *rest))
         assert main(["decompose", "--report", str(path), "--ranks", "4,1,2,1"]) == EXIT_OK
         assert ranks == [1, 2]
         for entry in json.loads(Path(path).read_text())["mos"].values():
@@ -499,6 +499,14 @@ class TestMain:
         code = main(["gate-count", "--n-qe", "7"])
         assert code == EXIT_FAIL
         assert json.loads(capsys.readouterr().err)["error"] == "run"
+
+    @pytest.mark.parametrize("rank", [[], ["--rank", "2"]])
+    @pytest.mark.parametrize("n_qe", ["0", "-2"])
+    def test_gate_count_rejects_fewer_than_one_grid_qubit(self, capsys, n_qe, rank):
+        code = main(["gate-count", "--n-l", "2,1,1", "--n-qe", n_qe, *rank])
+        assert code == EXIT_FAIL
+        error = json.loads(capsys.readouterr().err)
+        assert (error["error"], error["message"]) == ("run", f"n_qe must be >= 1, got {n_qe}")
 
     def test_decompose_and_export(self, tmp_path, capsys):
         report = tmp_path / "r.json"

@@ -16,7 +16,7 @@ from mflo.cpd import (
 from mflo.encoding import success_prob_canonical, success_prob_tucker
 from mflo.fitting import TuckerState, overlap_3d, tucker_statevector
 from mflo.lorentzian import LorentzianBasisSpec
-from mflo.tensor import cp_full, khatri_rao, metric_inner
+from mflo.tensor import cp_full, khatri_rao, metric_inner, unfold
 
 
 def _spec(n_l=(2, 2, 2)):
@@ -97,7 +97,8 @@ def _oracle_als_run(d, factors, max_sweeps):
 def _als_restarts(d, R, opt):
     """The seeded restarts of one core through the ALS stage alone, winner by the tie rule."""
     seeds = np.random.SeedSequence(opt.seed).spawn(opt.n_restarts)
-    starts = [cpd._init(d, R, r, seeds[r]) for r in range(opt.n_restarts)]
+    bases = cpd._left_singular(d)
+    starts = [cpd._init(d, R, r, seeds[r], bases) for r in range(opt.n_restarts)]
     v, err, sweeps, converged, ridged = cpd._als(
         np.stack([d] * opt.n_restarts), [np.stack([s[m] for s in starts]) for m in range(3)], 300)
     errors = tuple(float(e) for e in err)
@@ -109,7 +110,8 @@ def _als_restarts(d, R, opt):
 
 def _oracle_cp_decompose(d, R, opt):
     seeds = np.random.SeedSequence(opt.seed).spawn(opt.n_restarts)
-    runs = [_oracle_als_run(d, cpd._init(d, R, r, seeds[r]), 300)
+    bases = cpd._left_singular(d)
+    runs = [_oracle_als_run(d, cpd._init(d, R, r, seeds[r], bases), 300)
             for r in range(opt.n_restarts)]
     errors = [run[1] for run in runs]
     best = min(range(len(runs)), key=lambda r: (errors[r], r))
@@ -298,17 +300,74 @@ def _explicit_jacobian(factors):
     return np.stack(cols, axis=1)
 
 
+def _dense_normal_equations(d, factors, mu):
+    """J^T J + mu I and J^T r from the explicit Jacobian, and a mask of mode p's unknowns.
+
+    p is the longest mode, the one the reduced system eliminates.
+    """
+    J = _explicit_jacobian(factors)
+    R = factors[0].shape[0]
+    lhs = J.T @ J + mu * np.eye(J.shape[1])
+    grad = J.T @ (cp_full(np.ones(R), factors) - d).ravel()
+    dims = [f.shape[1] for f in factors]
+    p = int(np.argmax(dims))
+    # the explicit unknowns run over rows r of [A | B | C], column fastest
+    mode_of = np.tile(np.repeat(np.arange(3), dims), R)
+    return lhs, grad, mode_of == p
+
+
+def _stacked_terms(d, factors):
+    stacked = [f[None] for f in factors]
+    grams = [f @ f.swapaxes(1, 2) for f in stacked]
+    unfolded = [unfold(d[None], m) for m in range(3)]
+    return stacked, grams, cpd._gradient(unfolded, stacked, grams)
+
+
 class TestLevenbergMarquardt:
-    @pytest.mark.parametrize("dims, R", [((3, 3, 3), 3), ((4, 3, 2), 5), ((6, 4, 4), 2)])
+    # the longest mode is tied, first, first, in the middle and last
+    @pytest.mark.parametrize("dims, R", [((3, 3, 3), 3), ((4, 3, 2), 5), ((6, 4, 4), 2),
+                                         ((2, 5, 3), 1), ((3, 4, 6), 3)])
     def test_jtj_and_gradient_match_explicit_jacobian(self, dims, R):
+        """The reduced system is the Schur complement of the explicit J^T J + mu I."""
         rng = np.random.default_rng(sum(dims) + R)
         factors = [rng.normal(size=(R, n)) for n in dims]
         d = rng.normal(size=dims)
-        J = _explicit_jacobian(factors)
-        stacked = [f[None] for f in factors]
-        np.testing.assert_allclose(cpd._jtj(stacked)[0], J.T @ J, rtol=0, atol=1e-12)
-        r = (cp_full(np.ones(R), factors) - d).ravel()
-        np.testing.assert_allclose(cpd._gradient(d[None], stacked)[0], J.T @ r, rtol=0, atol=1e-12)
+        mu = 0.3
+        lhs, grad, on_p = _dense_normal_equations(d, factors, mu)
+        stacked, grams, got_grad = _stacked_terms(d, factors)
+        np.testing.assert_allclose(np.concatenate([g[0] for g in got_grad], axis=1).ravel(),
+                                   grad, rtol=0, atol=1e-12)
+        # Schur complement of the longest mode, and the matching right-hand side
+        keep = ~on_p
+        coupling = lhs[np.ix_(keep, on_p)] @ np.linalg.inv(lhs[np.ix_(on_p, on_p)])
+        schur = lhs[np.ix_(keep, keep)] - coupling @ lhs[np.ix_(on_p, keep)]
+        rhs = -grad[keep] + coupling @ grad[on_p]
+        # the reduced unknowns run over rows r of the two kept factors side by side
+        got_lhs, got_rhs, _ = cpd._reduced_system(stacked, grams, got_grad, np.array([mu]))
+        np.testing.assert_allclose(got_lhs[0], schur, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(got_rhs[0], rhs, rtol=0, atol=1e-11)
+
+    # longest mode first, middle, last and tied
+    @pytest.mark.parametrize("dims", [(6, 4, 4), (2, 5, 3), (3, 4, 6), (3, 3, 3)])
+    @pytest.mark.parametrize("R", [1, 2, 4])
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+    def test_step_solves_dense_normal_equations(self, dims, R, scale):
+        rng = np.random.default_rng(10 * sum(dims) + R)
+        factors = [rng.normal(size=(R, n)) for n in dims]
+        d = rng.normal(size=dims)
+        lhs0, _, _ = _dense_normal_equations(d, factors, 0.0)
+        mu = scale * np.max(np.diag(lhs0))
+        lhs, grad, _ = _dense_normal_equations(d, factors, mu)
+        expect = np.linalg.solve(lhs, -grad)
+        stacked, grams, got_grad = _stacked_terms(d, factors)
+        step = cpd._lm_step(stacked, grams, got_grad, np.array([mu]))
+        got = np.concatenate([s[0] for s in step], axis=1).ravel()
+        # compared in the system's own norm: the CP scaling directions have
+        # eigenvalues near mu, so at small mu both solves differ along them by
+        # up to cond * eps in the Euclidean norm while solving equally well
+        diff = got - expect
+        assert np.sqrt(diff @ lhs @ diff) <= 1e-10 * np.sqrt(expect @ lhs @ expect)
+        assert np.linalg.norm(lhs @ got + grad) <= 1e-13 * np.linalg.norm(grad)
 
     def test_lm_never_raises_error(self):
         rng = np.random.default_rng(41)
@@ -326,15 +385,17 @@ class TestLevenbergMarquardt:
 
     def test_lm_pair_independent_of_stack(self):
         rng = np.random.default_rng(42)
-        d = rng.normal(size=(3, 3, 3, 3))
-        start = [rng.normal(size=(3, 3, 3)) for _ in range(3)]
-        err = cpd._residual(d, start, cpd._norms(d))
-        stacked = cpd._lm(d, start, err, 60)
-        alone = cpd._lm(d[1:2], [f[1:2] for f in start], err[1:2], 60)
-        for m in range(3):
-            np.testing.assert_array_equal(stacked[0][m][1], alone[0][m][0])
-        for a, b in zip(stacked[1:], alone[1:]):
-            assert a[1] == b[0]
+        # the second shape's longest mode is y, so the step eliminates a middle mode
+        for shape in ((3, 3, 3), (2, 5, 3)):
+            d = rng.normal(size=(3, *shape))
+            start = [rng.normal(size=(3, 3, n)) for n in shape]
+            err = cpd._residual(d, start, cpd._norms(d))
+            stacked = cpd._lm(d, start, err, 60)
+            alone = cpd._lm(d[1:2], [f[1:2] for f in start], err[1:2], 60)
+            for m in range(3):
+                np.testing.assert_array_equal(stacked[0][m][1], alone[0][m][0])
+            for a, b in zip(stacked[1:], alone[1:]):
+                assert a[1] == b[0]
 
     def test_stalled_error_ends_lm_without_overflow(self):
         # rank 5 stalls at a relative error of 1.2e-12, above ALS_TOL, where
@@ -415,6 +476,35 @@ def _exact_init_loop(d):
                 A[r, i], B[r, j], C[r, k] = d[i, j, k], 1.0, 1.0
                 r += 1
     return [A, B, C]
+
+
+def _svd_init_per_rank(d, R, rng):
+    """SVD start computed from scratch at each rank, as the ladder once did."""
+    out = []
+    for mode in range(3):
+        u_mat = np.linalg.svd(unfold(d, mode), full_matrices=False)[0]
+        take = min(R, u_mat.shape[1])
+        fac = np.empty((R, d.shape[mode]))
+        fac[:take] = u_mat[:, :take].T
+        if take < R:
+            fac[take:] = rng.standard_normal((R - take, d.shape[mode]))
+        out.append(fac)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 3, 2), (2, 5, 3)])
+def test_hoisted_svd_gives_the_per_rank_starts(shape):
+    d = np.random.default_rng(47).normal(size=shape)
+    bases = cpd._left_singular(d)
+    seeds = np.random.SeedSequence(3).spawn(2)
+    for R in range(1, d.size):
+        for restart in range(2):
+            got = cpd._init(d, R, restart, seeds[restart], bases)
+            rng = np.random.default_rng(seeds[restart])
+            expect = (_svd_init_per_rank(d, R, rng) if restart == 0
+                      else [rng.standard_normal((R, n)) for n in shape])
+            for g, e in zip(got, expect):
+                np.testing.assert_array_equal(g, e)
 
 
 def test_exact_init_matches_loop():

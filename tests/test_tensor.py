@@ -54,7 +54,7 @@ class TestMttkrp:
                 idx = (a, b, c)
                 others = [f[v][r, idx[v]] for v in range(3) if v != mode]
                 expect[r, idx[mode]] += t[a, b, c] * others[0] * others[1]
-        np.testing.assert_allclose(mttkrp(t, f, mode), expect, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(mttkrp(unfold(t, mode), f, mode), expect, rtol=0, atol=1e-13)
 
 
 class TestUnfold:
@@ -65,7 +65,7 @@ class TestUnfold:
         f = _factors(rng, 3)
         a, b = [f[v] for v in range(3) if v != mode]
         np.testing.assert_allclose(unfold(t, mode) @ _khatri_rao(a, b),
-                                   mttkrp(t, f, mode).T, rtol=0, atol=1e-13)
+                                   mttkrp(unfold(t, mode), f, mode).T, rtol=0, atol=1e-13)
 
     def test_c_order_reshape(self):
         t = np.arange(np.prod(SHAPE), dtype=float).reshape(SHAPE)
@@ -96,11 +96,12 @@ class TestBatchAxis:
     def test_unfold_and_mttkrp(self, mode):
         _, t, f = self._stack(51 + mode)
         unfolded = unfold(t, mode)
-        batched = mttkrp(t, f, mode)
+        batched = mttkrp(unfolded, f, mode)
         assert batched.shape == (self.B, 3, SHAPE[mode])
         for b in range(self.B):
             np.testing.assert_array_equal(unfolded[b], unfold(t[b], mode))
-            np.testing.assert_array_equal(batched[b], mttkrp(t[b], [m[b] for m in f], mode))
+            np.testing.assert_array_equal(
+                batched[b], mttkrp(unfold(t[b], mode), [m[b] for m in f], mode))
 
     def test_cp_full(self):
         rng, _, f = self._stack(54)
@@ -116,8 +117,9 @@ class TestBatchAxis:
         # down to a stack of one
         _, t, f = self._stack(55)
         for mode in range(3):
-            np.testing.assert_array_equal(mttkrp(t[keep], [m[keep] for m in f], mode),
-                                          mttkrp(t, f, mode)[keep])
+            np.testing.assert_array_equal(
+                mttkrp(unfold(t[keep], mode), [m[keep] for m in f], mode),
+                mttkrp(unfold(t, mode), f, mode)[keep])
 
 
 class TestModeProduct:
