@@ -26,8 +26,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import __version__
 from .basis import (
@@ -210,6 +208,94 @@ class JobError(Exception):
         self.message = message
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The JSON Schema types a job uses, two of them stricter than JSON Schema:
+#: an integer is a JSON integer, not an integral float such as ``4.0``, and a
+#: number is finite as a double, although Python's ``json`` reads ``NaN``,
+#: ``Infinity`` and integers of any length.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": _is_integer,
+    "number": lambda v: (_is_integer(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
+}
+
+
+def _validate(value, schema: dict, pointer: str = "") -> None:
+    """Check ``value`` against ``schema``; raise JobError at the first violation.
+
+    Interprets the keywords JOB_SCHEMA uses (``type``, ``const``,
+    ``required``, ``properties``, ``additionalProperties``, ``items``,
+    ``minItems``, ``maxItems``, ``minimum``, ``exclusiveMinimum``,
+    ``minProperties``, ``anyOf``, and ``oneOf`` over ``required``
+    alternatives) and ignores ``$schema``.  A missing or unknown key is
+    reported at the object that holds it, any other violation at the value.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        raise JobError(pointer, f"expected {kind}, got {value!r}")
+    if "const" in schema:
+        const = schema["const"]
+        if value != const or isinstance(value, bool) != isinstance(const, bool):
+            raise JobError(pointer, f"expected {const!r}, got {value!r}")
+    if _TYPES["number"](value):
+        low = schema.get("minimum")
+        if low is not None and value < low:
+            raise JobError(pointer, f"expected a value >= {low}, got {value!r}")
+        low = schema.get("exclusiveMinimum")
+        if low is not None and value <= low:
+            raise JobError(pointer, f"expected a value > {low}, got {value!r}")
+    elif isinstance(value, list):
+        n = len(value)
+        if n < schema.get("minItems", 0):
+            raise JobError(pointer, f"expected at least {schema['minItems']} items, got {n}")
+        if n > schema.get("maxItems", n):
+            raise JobError(pointer, f"expected at most {schema['maxItems']} items, got {n}")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _validate(item, schema["items"], f"{pointer}/{i}")
+    elif isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise JobError(pointer, f"{key!r} is a required property")
+        properties = schema.get("properties", {})
+        others = schema.get("additionalProperties", True)
+        for key in value:
+            if others is False and key not in properties:
+                raise JobError(pointer, f"unknown property {key!r}")
+        if len(value) < schema.get("minProperties", 0):
+            raise JobError(pointer, f"expected at least {schema['minProperties']} properties, "
+                                    f"got {len(value)}")
+        if "oneOf" in schema:
+            alternatives = [alt["required"] for alt in schema["oneOf"]]
+            if sum(all(key in value for key in alt) for alt in alternatives) != 1:
+                names = " or ".join(" and ".join(map(repr, alt)) for alt in alternatives)
+                raise JobError(pointer, f"exactly one of {names} is required")
+        for key, item in value.items():
+            sub = properties.get(key, others)
+            if isinstance(sub, dict):
+                _validate(item, sub, f"{pointer}/{key}")
+    if "anyOf" in schema:
+        errors = []
+        for branch in schema["anyOf"]:
+            try:
+                _validate(value, branch, pointer)
+            except JobError as exc:
+                # a branch of the value's own type explains the failure best
+                if "type" not in branch or _TYPES[branch["type"]](value):
+                    errors.append(exc)
+            else:
+                return
+        if not errors:
+            errors.append(JobError(pointer, f"{value!r} matches none of the allowed forms"))
+        raise errors[0]
+
+
 def _emit_error(kind: str, message: str, **extra) -> None:
     payload = {"error": kind, "message": message}
     payload.update(extra)
@@ -239,10 +325,7 @@ def load_job(path) -> dict:
         job = json.loads(text)
     except json.JSONDecodeError as exc:
         raise JobError("", f"invalid JSON: {exc}") from exc
-    err = best_match(Draft202012Validator(JOB_SCHEMA).iter_errors(job))
-    if err is not None:
-        pointer = "".join(f"/{part}" for part in err.absolute_path)
-        raise JobError(pointer, err.message)
+    _validate(job, JOB_SCHEMA)
     _check_cross_references(job)
     return job
 

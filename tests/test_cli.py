@@ -96,6 +96,30 @@ class TestLoadJob:
         assert err["pointer"] == pointer
         assert key in err["message"]
 
+    @pytest.mark.parametrize("pointer, value", [
+        ("/cell/n_qe", 4.0), ("/cpd/seed", 0.0), ("/fit/restarts", 2.0),
+        ("/cpd/n_restarts", 2.0), ("/cpd/ranks/0", 1.0), ("/lorentzian/centers/x/0", 8.0),
+        ("/fit/grad_tol", math.nan), ("/lorentzian/alpha_pen", math.nan),
+        ("/cell/edge_lengths/0", math.nan), ("/lorentzian/initial_widths", math.inf),
+        pytest.param("/lorentzian/alpha_pen", 10**400, id="/lorentzian/alpha_pen-1e400"),
+    ])
+    def test_integral_floats_and_nonfinite_numbers_rejected(self, tmp_path, capsys,
+                                                            pointer, value):
+        # JSON Schema accepts each of these, but the pipeline cannot run them: they
+        # crash it or reach the report as NaN, which strict JSON parsers reject
+        *parents, key = pointer[1:].split("/")
+
+        def mutate(j):
+            node = j
+            for part in parents:
+                node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
+            node[int(key) if isinstance(node, list) else key] = value
+        out = tmp_path / "r.json"
+        code = main(["fit", "--job", str(_broken_job(tmp_path, mutate)), "--out", str(out)])
+        assert code == EXIT_SCHEMA
+        assert json.loads(capsys.readouterr().err)["pointer"] == pointer
+        assert not out.exists()
+
     def test_run_option_fields_match_the_options(self):
         props = {name: set(JOB_SCHEMA["properties"][name]["properties"])
                  for name in ("fit", "cpd")}
@@ -576,8 +600,11 @@ def test_run_verify_reports_failures(tmp_path, capsys):
     assert "pipeline-identities" in out
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy alone adds about 49 MB to a bare interpreter's peak RSS
-    code = "import sys, mflo.cli; sys.exit('scipy' in sys.modules and 'scipy was imported')"
+def test_cli_import_loads_neither_jsonschema_nor_scipy():
+    # scipy alone adds about 49 MB to a bare interpreter's peak RSS, and
+    # jsonschema about 0.09 s and 5 MB to every mflo start
+    code = ("import sys, mflo.cli; "
+            "loaded = [m for m in ('jsonschema', 'scipy') if m in sys.modules]; "
+            "sys.exit(bool(loaded) and f'imported {loaded}')")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
