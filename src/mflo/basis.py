@@ -96,6 +96,8 @@ class ContractedGaussianAO:
         object.__setattr__(self, "powers", m)
         object.__setattr__(self, "center", tau)
         norm2 = ao_self_overlap(self)
+        if not norm2 > 0.0:
+            raise ValueError("AO contraction has zero norm")
         if abs(norm2 - 1.0) > 1e-8:
             warnings.warn(
                 f"AO squared norm is {norm2:.10g}, not 1; fidelities are defined "

@@ -369,18 +369,24 @@ def _check_cross_references(job: dict) -> None:
 
 def _job_cell(job: dict) -> SimulationCell:
     c = job["cell"]
-    return SimulationCell(origin=c["origin"], edge_lengths=c["edge_lengths"], n_qe=c["n_qe"])
+    try:
+        return SimulationCell(origin=c["origin"], edge_lengths=c["edge_lengths"], n_qe=c["n_qe"])
+    except ValueError as exc:
+        raise JobError("/cell", str(exc)) from exc
 
 
-def _job_molecule(job: dict):
+def _job_molecule(job: dict) -> dict[str, MolecularOrbital]:
     mol = job["molecule"]
     renorm = mol.get("renormalize", True)
-    aos = [gaussian_ao(entry["exponents"], entry["coefficients"], entry["powers"],
-                       entry["center"], renormalize=renorm)
-           for entry in mol["aos"]]
-    mos = {name: MolecularOrbital(ao_list=tuple(aos), coefficients=coeff)
-           for name, coeff in mol["mos"].items()}
-    return aos, mos
+    aos = []
+    for i, entry in enumerate(mol["aos"]):
+        try:
+            aos.append(gaussian_ao(entry["exponents"], entry["coefficients"], entry["powers"],
+                                   entry["center"], renormalize=renorm))
+        except ValueError as exc:
+            raise JobError(f"/molecule/aos/{i}", str(exc)) from exc
+    return {name: MolecularOrbital(ao_list=tuple(aos), coefficients=coeff)
+            for name, coeff in mol["mos"].items()}
 
 
 def _job_spec(job: dict, cell: SimulationCell) -> LorentzianBasisSpec:
@@ -415,22 +421,14 @@ def _spec_payload(spec: LorentzianBasisSpec) -> dict:
     }
 
 
-def _spec_from_payload(entry: dict, n_qe: int) -> LorentzianBasisSpec:
-    return LorentzianBasisSpec(
-        n=n_qe,
-        widths=tuple(np.asarray(entry["widths"][ax], dtype=np.float64) for ax in AXES),
-        centers=tuple(np.asarray(entry["centers"][ax], dtype=np.int64) for ax in AXES),
-    )
-
-
-def _core_from_payload(entry: dict) -> np.ndarray:
-    return np.asarray(entry["core"]["values"], dtype=np.float64).reshape(entry["core"]["shape"])
-
-
 def _tucker_from_payload(entry: dict, n_qe: int) -> TuckerState:
+    """The Tucker state that one MO entry of a report records."""
     return TuckerState(
-        spec=_spec_from_payload(entry, n_qe),
-        core=_core_from_payload(entry),
+        spec=LorentzianBasisSpec(
+            n=n_qe,
+            widths=tuple(np.asarray(entry["widths"][ax], dtype=np.float64) for ax in AXES),
+            centers=tuple(np.asarray(entry["centers"][ax], dtype=np.int64) for ax in AXES)),
+        core=np.asarray(entry["core"]["values"], dtype=np.float64).reshape(entry["core"]["shape"]),
         fidelity=entry["fidelity"],
         squared_overlap=entry["squared_overlap"],
         penalty=entry["penalty"],
@@ -460,8 +458,13 @@ def _identity_residuals(problem: FitProblem, tucker: TuckerState) -> dict:
     return res
 
 
+def _cnot_payload(counts) -> dict:
+    """The CNOT block of a report or gate-count table."""
+    return {"total": counts.cx_total, "sph": counts.cx_sph, "amp": counts.cx_amp}
+
+
 def _canonical_entry(canon: CanonicalState, rank: int, n_qe: int) -> dict:
-    counts = cnot_count_canonical(canon.spec, n_qe, max(1, canon.R))
+    counts = cnot_count_canonical(canon.spec.n_l, n_qe, max(1, canon.R))
     prob = success_prob_canonical(canon)
     return {
         "requested_rank": int(rank),
@@ -472,7 +475,7 @@ def _canonical_entry(canon: CanonicalState, rank: int, n_qe: int) -> dict:
         "u": {ax: canon.u[v] for v, ax in enumerate(AXES)},
         "success_probability": prob,
         "n_a_canonical": counts.n_a_canonical,
-        "cnot": {"total": counts.cx_total, "sph": counts.cx_sph, "amp": counts.cx_amp},
+        "cnot": _cnot_payload(counts),
         "flags": list(canon.flags),
         "sweeps": canon.sweeps,
         "converged": canon.converged,
@@ -497,26 +500,20 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
     """
     job = load_job(job_path)
     cell = _job_cell(job)
-    _, mos = _job_molecule(job)
+    mos = _job_molecule(job)
     spec = _job_spec(job, cell)
     opt = OptimizeOptions(**job.get("fit", {}))
     ranks = job.get("cpd", {}).get("ranks", [])
     cpd_opt = _job_cpd_options(job)
 
-    n_a, n_al, _ = ancilla_counts(spec)
-    tucker_counts = cnot_count_tucker(spec, cell.n_qe)
+    costs = gate_count_table(spec.n_l, cell.n_qe)
     report = {
         "schema": 1,
         "generator": {"name": "mflo", "version": __version__},
         "job": job,
         "n_prod": spec.n_prod,
-        "ancillae": {"per_axis": list(n_a), "lorentzian": n_al},
-        "cnot_tucker": {
-            "total": tucker_counts.cx_total,
-            "sph": tucker_counts.cx_sph,
-            "amp": tucker_counts.cx_amp,
-            "qft_informational": tucker_counts.qft_cx_informational,
-        },
+        "ancillae": costs["ancillae"],
+        "cnot_tucker": {**costs["tucker"], "qft_informational": costs["qft_informational"]},
         "mos": {},
     }
     tuckers = []
@@ -558,6 +555,7 @@ def _write_report(report: dict, path: Path) -> None:
 
 
 def _rebuild_state(report: dict, which: str, mo: str, rank: int | None, max_qubits: int) -> np.ndarray:
+    """The ideal, Tucker or canonical grid state of one MO of a report."""
     job = report["job"]
     n_qe = job["cell"]["n_qe"]
     if mo not in report["mos"]:
@@ -565,12 +563,11 @@ def _rebuild_state(report: dict, which: str, mo: str, rank: int | None, max_qubi
     entry = report["mos"][mo]
     if which == "ideal":
         cell = _job_cell(job)
-        _, mos = _job_molecule(job)
-        return build_ideal_state(mos[mo], cell, max_qubits=max_qubits)
+        return build_ideal_state(_job_molecule(job)[mo], cell, max_qubits=max_qubits)
     require_grid(n_qe, max_qubits)
-    spec = _spec_from_payload(entry, n_qe)
+    tucker = _tucker_from_payload(entry, n_qe)
     if which == "tucker":
-        return tucker_statevector(spec, _core_from_payload(entry))
+        return tucker_statevector(tucker.spec, tucker.core)
     if which == "canonical":
         keys = sorted(entry["canonical"], key=int)
         if not keys:
@@ -580,7 +577,7 @@ def _rebuild_state(report: dict, which: str, mo: str, rank: int | None, max_qubi
             raise ValueError(f"MO {mo!r} has no rank-{rank} decomposition in the report")
         canon = entry["canonical"][key]
         u = tuple(np.asarray(canon["u"][ax], dtype=np.float64) for ax in AXES)
-        return canonical_statevector(spec, np.asarray(canon["lambdas"]), u)
+        return canonical_statevector(tucker.spec, np.asarray(canon["lambdas"]), u)
     raise ValueError(f"unknown state selector {which!r}")
 
 
@@ -674,23 +671,24 @@ def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dic
 
 
 def gate_count_table(n_l, n_qe: int, ranks=()) -> dict:
-    """Standalone resource calculator for one basis layout."""
+    """Standalone resource calculator for one basis layout (n_x, n_y, n_z).
+
+    ``run_fit`` takes a report's grid-level ``ancillae`` and ``cnot_tucker``
+    from this table.
+    """
     n_a, n_al, _ = ancilla_counts(n_l)
     tucker = cnot_count_tucker(n_l, n_qe)
     out = {
         "n_l": [int(v) for v in n_l],
         "n_qe": int(n_qe),
         "ancillae": {"per_axis": list(n_a), "lorentzian": n_al},
-        "tucker": {"total": tucker.cx_total, "sph": tucker.cx_sph, "amp": tucker.cx_amp},
+        "tucker": _cnot_payload(tucker),
         "qft_informational": tucker.qft_cx_informational,
         "canonical": {},
     }
     for rank in ranks:
         c = cnot_count_canonical(n_l, n_qe, rank)
-        out["canonical"][str(int(rank))] = {
-            "total": c.cx_total, "sph": c.cx_sph, "amp": c.cx_amp,
-            "n_a_canonical": c.n_a_canonical,
-        }
+        out["canonical"][str(int(rank))] = {**_cnot_payload(c), "n_a_canonical": c.n_a_canonical}
     return out
 
 
@@ -841,10 +839,9 @@ def _check_tucker_oracle(report: dict) -> str:
     n_qe = report["job"]["cell"]["n_qe"]
     worst = 0.0
     for entry in report["mos"].values():
-        spec = _spec_from_payload(entry, n_qe)
-        core = _core_from_payload(entry)
-        branches = [(w, e) for w, e in zip(core.ravel(), np.eye(spec.n_prod))]
-        oracle = lcu_postselect_oracle(branches, metric=overlap_3d(spec))
+        tucker = _tucker_from_payload(entry, n_qe)
+        branches = [(w, e) for w, e in zip(tucker.core.ravel(), np.eye(tucker.spec.n_prod))]
+        oracle = lcu_postselect_oracle(branches, metric=overlap_3d(tucker.spec))
         worst = max(worst, abs(oracle - entry["success_probability_tucker"]))
     if worst > 1e-8:
         raise AssertionError(f"probability oracle residual {worst:.3e}")
@@ -852,14 +849,10 @@ def _check_tucker_oracle(report: dict) -> str:
 
 
 def _check_statevector_overlap(report: dict, max_qubits: int) -> str:
-    job = report["job"]
-    cell = _job_cell(job)
-    _, mos = _job_molecule(job)
     worst = 0.0
     for name, entry in report["mos"].items():
-        spec = _spec_from_payload(entry, cell.n_qe)
-        ideal = build_ideal_state(mos[name], cell, max_qubits=max_qubits)
-        f = float(ideal @ tucker_statevector(spec, _core_from_payload(entry)))
+        f = float(_rebuild_state(report, "ideal", name, None, max_qubits)
+                  @ _rebuild_state(report, "tucker", name, None, max_qubits))
         worst = max(worst, abs(f * f - entry["squared_overlap"]))
     if worst > 1e-8:
         raise AssertionError(f"statevector overlap residual {worst:.3e}")
@@ -872,7 +865,7 @@ def _check_cp_exactness(report: dict) -> str:
     name = sorted(report["mos"])[0]
     tucker = _tucker_from_payload(report["mos"][name], n_qe)
     n_prod = tucker.spec.n_prod
-    canon = decompose_cores([tucker], n_prod, CpdOptions(n_restarts=2))[0]
+    canon = decompose_cores([tucker], [n_prod], CpdOptions(n_restarts=2))[n_prod][0]
     if canon.deviation >= 1e-10:
         raise AssertionError(f"full-rank deviation {canon.deviation:.3e}")
     prob = success_prob_canonical(canon)

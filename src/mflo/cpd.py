@@ -38,14 +38,14 @@ counts (core, candidate) pairs: every candidate of every core of a report
    wins, so round-off does not pick the winner.
 
 The candidates are the ``n_restarts`` seeded starts (SVD basis, or the exact
-form at R = n_prod, then random) and, on a ladder, one more.  A list of
-ranks is decomposed in increasing order, and each rank's extra candidate is
-the previous rank's winner plus greedy rank-one terms of its residual.  That
-start is no worse than the previous winner, and both stages only lower a
-candidate's error, so the error cannot rise with rank.  Once a rank's winner
-is exact (relative error at most ALS_TOL), every higher rank of the ladder
-reports that state, flagged ``rank-reduced``.  So a rank's result can depend
-on which lower ranks were decomposed with it.
+form at R = n_prod, then random) and, past a ladder's first rung, one more.
+The requested ranks are decomposed in increasing order, and each rank's extra
+candidate is the previous rank's winner plus greedy rank-one terms of its
+residual.  That start is no worse than the previous winner, and both stages
+only lower a candidate's error, so the error cannot rise with rank.  Once a
+rank's winner is exact (relative error at most ALS_TOL), every higher rank of
+the ladder reports that state, flagged ``rank-reduced``.  So a rank's result
+can depend on which lower ranks were decomposed with it.
 
 A finished pair leaves the stack in both stages, and every operation acts on
 each pair alone, so a core's result does not depend on what it was stacked
@@ -70,7 +70,6 @@ renormalized; its squared norm enters the post-selection success probability.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -448,18 +447,16 @@ def _rank_stage(d: np.ndarray, R: int, opt: CpdOptions, prev, bases) -> list[CpR
 def _cp_stack(cores, ranks, options: CpdOptions | None):
     """Euclidean CP of equally shaped cores, all (core, candidate) pairs stacked.
 
-    ``ranks`` is one rank, for which the list of each core's ``CpResult``
-    is returned, or a sequence of ranks, which are deduplicated and run as
-    the ascending ladder and returned as {rank: results}.  A core whose
-    winner is exact (relative error at most ALS_TOL) keeps that result at
-    every higher rank of the ladder.
+    The iterable ``ranks`` is deduplicated and run as the ascending ladder,
+    returned as {rank: each core's ``CpResult``}.  A core whose winner is
+    exact (relative error at most ALS_TOL) keeps that result at every higher
+    rank of the ladder.
     """
     opt = options or CpdOptions()
-    single = isinstance(ranks, numbers.Integral)
-    ladder = sorted({int(R) for R in ([ranks] if single else ranks)})
+    ladder = sorted({int(R) for R in ranks})
     d = [np.asarray(core, dtype=np.float64) for core in cores]
     if not d:
-        return [] if single else {R: [] for R in ladder}
+        return {R: [] for R in ladder}
     shape = d[0].shape
     if len(shape) != 3:
         raise ValueError(f"core tensor must be 3-way, got shape {shape}")
@@ -485,7 +482,7 @@ def _cp_stack(cores, ranks, options: CpdOptions | None):
             for c, result in zip(todo, results):
                 winners[c] = result
         found[R] = list(winners)
-    return found[ladder[0]] if single else found
+    return found
 
 
 def _best_restart(errors) -> int:
@@ -560,23 +557,17 @@ def _canonical(tucker: TuckerState, v, result: CpResult, R: int) -> CanonicalSta
 def decompose_cores(tuckers, ranks, options: CpdOptions | None = None):
     """Canonical forms of Tucker states, all cores and candidates of a rank stacked.
 
-    ``ranks`` is one rank, which returns one state per Tucker state, or a
-    sequence of ranks, which returns {rank: states} for the ascending,
-    deduplicated ranks of the ladder (see the module docstring).  CP runs on
-    each core in its own metric.  The cores must share a shape, as the MOs
-    of one job do.
+    Returns {rank: one state per Tucker state} for the ascending,
+    deduplicated iterable ``ranks``, run as a ladder (see the module
+    docstring); a single rank is a one-rung ladder.  CP runs on each core in
+    its own metric.  The cores must share a shape, as the MOs of one job do.
     """
     chol = [[np.linalg.cholesky(s) for s in t.spec.overlaps] for t in tuckers]
     found = _cp_stack([mode_product(t.core, L) for t, L in zip(tuckers, chol)], ranks, options)
-
-    def states(R, results):
-        return [_canonical(t, tuple(np.linalg.solve(l.T, f.T).T for l, f in zip(L, result.v)),
+    return {R: [_canonical(t, tuple(np.linalg.solve(l.T, f.T).T for l, f in zip(L, result.v)),
                            result, R)
                 for t, L, result in zip(tuckers, chol, results)]
-
-    if isinstance(found, dict):
-        return {R: states(R, results) for R, results in found.items()}
-    return states(ranks, found)
+            for R, results in found.items()}
 
 
 def canonical_statevector(spec: LorentzianBasisSpec, lambdas, u) -> np.ndarray:

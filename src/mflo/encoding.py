@@ -26,7 +26,7 @@ import numpy as np
 
 from .cpd import CanonicalState
 from .fitting import TuckerState
-from .lorentzian import LorentzianBasisSpec, lf_state
+from .lorentzian import lf_state
 from .tensor import metric_inner
 
 __all__ = [
@@ -66,18 +66,11 @@ class CircuitCostReport:
                 raise ValueError(f"{name} must be non-negative")
 
 
-def _n_l(spec) -> tuple[int, int, int]:
-    if isinstance(spec, LorentzianBasisSpec):
-        return spec.n_l
-    counts = tuple(int(c) for c in spec)
+def ancilla_counts(n_l, R: int | None = None):
+    """(n_Av per direction, their sum, and ceil(log2 R) when R is given) of layout n_l."""
+    counts = tuple(int(c) for c in n_l)
     if len(counts) != 3 or any(c < 1 for c in counts):
-        raise ValueError(f"need three positive LF counts, got {spec!r}")
-    return counts
-
-
-def ancilla_counts(spec, R: int | None = None):
-    """(n_Av per direction, their sum, and ceil(log2 R) when R is given)."""
-    counts = _n_l(spec)
+        raise ValueError(f"need three positive LF counts, got {n_l!r}")
     n_a = tuple((c - 1).bit_length() for c in counts)
     n_ac = None
     if R is not None:
@@ -99,7 +92,7 @@ def _qft_informational(n_qe: int) -> int:
     return 3 * (n_qe * (n_qe - 1) + 3 * (n_qe // 2))
 
 
-def cnot_count_tucker(spec, n_qe: int) -> CircuitCostReport:
+def cnot_count_tucker(n_l, n_qe: int) -> CircuitCostReport:
     """CNOT counts to prepare the Tucker-form state, QFT excluded.
 
     With no basis ancillae at all (one LF in every direction) the
@@ -107,7 +100,7 @@ def cnot_count_tucker(spec, n_qe: int) -> CircuitCostReport:
     2^0 - 2 of the closed form; all other layouts use the form verbatim.
     """
     _check_n_qe(n_qe)
-    n_a, n_al, _ = ancilla_counts(spec)
+    n_a, n_al, _ = ancilla_counts(n_l)
     pow_sum = sum(1 << v for v in n_a)
     cx_sph = -9 + 3 * n_qe * pow_sum
     cx_amp = max(0, (1 << n_al) - 2)
@@ -117,10 +110,10 @@ def cnot_count_tucker(spec, n_qe: int) -> CircuitCostReport:
         qft_cx_informational=_qft_informational(n_qe))
 
 
-def cnot_count_canonical(spec, n_qe: int, R: int) -> CircuitCostReport:
+def cnot_count_canonical(n_l, n_qe: int, R: int) -> CircuitCostReport:
     """CNOT counts for the rank-R canonical-form state, QFT excluded."""
     _check_n_qe(n_qe)
-    n_a, n_al, n_ac = ancilla_counts(spec, R)
+    n_a, n_al, n_ac = ancilla_counts(n_l, R)
     pow_sum = sum(1 << v for v in n_a)
     cx_sph = -9 + 3 * n_qe * pow_sum
     amp_raw = ((1 << n_ac) - 2) + sum((1 << n_ac) * ((1 << v) - 1) for v in n_a)

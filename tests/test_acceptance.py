@@ -188,13 +188,13 @@ def test_criterion_6_cp_exactness_and_monotonicity():
         kappa = float(core.ravel() @ S @ core.ravel())
         tucker333 = TuckerState(spec=spec333, core=core, fidelity=kappa,
                                 squared_overlap=kappa, penalty=0.0, kappa_max=kappa)
-        exact = decompose_cores([tucker333], 27, CpdOptions(n_restarts=8, seed=0))[0]
+        exact = decompose_cores([tucker333], [27], CpdOptions(n_restarts=8, seed=0))[27][0]
         assert exact.deviation < 1e-10
 
         _, fit, _ = _synthetic_two_gaussian_fit()
         devs = []
         for R in range(1, fit.spec.n_prod + 1):
-            canon = decompose_cores([fit], R, CpdOptions(n_restarts=8, seed=0))[0]
+            canon = decompose_cores([fit], [R], CpdOptions(n_restarts=8, seed=0))[R][0]
             devs.append(canon.deviation)
         assert all(a >= b - 1e-12 for a, b in zip(devs, devs[1:]))
         assert devs[-1] < 1e-10

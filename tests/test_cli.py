@@ -120,6 +120,25 @@ class TestLoadJob:
         assert json.loads(capsys.readouterr().err)["pointer"] == pointer
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, field, value, pointer, message", [
+        ("cell", "edge_lengths", [0.0, 8.0, 8.0], "/cell", "edge lengths"),
+        ("ao", "exponents", [-1.0], "/molecule/aos/0", "exponents"),
+        ("ao", "exponents", [4.0, 2.0, 1.0], "/molecule/aos/0", "3 exponents vs 1"),
+        ("ao", "coefficients", [0.0], "/molecule/aos/0", "zero norm"),
+    ])
+    def test_cell_and_ao_errors_name_their_object(self, tmp_path, capsys, section, field,
+                                                  value, pointer, message):
+        # the schema passes these; the cell and AO constructors reject them
+        def mutate(j):
+            (j["cell"] if section == "cell" else j["molecule"]["aos"][0])[field] = value
+        out = tmp_path / "r.json"
+        code = main(["fit", "--job", str(_broken_job(tmp_path, mutate)), "--out", str(out)])
+        assert code == EXIT_SCHEMA
+        err = json.loads(capsys.readouterr().err)
+        assert err["pointer"] == pointer
+        assert message in err["message"]
+        assert not out.exists()
+
     def test_run_option_fields_match_the_options(self):
         props = {name: set(JOB_SCHEMA["properties"][name]["properties"])
                  for name in ("fit", "cpd")}
@@ -472,6 +491,24 @@ class TestGateCountTable:
         assert table["qft_informational"] == 3 * (7 * 6 + 3 * 3)
         assert table["canonical"]["3"] == {
             "total": 281, "sph": 243, "amp": 38, "n_a_canonical": 2}
+
+    def test_report_agrees_with_gate_count(self, tmp_path, capsys):
+        report, _ = run_fit(H2, out_path=tmp_path / "r.json")
+        entries = [c for mo in report["mos"].values() for c in mo["canonical"].values()]
+        # the h2 rank-2 entries are rank-reduced, so rows are keyed by the reported rank
+        ranks = sorted({c["rank"] for c in entries})
+        out = tmp_path / "gc.json"
+        argv = ["gate-count", "--job", str(H2), "--out", str(out)]
+        assert main(argv + [f"--rank={r}" for r in ranks]) == EXIT_OK
+        table = json.loads(out.read_text())
+        assert table["ancillae"] == report["ancillae"]
+        tucker = dict(report["cnot_tucker"])
+        assert tucker.pop("qft_informational") == table["qft_informational"]
+        assert table["tucker"] == tucker
+        for c in entries:
+            row = dict(table["canonical"][str(c["rank"])])
+            assert row.pop("n_a_canonical") == c["n_a_canonical"]
+            assert row == c["cnot"]
 
 
 class TestMain:

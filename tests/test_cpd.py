@@ -123,7 +123,7 @@ class TestCpDecompose:
         rng = np.random.default_rng(0)
         d = np.einsum("a,b,c->abc", rng.normal(size=3), rng.normal(size=3),
                       rng.normal(size=3))
-        res = cpd._cp_stack([d], 1, CpdOptions(n_restarts=1, seed=0))[0]
+        res = cpd._cp_stack([d], [1], CpdOptions(n_restarts=1, seed=0))[1][0]
         assert res.rec_error < 1e-12
         np.testing.assert_allclose(_reconstruct(res.v), d, atol=1e-12)
 
@@ -133,7 +133,7 @@ class TestCpDecompose:
         y = rng.normal(size=(2, 3))
         z = rng.normal(size=(2, 3))
         d = np.einsum("ra,rb,rc->abc", x, y, z)
-        res = cpd._cp_stack([d], 2, CpdOptions(n_restarts=4, seed=0))[0]
+        res = cpd._cp_stack([d], [2], CpdOptions(n_restarts=4, seed=0))[2][0]
         assert res.rec_error < 1e-10
         np.testing.assert_allclose(_reconstruct(res.v), d, atol=1e-9)
 
@@ -144,7 +144,7 @@ class TestCpDecompose:
         spec = _spec((3, 3, 3))
         true = [rng.normal(size=(2, 3)) for _ in range(3)]
         d = np.einsum("ra,rb,rc->abc", *true)
-        res = cpd._cp_stack([d], 2, CpdOptions(n_restarts=4, seed=0))[0]
+        res = cpd._cp_stack([d], [2], CpdOptions(n_restarts=4, seed=0))[2][0]
         _, lam = normalize_factors(res.v, spec)
         _, lam_true = normalize_factors(true, spec)
         np.testing.assert_allclose(lam, lam_true, rtol=1e-8)
@@ -152,13 +152,13 @@ class TestCpDecompose:
     def test_full_rank_exact(self):
         rng = np.random.default_rng(7)
         d = rng.normal(size=(3, 3, 3))
-        res = cpd._cp_stack([d], 27, CpdOptions(n_restarts=1, seed=0))[0]
+        res = cpd._cp_stack([d], [27], CpdOptions(n_restarts=1, seed=0))[27][0]
         assert res.rec_error < 1e-12
 
     def test_exact_start_not_flagged_ridge(self):
         # the exact start's mode Grams are singular, but it never solves with them
         d = np.random.default_rng(7).normal(size=(3, 3, 3))
-        res = cpd._cp_stack([d], 27, CpdOptions(n_restarts=1, seed=0))[0]
+        res = cpd._cp_stack([d], [27], CpdOptions(n_restarts=1, seed=0))[27][0]
         assert (res.sweeps, res.flags) == (0, ())
 
     def test_more_sweeps_never_worse(self, monkeypatch):
@@ -168,21 +168,21 @@ class TestCpDecompose:
         for warm_up, lm in ((1, 0), (2, 0), (8, 0), (30, 30)):
             monkeypatch.setattr(cpd, "WARMUP_SWEEPS", warm_up)
             monkeypatch.setattr(cpd, "LM_MAX_ITER", lm)
-            errs.append(cpd._cp_stack([d], 2, CpdOptions(n_restarts=1, seed=3))[0].rec_error)
+            errs.append(cpd._cp_stack([d], [2], CpdOptions(n_restarts=1, seed=3))[2][0].rec_error)
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
 
     def test_best_restart_selected(self):
         rng = np.random.default_rng(9)
         d = rng.normal(size=(3, 3, 3))
-        res = cpd._cp_stack([d], 3, CpdOptions(n_restarts=6, seed=1))[0]
+        res = cpd._cp_stack([d], [3], CpdOptions(n_restarts=6, seed=1))[3][0]
         assert res.rec_error == min(res.restart_errors)
         assert len(res.restart_errors) == 6
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(10)
         d = rng.normal(size=(2, 2, 2))
-        a = cpd._cp_stack([d], 2, CpdOptions(n_restarts=3, seed=5))[0]
-        b = cpd._cp_stack([d], 2, CpdOptions(n_restarts=3, seed=5))[0]
+        a = cpd._cp_stack([d], [2], CpdOptions(n_restarts=3, seed=5))[2][0]
+        b = cpd._cp_stack([d], [2], CpdOptions(n_restarts=3, seed=5))[2][0]
         assert a.rec_error == b.rec_error
         for ma, mb in zip(a.v, b.v):
             np.testing.assert_array_equal(ma, mb)
@@ -191,18 +191,18 @@ class TestCpDecompose:
         rng = np.random.default_rng(0)
         d = np.einsum("a,b,c->abc", rng.normal(size=3), rng.normal(size=3),
                       rng.normal(size=3))
-        res = cpd._cp_stack([d], 2, CpdOptions(n_restarts=2, seed=0))[0]
+        res = cpd._cp_stack([d], [2], CpdOptions(n_restarts=2, seed=0))[2][0]
         assert "gram-ridge" in res.flags
         assert res.rec_error < 1e-9
 
     def test_zero_core_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            cpd._cp_stack([np.zeros((2, 2, 2))], 1, None)[0]
+            cpd._cp_stack([np.zeros((2, 2, 2))], [1], None)
 
     @pytest.mark.parametrize("R", [0, 9, -1])
     def test_rank_bounds(self, R):
         with pytest.raises(ValueError, match="rank"):
-            cpd._cp_stack([np.ones((2, 2, 2))], R, None)[0]
+            cpd._cp_stack([np.ones((2, 2, 2))], [R], None)
 
 
 class TestStackedAls:
@@ -240,9 +240,9 @@ class TestStackedAls:
         with monkeypatch.context() as m:
             m.setattr(cpd, "WARMUP_SWEEPS", 2)
             m.setattr(cpd, "LM_MAX_ITER", 0)
-            capped = cpd._cp_stack([d], 3, CpdOptions(n_restarts=2, seed=0))[0]
+            capped = cpd._cp_stack([d], [3], CpdOptions(n_restarts=2, seed=0))[3][0]
         assert (capped.sweeps, capped.converged) == (2, False)
-        free = cpd._cp_stack([d], 1, CpdOptions(n_restarts=2, seed=0))[0]
+        free = cpd._cp_stack([d], [1], CpdOptions(n_restarts=2, seed=0))[1][0]
         assert free.converged and 0 < free.sweeps < 500
 
     def test_core_result_independent_of_stack(self):
@@ -250,8 +250,8 @@ class TestStackedAls:
         rng = np.random.default_rng(32)
         tuckers = [_tucker(rng.normal(size=(3, 3, 3)), spec) for _ in range(3)]
         opt = CpdOptions(n_restarts=3, seed=4)
-        stacked = decompose_cores(tuckers, 3, opt)
-        alone = decompose_cores([tuckers[1]], 3, opt)[0]
+        stacked = decompose_cores(tuckers, [3], opt)[3]
+        alone = decompose_cores([tuckers[1]], [3], opt)[3][0]
         mine = stacked[1]
         np.testing.assert_array_equal(mine.lambdas, alone.lambdas)
         for m in range(3):
@@ -263,11 +263,11 @@ class TestStackedAls:
         # both restarts reach the best rank-one term; restart 1 ends 4e-14
         # lower by round-off, so the exact minimum would pick it
         d = np.random.default_rng(0).normal(size=(3, 3, 2))
-        res = cpd._cp_stack([d], 1, CpdOptions(n_restarts=2, seed=0))[0]
+        res = cpd._cp_stack([d], [1], CpdOptions(n_restarts=2, seed=0))[1][0]
         first, second = res.restart_errors
         assert second < first < second + cpd.ALS_TOL
         assert res.rec_error == first
-        alone = cpd._cp_stack([d], 1, CpdOptions(n_restarts=1, seed=0))[0]
+        alone = cpd._cp_stack([d], [1], CpdOptions(n_restarts=1, seed=0))[1][0]
         for m in range(3):
             np.testing.assert_array_equal(res.v[m], alone.v[m])
 
@@ -284,7 +284,7 @@ class TestStackedAls:
         spec_a, spec_b = _spec((2, 2, 2)), _spec((2, 2, 1))
         tuckers = [_tucker(np.ones((2, 2, 2)), spec_a), _tucker(np.ones((2, 2, 1)), spec_b)]
         with pytest.raises(ValueError, match="share one shape"):
-            decompose_cores(tuckers, 1)
+            decompose_cores(tuckers, [1])
 
 
 def _explicit_jacobian(factors):
@@ -411,7 +411,7 @@ class TestLevenbergMarquardt:
     def test_max_sweeps_caps_als_sweeps_plus_lm_iterations(self, max_sweeps, monkeypatch):
         monkeypatch.setattr(cpd, "LM_MAX_ITER", max_sweeps - cpd.WARMUP_SWEEPS)
         d = np.random.default_rng(31).normal(size=(3, 3, 3))
-        res = cpd._cp_stack([d], 3, CpdOptions(n_restarts=2, seed=0))[0]
+        res = cpd._cp_stack([d], [3], CpdOptions(n_restarts=2, seed=0))[3][0]
         assert cpd.WARMUP_SWEEPS < res.sweeps <= max_sweeps
 
 
@@ -427,7 +427,7 @@ class TestRankLadder:
 
     def test_ladder_start_no_worse_than_previous_winner(self):
         d = np.random.default_rng(43).normal(size=(2, 4, 3, 2))
-        prev = cpd._cp_stack(list(d), 2, CpdOptions(n_restarts=2, seed=0))
+        prev = cpd._cp_stack(list(d), [2], CpdOptions(n_restarts=2, seed=0))[2]
         factors = [np.stack([p.v[m] for p in prev]) for m in range(3)]
         start = cpd._ladder_start(d, factors, 4)
         assert [f.shape[1] for f in start] == [4, 4, 4]
@@ -584,7 +584,7 @@ class TestDecomposeCore:
         spec = _spec((3, 3, 3))
         rng = np.random.default_rng(12)
         tucker = _tucker(rng.normal(size=(3, 3, 3)), spec)
-        canon = decompose_cores([tucker], 27, CpdOptions(n_restarts=2, seed=0))[0]
+        canon = decompose_cores([tucker], [27], CpdOptions(n_restarts=2, seed=0))[27][0]
         assert canon.deviation < 1e-10
         assert canon.R == 27
 
@@ -592,7 +592,7 @@ class TestDecomposeCore:
         spec = _spec((2, 2, 2))
         rng = np.random.default_rng(13)
         tucker = _tucker(rng.normal(size=(2, 2, 2)), spec)
-        canon = decompose_cores([tucker], 2, CpdOptions(n_restarts=4, seed=0))[0]
+        canon = decompose_cores([tucker], [2], CpdOptions(n_restarts=4, seed=0))[2][0]
         phi_t = tucker_statevector(spec, tucker.core)
         phi_c = canonical_statevector(spec, canon.lambdas, canon.u)
         ov = float(phi_t @ phi_c)
@@ -604,7 +604,7 @@ class TestDecomposeCore:
         spec = _spec((2, 2, 1))
         rng = np.random.default_rng(14)
         tucker = _tucker(rng.normal(size=(2, 2, 1)), spec)
-        canon = decompose_cores([tucker], 2, CpdOptions(n_restarts=2, seed=1))[0]
+        canon = decompose_cores([tucker], [2], CpdOptions(n_restarts=2, seed=1))[2][0]
         phi_t = tucker_statevector(spec, tucker.core)
         phi_c = canonical_statevector(spec, canon.lambdas, canon.u)
         ov = float(phi_t @ phi_c)
@@ -617,21 +617,21 @@ class TestDecomposeCore:
         rng = np.random.default_rng(15)
         tucker = _tucker(rng.normal(size=(2, 2, 2)), spec)
         for R in (1, 2, 3):
-            canon = decompose_cores([tucker], R, CpdOptions(n_restarts=3, seed=0))[0]
+            canon = decompose_cores([tucker], [R], CpdOptions(n_restarts=3, seed=0))[R][0]
             assert 0 <= canon.deviation <= 1.0
 
     def test_deviation_non_increasing_in_rank(self):
         spec = _spec((2, 2, 2))
         rng = np.random.default_rng(16)
         tucker = _tucker(rng.normal(size=(2, 2, 2)), spec)
-        devs = [decompose_cores([tucker], R, CpdOptions(n_restarts=8, seed=0))[0].deviation
+        devs = [decompose_cores([tucker], [R], CpdOptions(n_restarts=8, seed=0))[R][0].deviation
                 for R in (1, 2, 4, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(devs, devs[1:]))
 
     def test_deviation_is_minimized_metric_residual(self):
         spec = _wide_spec()
         tucker = _tucker(np.random.default_rng(2).normal(size=(3, 3, 3)), spec)
-        canon = decompose_cores([tucker], 2, CpdOptions(n_restarts=4, seed=0))[0]
+        canon = decompose_cores([tucker], [2], CpdOptions(n_restarts=4, seed=0))[2][0]
         assert canon.converged
         e = cp_full(canon.lambdas, canon.u)
         residual = (metric_inner(tucker.core - e, tucker.core - e, spec.overlaps)
@@ -646,8 +646,8 @@ class TestDecomposeCore:
         opt = CpdOptions(n_restarts=4, seed=0)
         devs = []
         for R in (1, 2, 3, 4):
-            metric = decompose_cores([tucker], R, opt)[0].deviation
-            u, lam = normalize_factors(cpd._cp_stack([tucker.core], R, opt)[0].v, spec)
+            metric = decompose_cores([tucker], [R], opt)[R][0].deviation
+            u, lam = normalize_factors(cpd._cp_stack([tucker.core], [R], opt)[R][0].v, spec)
             _, euclidean = cpd._overlap_terms(spec.overlaps, tucker.core, lam, u)
             assert metric <= euclidean
             devs.append(metric)
@@ -660,11 +660,12 @@ class TestDecomposeCore:
              np.array([[0.7, 1.0], [0.0, 0.0]]),
              np.array([[1.0, 0.4], [0.6, 0.9]]))
         # factors in the metric's Cholesky coordinates; the zero row stays zero
-        monkeypatch.setattr(cpd, "_cp_stack", lambda cores, R, options=None: [CpResult(
-            v=v, rec_error=0.5, restart_errors=(0.5,), flags=(), sweeps=7, converged=True)])
+        monkeypatch.setattr(cpd, "_cp_stack", lambda cores, ranks, options=None: {R: [CpResult(
+            v=v, rec_error=0.5, restart_errors=(0.5,), flags=(), sweeps=7, converged=True)]
+            for R in ranks})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            canon = decompose_cores([tucker], 2)[0]
+            canon = decompose_cores([tucker], [2])[2][0]
         assert canon.R == 1
         assert canon.lambdas.shape == (1,)
         assert canon.flags == ("rank-reduced",)
@@ -673,7 +674,8 @@ class TestDecomposeCore:
         # factors of a 2x2x1 core cannot be normalized in a 2x2x2 metric
         spec_a = _spec((2, 2, 2))
         rng = np.random.default_rng(17)
-        result = cpd._cp_stack([rng.normal(size=(2, 2, 1))], 1, CpdOptions(n_restarts=1, seed=0))[0]
+        result = cpd._cp_stack([rng.normal(size=(2, 2, 1))], [1],
+                               CpdOptions(n_restarts=1, seed=0))[1][0]
         with pytest.raises(ValueError, match="spec"):
             normalize_factors(result.v, spec_a)
 
@@ -691,7 +693,7 @@ class TestDecomposeCore:
             return states(self)
 
         monkeypatch.setattr(lorentzian.AxisProfiles, "states", counting)
-        canon = decompose_cores([tucker], 2, CpdOptions(n_restarts=2, seed=0))[0]
+        canon = decompose_cores([tucker], [2], CpdOptions(n_restarts=2, seed=0))[2][0]
         success_prob_tucker(tucker)
         success_prob_canonical(canon)
         assert len(calls) == 3

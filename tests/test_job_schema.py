@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from mflo.cli import _TYPES, JOB_SCHEMA, JobError, _validate
+from mflo.cli import (_TYPES, JOB_SCHEMA, JobError, _check_cross_references, _job_cell,
+                      _job_molecule, _job_spec, _validate)
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -170,3 +171,25 @@ def test_same_decisions_as_jsonschema_outside_the_tightenings():
         elif ours is not None and pointer is not None and ours != pointer:
             mismatches.append(f"{case}: pointer {ours!r}, expected {pointer!r}")
     assert not mismatches, "\n".join(mismatches)
+
+
+def test_every_accepted_job_builds_or_names_its_field():
+    # the cell, AO and basis constructors hold rules the schema does not
+    # repeat; a job that breaks one exits 2 with a pointer, not as a crash
+    uncaught, pointers = [], set()
+    for case, job, _, _ in CORPUS:
+        try:
+            _validate(job, JOB_SCHEMA)
+            _check_cross_references(job)
+        except JobError:
+            continue
+        try:
+            cell = _job_cell(job)
+            _job_molecule(job)
+            _job_spec(job, cell)
+        except JobError as exc:
+            pointers.add(exc.pointer.rstrip("0123456789"))
+        except Exception as exc:  # noqa: BLE001 - every escape is collected
+            uncaught.append(f"{case}: {type(exc).__name__}: {exc}")
+    assert not uncaught, "\n".join(uncaught)
+    assert {"/cell", "/molecule/aos/"} <= pointers
