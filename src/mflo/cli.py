@@ -646,14 +646,14 @@ def read_state_export(path) -> tuple[np.ndarray, dict]:
 def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dict, Path]:
     """Re-run the rank sweep on an existing report, updating it in place.
 
-    The CP options come from the job embedded in the report.
+    The CP options come from the job embedded in the report.  Repeated MO names count once.
     """
     report_path = Path(report_path)
     report = json.loads(report_path.read_text())
     job = report["job"]
     n_qe = job["cell"]["n_qe"]
     options = _job_cpd_options(job)
-    names = list(report["mos"]) if not mo_names else list(mo_names)
+    names = list(report["mos"]) if not mo_names else list(dict.fromkeys(mo_names))
     for name in names:
         if name not in report["mos"]:
             raise ValueError(f"report has no MO named {name!r}")

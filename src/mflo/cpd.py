@@ -17,10 +17,11 @@ counts (core, candidate) pairs: every candidate of every core of a report
    least squares (Kolda & Bader, SIAM Review 51, 455 (2009)).  Each mode
    update solves the exact linear least-squares problem through the
    Khatri-Rao Gram identity (Hadamard product of the other two factor Grams)
-   with the MTTKRP as right-hand side, one batched Gram product, MTTKRP and
-   solve per mode and sweep.  Every solve adds RIDGE_SCALE tr(Gram) to the
-   diagonal, a ridge at round-off scale.  A pair stops when its relative
-   error changes by less than ALS_TOL.
+   with the MTTKRP as right-hand side: per mode and sweep, one batched Gram
+   product, Khatri-Rao product, MTTKRP and solve, whose diagonal gets
+   RIDGE_SCALE tr(Gram) in place, a ridge at round-off scale.  The last
+   mode's Khatri-Rao product also gives the sweep's direct residual.  A pair
+   stops when its relative error changes by less than ALS_TOL.
 2. Finish.  Each core's best candidate that did not stop in the warm-up runs
    Levenberg-Marquardt (LM) for at most LM_MAX_ITER iterations.  The
    normal equations come from the factor Grams and the MTTKRP alone (Tomasi
@@ -30,15 +31,19 @@ counts (core, candidate) pairs: every candidate of every core of a report
    (W_p + mu I) (x) I, which one R x R inverse handles, so all pairs share
    one batched solve of size R (n_x + n_y + n_z - n_p), 64 instead of 112
    at R = 8 on a 6x4x4 basis, and mode p follows by back-substitution (see
-   ``_reduced_system``).  A step is kept only if it lowers the error, and
-   LM stops once a kept step lowers it by less than LM_RTOL, relative (see
-   ``_lm``).
+   ``_reduced_system``).  Per iteration: three Grams, the gradient, one R x R
+   inverse, the reduced solve and the trial's direct residual.  A step is
+   kept only if it lowers the error, and LM stops once a kept step lowers it
+   by less than LM_RTOL, relative (see ``_lm``).  When every pair keeps its
+   step, as in most iterations, the trial carries over unmerged, and its
+   Khatri-Rao product serves the next gradient.
 3. Choice.  The candidate with the lowest error wins.  Candidates whose
    errors agree within ALS_TOL are tied, and the lowest index among them
    wins, so round-off does not pick the winner.
 
-The candidates are the ``n_restarts`` seeded starts (SVD basis, or the exact
-form at R = n_prod, then random) and, past a ladder's first rung, one more.
+The candidates are the ``n_restarts`` seeded starts (SVD basis, one batched
+SVD per mode for a whole stack, or the exact form at R = n_prod, then
+random) and, past a ladder's first rung, one more.
 The requested ranks are decomposed in increasing order, and each rank's extra
 candidate is the previous rank's winner plus greedy rank-one terms of its
 residual.  That start is no worse than the previous winner, and both stages
@@ -52,8 +57,8 @@ each pair alone, so a core's result does not depend on what it was stacked
 with.  ``sweeps`` counts the winner's ALS sweeps plus LM iterations, and
 ``converged`` says that a stop test fired before the cap of the stage it
 ended in.  The relative error is always the direct residual ||d - e|| / ||d||.
-A result is flagged ``gram-ridge`` when it swept and one of its final mode
-Grams has its smallest eigenvalue at most the ridge.
+A core's winner is flagged ``gram-ridge`` when it swept and one of its final
+mode Grams has its smallest eigenvalue at most the ridge.
 
 Factors are then rescaled in the LF overlap metric,
 N_r^(v) = sqrt(v_r . S^(v) v_r), so each row u_r = v_r / N_r describes a
@@ -76,7 +81,7 @@ import numpy as np
 
 from .fitting import TuckerState
 from .lorentzian import LorentzianBasisSpec
-from .tensor import _OTHERS, cp_full, metric_inner, mode_product, mttkrp, unfold
+from .tensor import _OTHERS, cp_full, khatri_rao, metric_inner, mode_product, mttkrp, unfold
 
 __all__ = [
     "CanonicalState",
@@ -129,18 +134,19 @@ class CanonicalState:
 
 
 def _exact_init(d: np.ndarray) -> list[np.ndarray]:
-    """Exact R = n_prod decomposition: one separable term per core entry (C order)."""
-    rows = np.arange(d.size)
-    i, j, k = np.indices(d.shape).reshape(3, -1)
-    A, B, C = (np.zeros((d.size, n)) for n in d.shape)
-    A[rows, i] = d.ravel()
-    B[rows, j] = 1.0
-    C[rows, k] = 1.0
+    """Exact R = n_prod decomposition: one separable term per core entry (C order), per core."""
+    *lead, I, J, K = d.shape
+    rows = np.arange(I * J * K)
+    i, j, k = np.indices((I, J, K)).reshape(3, -1)
+    A, B, C = (np.zeros((*lead, rows.size, n)) for n in (I, J, K))
+    A[..., rows, i] = d.reshape(*lead, -1)
+    B[..., rows, j] = 1.0
+    C[..., rows, k] = 1.0
     return [A, B, C]
 
 
 def _left_singular(d: np.ndarray) -> list[np.ndarray]:
-    """Left singular vectors of each mode unfolding of d, the SVD start of every rank."""
+    """Left singular vectors of each mode unfolding of d (or of each stacked core)."""
     return [np.linalg.svd(unfold(d, mode), full_matrices=False)[0] for mode in range(3)]
 
 
@@ -148,11 +154,12 @@ def _svd_init(bases, R: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Leading R of each unfolding's left singular vectors ``bases``, padded randomly past R."""
     out = []
     for u_mat in bases:
-        take = min(R, u_mat.shape[1])
-        fac = np.empty((R, u_mat.shape[0]))
-        fac[:take] = u_mat[:, :take].T
+        *lead, n, k = u_mat.shape
+        take = min(R, k)
+        fac = np.empty((*lead, R, n))
+        fac[..., :take, :] = u_mat[..., :take].swapaxes(-1, -2)
         if take < R:
-            fac[take:] = rng.standard_normal((R - take, u_mat.shape[0]))
+            fac[..., take:, :] = rng.standard_normal((R - take, n))
         out.append(fac)
     return out
 
@@ -162,16 +169,19 @@ def _init(d: np.ndarray, R: int, restart: int, seed: np.random.SeedSequence,
     """Restart 0 starts from the SVD basis (the exact form at R = n_prod), the rest at random.
 
     ``bases`` is ``_left_singular(d)``, computed once for every rank of a ladder.
+    For a stack of cores, restart 0 gives stacked factors, and a random
+    start's factors serve every core, which would each draw them alone.
     """
+    *_, I, J, K = d.shape
     rng = np.random.default_rng(seed)
     if restart == 0:
-        return _exact_init(d) if R == d.size else _svd_init(bases, R, rng)
-    return [rng.standard_normal((R, dim)) for dim in d.shape]
+        return _exact_init(d) if R == I * J * K else _svd_init(bases, R, rng)
+    return [rng.standard_normal((R, n)) for n in (I, J, K)]
 
 
-def _residual(d: np.ndarray, factors, norm_d: np.ndarray) -> np.ndarray:
-    """Direct relative residual ||d - e|| / ||d|| of each stacked CP form."""
-    diff = d - cp_full(np.ones(factors[0].shape[:-1]), factors)
+def _residual(d: np.ndarray, factors, norm_d: np.ndarray, kr=None) -> np.ndarray:
+    """Direct relative residual ||d - e|| / ||d|| of each stacked CP form, ``kr`` as in cp_full."""
+    diff = d - cp_full(None, factors, kr)
     return np.sqrt(np.square(diff).sum(axis=(1, 2, 3))) / norm_d
 
 
@@ -197,15 +207,15 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     ``max_sweeps`` is reached; a pair whose start is already exact does not
     sweep, since sweeping would only add ridge noise.  Finished pairs leave
     the stack, so the others do the same arithmetic as they would alone.
-    Returns the final factors, relative errors, sweep counts, converged
-    flags and ridge flags (see the module docstring), one entry per pair.
+    Returns the final factors, relative errors, sweep counts and converged
+    flags, one entry per pair.
     """
     norm_d = _norms(d)
     out = [np.array(f, dtype=np.float64) for f in factors]
     err = _residual(d, out, norm_d)
     sweeps = np.zeros(len(d), dtype=int)
     converged = err <= ALS_TOL
-    eye = np.eye(out[0].shape[1])
+    diagonal = np.s_[:, ::out[0].shape[1] + 1]  # of a Gram stack flattened to (pairs, R * R)
     live = np.flatnonzero(~converged)
     F = [f[live] for f in out]
     dl, nl, prev = d[live], norm_d[live], err[live]
@@ -216,11 +226,12 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
         sweep += 1
         for mode, (i, j) in enumerate(_OTHERS):
             gram = grams[i] * grams[j]
-            ridge = RIDGE_SCALE * gram.diagonal(0, 1, 2).sum(axis=1)
-            rhs = mttkrp(unf[mode], F, mode)
-            F[mode] = np.linalg.solve(gram + ridge[:, None, None] * eye, rhs)
+            diag = gram.reshape(len(gram), -1)[diagonal]
+            diag += RIDGE_SCALE * diag.sum(axis=1, keepdims=True)
+            kr = khatri_rao(F[i], F[j])
+            F[mode] = np.linalg.solve(gram, mttkrp(unf[mode], F, mode, kr))
             grams[mode] = F[mode] @ F[mode].swapaxes(1, 2)
-        e = _residual(dl, F, nl)
+        e = _residual(dl, F, nl, kr)  # the mode-2 update's kr is that of the first two factors
         done = np.abs(prev - e) < ALS_TOL
         prev = e
         if done.any():
@@ -239,22 +250,23 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     err[live] = prev
     for m in range(3):
         out[m][live] = F[m]
-    return out, err, sweeps, converged, _ridged(out) & (sweeps > 0)
+    return out, err, sweeps, converged
 
 
-def _gradient(unfolded, factors, grams) -> list[np.ndarray]:
+def _gradient(unfolded, factors, grams, kr=None) -> list[np.ndarray]:
     """J^T r of stacked CP forms, r = e - d, per mode: (G_i * G_j) F_m - MTTKRP.
 
-    ``unfolded`` holds the cores' mode unfoldings and ``grams`` the factor
-    Grams G_m = F_m F_m^T.
+    ``unfolded`` holds the cores' mode unfoldings, ``grams`` the factor
+    Grams G_m = F_m F_m^T, and ``kr``, if given, serves mode 2's MTTKRP.
     """
-    return [(grams[i] * grams[j]) @ factors[m] - mttkrp(unfolded[m], factors, m)
+    return [(grams[i] * grams[j]) @ factors[m]
+            - mttkrp(unfolded[m], factors, m, kr if m == 2 else None)
             for m, (i, j) in enumerate(_OTHERS)]
 
 
 def _longest_mode(factors) -> int:
     """The mode with the most columns, the lowest index among ties."""
-    return int(np.argmax([f.shape[2] for f in factors]))
+    return max(range(3), key=lambda m: factors[m].shape[2])
 
 
 def _reduced_system(factors, grams, grad, mu):
@@ -281,7 +293,9 @@ def _reduced_system(factors, grams, grad, mu):
     k, l = _OTHERS[p]
     n_k, n_l = factors[k].shape[2], factors[l].shape[2]
     n_y = n_k + n_l
-    winv = np.linalg.inv(grams[k] * grams[l] + mu[:, None, None] * np.eye(R))
+    w = grams[k] * grams[l]
+    w.reshape(n_pairs, -1)[:, ::R + 1] += mu[:, None]
+    winv = np.linalg.inv(w)
     j2 = np.zeros((n_pairs, n_k, n_l, R, n_y))
     j2[:, np.arange(n_k), :, :, np.arange(n_k)] = factors[l].swapaxes(1, 2)
     j2[:, :, np.arange(n_l), :, n_k + np.arange(n_l)] = factors[k].swapaxes(1, 2)
@@ -312,7 +326,7 @@ def _lm_step(factors, grams, grad, mu) -> list[np.ndarray]:
     k, l = _OTHERS[p]
     y = np.linalg.solve(lhs, rhs[..., None]).reshape(len(lhs), factors[0].shape[1], -1)
     step = [None] * 3
-    step[k], step[l] = np.split(y, [factors[k].shape[2]], axis=2)
+    step[k], step[l] = y[:, :, :factors[k].shape[2]], y[:, :, factors[k].shape[2]:]
     coupling = (grams[l] * (factors[k] @ step[k].swapaxes(1, 2))
                 + grams[k] * (factors[l] @ step[l].swapaxes(1, 2)))
     step[p] = -(winv @ (grad[p] + coupling @ factors[p]))
@@ -345,28 +359,33 @@ def _lm(d: np.ndarray, factors, err: np.ndarray, max_iter: int):
     norm2 = [np.square(f).sum(axis=2) for f in F]
     mu = LM_TAU * np.max([norm2[i] * norm2[j] for i, j in _OTHERS], axis=(0, 2))
     nu = np.full(len(d), 2.0)
+    kr = None  # of F's first two factors, once a trial residual has built it
     it = 0
     while live.size and it < max_iter:
         it += 1
         grams = [f @ f.swapaxes(1, 2) for f in F]
-        grad = _gradient(unf, F, grams)
+        grad = _gradient(unf, F, grams, kr)
         step = _lm_step(F, grams, grad, mu)
         trial = [f + s for f, s in zip(F, step)]
-        e_new = _residual(dl, trial, nl)
+        kr = khatri_rao(trial[0], trial[1])
+        e_new = _residual(dl, trial, nl, kr)
         ok = e_new < e
         gain = np.square(e) - np.square(e_new)
-        predicted = sum(np.sum(s * (mu[:, None, None] * s - g), axis=(1, 2))
-                        for s, g in zip(step, grad))
+        mu_b = mu[:, None, None]
+        predicted = sum((s * (mu_b * s - g)).sum(axis=(1, 2)) for s, g in zip(step, grad))
         rho = np.square(nl) * gain / np.where(ok, predicted, 1.0)
-        mu = np.where(ok, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), mu * nu)
-        nu = np.where(ok, 2.0, 2.0 * nu)
-        F = [np.where(ok[:, None, None], t, f) for t, f in zip(trial, F)]
-        done = ok & ((e - e_new < LM_RTOL * e) | (e_new <= ALS_TOL))
-        if not ok.all():
+        shrunk = mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        done = (e - e_new < LM_RTOL * e) | (e_new <= ALS_TOL)
+        if ok.all():  # most iterations: nothing to merge, and kr is that of F's first two factors
+            F, e, mu, nu = trial, e_new, shrunk, np.full(len(e), 2.0)
+        else:
+            mu = np.where(ok, shrunk, mu * nu)
+            nu = np.where(ok, 2.0, 2.0 * nu)
+            F, kr = [np.where(ok[:, None, None], t, f) for t, f in zip(trial, F)], None
             x_norm = np.sqrt(sum(np.square(f).sum(axis=(1, 2)) for f in F))
             step_norm = np.sqrt(sum(np.square(s).sum(axis=(1, 2)) for s in step))
-            done |= ~ok & (step_norm <= LM_STEP_FLOOR * x_norm)
-        e = np.where(ok, e_new, e)
+            done = np.where(ok, done, step_norm <= LM_STEP_FLOOR * x_norm)
+            e = np.where(ok, e_new, e)
         if done.any():
             finished = live[done]
             converged[finished] = True
@@ -376,7 +395,7 @@ def _lm(d: np.ndarray, factors, err: np.ndarray, max_iter: int):
                 out[m][finished] = F[m][done]
             keep = ~done
             live, dl, nl, e, mu, nu = live[keep], dl[keep], nl[keep], e[keep], mu[keep], nu[keep]
-            F = [f[keep] for f in F]
+            F, kr = [f[keep] for f in F], None if kr is None else kr[keep]
             unf = [u[keep] for u in unf]
     iters[live] = it
     err[live] = e
@@ -392,39 +411,37 @@ def _ladder_start(d: np.ndarray, factors, R: int):
     so the start's error is at most the factors' error.
     """
     out = list(factors)
-    rest = d - cp_full(np.ones(out[0].shape[:-1]), out)
+    rest = d - cp_full(None, out)
     for _ in range(R - out[0].shape[1]):
-        starts = [_svd_init(_left_singular(core), 1, None) for core in rest]
-        term = _als(rest, [np.stack([s[m] for s in starts]) for m in range(3)], WARMUP_SWEEPS)[0]
+        start = [u[:, :, :1].swapaxes(1, 2) for u in _left_singular(rest)]
+        term = _als(rest, start, WARMUP_SWEEPS)[0]
         out = [np.concatenate([f, t], axis=1) for f, t in zip(out, term)]
-        rest = rest - cp_full(np.ones(term[0].shape[:-1]), term)
+        rest = rest - cp_full(None, term)
     return out
 
 
-def _rank_stage(d: np.ndarray, R: int, opt: CpdOptions, prev, bases) -> list[CpResult]:
+def _rank_stage(d: np.ndarray, R: int, seeds, prev, bases) -> list[CpResult]:
     """Best candidate of each stacked core d (C, I, J, K) at rank R.
 
-    The candidates are the seeded restarts, whose SVD starts read each core's
-    ``_left_singular`` in ``bases``, and, when ``prev`` holds the previous
-    rank's stacked winning factors, the ladder start.  All of them
-    run at most WARMUP_SWEEPS ALS sweeps together; each core's best candidate
-    that did not converge there goes on to at most LM_MAX_ITER LM iterations.
+    The candidates are the restarts, one per seed of ``seeds``, whose SVD
+    starts read the cores' stacked ``_left_singular`` in ``bases``, and, when
+    ``prev`` holds the previous rank's stacked winning factors, the ladder
+    start.  All of them run at most WARMUP_SWEEPS ALS sweeps together; each
+    core's best candidate that did not converge there goes on to at most
+    LM_MAX_ITER LM iterations.
     """
-    n_runs = max(1, opt.n_restarts)
-    seeds = np.random.SeedSequence(opt.seed).spawn(n_runs)
-    starts = [[_init(core, R, r, seeds[r], basis) for r in range(n_runs)]
-              for core, basis in zip(d, bases)]
+    starts = [_init(d, R, r, seed, bases) for r, seed in enumerate(seeds)]
     if prev is not None:
-        ladder = _ladder_start(d, prev, R)
-        for c, core_starts in enumerate(starts):
-            core_starts.append([m[c] for m in ladder])
-    n_cand = len(starts[0])
-    flat = [s for core_starts in starts for s in core_starts]
-    v, err, sweeps, converged, ridged = _als(
-        np.repeat(d, n_cand, axis=0), [np.stack([s[m] for s in flat]) for m in range(3)],
-        WARMUP_SWEEPS)
-    best = np.array([c * n_cand + _best_restart(err[c * n_cand:(c + 1) * n_cand])
-                     for c in range(len(d))])
+        starts.append(_ladder_start(d, prev, R))
+    n_cand = len(starts)
+    pairs = [np.empty((len(d), n_cand, R, n)) for n in d.shape[1:]]
+    for s, start in enumerate(starts):  # a random start serves every core
+        for m, f in enumerate(start):
+            pairs[m][:, s] = f
+    # pair c * n_cand + s is candidate s of core c
+    v, err, sweeps, converged = _als(np.repeat(d, n_cand, axis=0),
+                                     [f.reshape(-1, R, f.shape[-1]) for f in pairs], WARMUP_SWEEPS)
+    best = np.array([c * n_cand + _best_restart(e) for c, e in enumerate(err.reshape(-1, n_cand))])
     refine = best[~converged[best]]
     if refine.size:
         factors, err[refine], iters, converged[refine] = _lm(
@@ -432,16 +449,13 @@ def _rank_stage(d: np.ndarray, R: int, opt: CpdOptions, prev, bases) -> list[CpR
         for m in range(3):
             v[m][refine] = factors[m]
         sweeps[refine] += iters
-        ridged[refine] = _ridged(factors)
-    results = []
-    for first in range(0, len(flat), n_cand):
-        errors = tuple(float(e) for e in err[first:first + n_cand])
-        win = first + _best_restart(errors)
-        results.append(CpResult(
-            v=tuple(m[win] for m in v), rec_error=errors[win - first],
-            restart_errors=errors, flags=("gram-ridge",) if ridged[win] else (),
-            sweeps=int(sweeps[win]), converged=bool(converged[win])))
-    return results
+    errors = [tuple(float(x) for x in e) for e in err.reshape(-1, n_cand)]
+    win = np.array([c * n_cand + _best_restart(e) for c, e in enumerate(errors)])
+    ridged = _ridged([m[win] for m in v]) & (sweeps[win] > 0)
+    return [CpResult(v=tuple(m[w] for m in v), rec_error=e[w - c * n_cand], restart_errors=e,
+                     flags=("gram-ridge",) if r else (), sweeps=int(sweeps[w]),
+                     converged=bool(converged[w]))
+            for c, (e, w, r) in enumerate(zip(errors, win, ridged))]
 
 
 def _cp_stack(cores, ranks, options: CpdOptions | None):
@@ -470,7 +484,8 @@ def _cp_stack(cores, ranks, options: CpdOptions | None):
         raise ValueError("cannot decompose an all-zero core tensor")
 
     d = np.stack(d)
-    bases = [_left_singular(core) for core in d]
+    bases = _left_singular(d)
+    seeds = np.random.SeedSequence(opt.seed).spawn(max(1, opt.n_restarts))
     winners: list[CpResult | None] = [None] * len(d)
     found = {}
     for R in ladder:
@@ -478,7 +493,7 @@ def _cp_stack(cores, ranks, options: CpdOptions | None):
         if todo:
             prev = (None if winners[todo[0]] is None else
                     [np.stack([winners[c].v[m] for c in todo]) for m in range(3)])
-            results = _rank_stage(d[todo], R, opt, prev, [bases[c] for c in todo])
+            results = _rank_stage(d[todo], R, seeds, prev, [b[todo] for b in bases])
             for c, result in zip(todo, results):
                 winners[c] = result
         found[R] = list(winners)

@@ -52,22 +52,28 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return kr.reshape(*kr.shape[:-3], -1, kr.shape[-1])
 
 
-def cp_full(weights: np.ndarray, factors) -> np.ndarray:
-    """Full tensor of a CP form: the first two factors' Khatri-Rao product times the third."""
+def cp_full(weights, factors, kr=None) -> np.ndarray:
+    """Full tensor of a CP form: the first two factors' Khatri-Rao product times the third.
+
+    ``weights`` None means unit weights; ``kr``, if given, is that product, already built.
+    """
     a, b, c = factors
-    full = khatri_rao(a * weights[..., :, None], b) @ c
+    if kr is None:
+        kr = khatri_rao(a if weights is None else a * weights[..., :, None], b)
+    full = kr @ c
     return full.reshape(*full.shape[:-2], a.shape[-1], b.shape[-1], c.shape[-1])
 
 
-def mttkrp(unfolded: np.ndarray, factors, mode: int) -> np.ndarray:
+def mttkrp(unfolded: np.ndarray, factors, mode: int, kr=None) -> np.ndarray:
     """A tensor times the Khatri-Rao product of the other two factors, shape (..., R, n_mode).
 
     ``unfolded`` is the tensor's mode-``mode`` unfolding, ``unfold(t, mode)``,
     so a caller that needs it again, or keeps it across iterations, builds it
-    once.  One (batched) matmul of the unfolding with the Khatri-Rao product.
+    once.  One (batched) matmul of the unfolding with the Khatri-Rao product,
+    or with ``kr`` if the caller has already built it.
     """
     i, j = _OTHERS[mode]
-    return (unfolded @ khatri_rao(factors[i], factors[j])).swapaxes(-1, -2)
+    return (unfolded @ (khatri_rao(factors[i], factors[j]) if kr is None else kr)).swapaxes(-1, -2)
 
 
 def metric_inner(a: np.ndarray, b: np.ndarray, overlaps) -> float:

@@ -475,6 +475,22 @@ class TestRunDecompose:
             assert two["cnot"] == one["cnot"]
             assert two["deviation"] == one["deviation"]
 
+    def test_repeated_mo_decomposed_once(self, tmp_path, monkeypatch):
+        import mflo.cli as cli
+
+        _, path = run_fit(H2, out_path=tmp_path / "r.json")
+        stacked = []
+        decompose = cli.decompose_cores
+        monkeypatch.setattr(cli, "decompose_cores",
+                            lambda tuckers, *rest: stacked.append(len(tuckers))
+                            or decompose(tuckers, *rest))
+        base = ["decompose", "--report", str(path), "--ranks", "1,2"]
+        assert main(base + ["--mo", "bonding", "--out", str(tmp_path / "once.json")]) == EXIT_OK
+        assert main(base + ["--mo", "bonding", "--mo", "bonding",
+                            "--out", str(tmp_path / "twice.json")]) == EXIT_OK
+        assert stacked == [1, 1]
+        assert (tmp_path / "twice.json").read_bytes() == (tmp_path / "once.json").read_bytes()
+
     def test_bad_rank_and_mo(self, tmp_path):
         _, path = run_fit(SINGLE, out_path=tmp_path / "r.json")
         with pytest.raises(ValueError, match="n_prod"):

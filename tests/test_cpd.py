@@ -99,12 +99,13 @@ def _als_restarts(d, R, opt):
     seeds = np.random.SeedSequence(opt.seed).spawn(opt.n_restarts)
     bases = cpd._left_singular(d)
     starts = [cpd._init(d, R, r, seeds[r], bases) for r in range(opt.n_restarts)]
-    v, err, sweeps, converged, ridged = cpd._als(
+    v, err, sweeps, converged = cpd._als(
         np.stack([d] * opt.n_restarts), [np.stack([s[m] for s in starts]) for m in range(3)], 300)
     errors = tuple(float(e) for e in err)
     best = cpd._best_restart(errors)
+    ridged = cpd._ridged([m[best:best + 1] for m in v])[0] and sweeps[best] > 0
     return CpResult(v=tuple(m[best] for m in v), rec_error=errors[best], restart_errors=errors,
-                    flags=("gram-ridge",) if ridged[best] else (), sweeps=int(sweeps[best]),
+                    flags=("gram-ridge",) if ridged else (), sweeps=int(sweeps[best]),
                     converged=bool(converged[best]))
 
 
@@ -229,11 +230,23 @@ class TestStackedAls:
         d = _reconstruct(true)
         starts = [true] + [[rng.normal(size=(2, n)) for n in (3, 2, 2)] for _ in range(2)]
         factors = [np.stack([s[m] for s in starts]) for m in range(3)]
-        v, err, sweeps, converged, _ = cpd._als(np.stack([d] * 3), factors, 50)
+        v, err, sweeps, converged = cpd._als(np.stack([d] * 3), factors, 50)
         assert sweeps[0] == 0 and converged[0] and err[0] <= cpd.ALS_TOL
         for m in range(3):
             np.testing.assert_array_equal(v[m][0], true[m])
         assert np.all(sweeps[1:] > 0)
+
+    @pytest.mark.parametrize("max_sweeps", [1, 4, 300])
+    def test_error_is_direct_residual_of_returned_factors(self, max_sweeps):
+        rng = np.random.default_rng(33)
+        for shape, R in (((3, 3, 3), 2), ((4, 3, 2), 3), ((2, 5, 3), 1)):
+            d = rng.normal(size=(4, *shape))
+            factors = [rng.normal(size=(4, R, n)) for n in shape]
+            # pair 0 starts exact and does not sweep
+            d[0] = _reconstruct([f[0] for f in factors])
+            v, err, sweeps, _ = cpd._als(d, factors, max_sweeps)
+            assert sweeps[0] == 0 and np.all(sweeps[1:] > 0)
+            np.testing.assert_array_equal(err, cpd._residual(d, v, cpd._norms(d)))
 
     def test_sweep_cap_reported_as_unconverged(self, monkeypatch):
         d = np.random.default_rng(31).normal(size=(3, 3, 3))
@@ -323,6 +336,23 @@ def _stacked_terms(d, factors):
     return stacked, grams, cpd._gradient(unfolded, stacked, grams)
 
 
+def _kept_steps(d, start, err, n_iter):
+    """Whether each pair, run alone, kept its step in iterations 1..n_iter.
+
+    A budget of k iterations returns the state after k steps of one
+    trajectory, so iteration k kept its step when it lowered the error.  All
+    pairs must still run after n_iter iterations.
+    """
+    kept = np.zeros((len(d), n_iter), dtype=bool)
+    for b in range(len(d)):
+        prev = err[b]
+        for k in range(1, n_iter + 1):
+            _, got, iters, _ = cpd._lm(d[b:b + 1], [f[b:b + 1] for f in start], err[b:b + 1], k)
+            assert iters[0] == k
+            kept[b, k - 1], prev = got[0] < prev, got[0]
+    return kept
+
+
 class TestLevenbergMarquardt:
     # the longest mode is tied, first, first, in the middle and last
     @pytest.mark.parametrize("dims, R", [((3, 3, 3), 3), ((4, 3, 2), 5), ((6, 4, 4), 2),
@@ -391,11 +421,17 @@ class TestLevenbergMarquardt:
             start = [rng.normal(size=(3, 3, n)) for n in shape]
             err = cpd._residual(d, start, cpd._norms(d))
             stacked = cpd._lm(d, start, err, 60)
-            alone = cpd._lm(d[1:2], [f[1:2] for f in start], err[1:2], 60)
-            for m in range(3):
-                np.testing.assert_array_equal(stacked[0][m][1], alone[0][m][0])
-            for a, b in zip(stacked[1:], alone[1:]):
-                assert a[1] == b[0]
+            for b in range(3):
+                alone = cpd._lm(d[b:b + 1], [f[b:b + 1] for f in start], err[b:b + 1], 60)
+                for m in range(3):
+                    np.testing.assert_array_equal(stacked[0][m][b], alone[0][m][0])
+                for x, y in zip(stacked[1:], alone[1:]):
+                    assert x[b] == y[0]
+            # the stack ran both an iteration in which every pair kept its step
+            # and one in which a pair rejected its step while another kept it
+            kept = _kept_steps(d, start, err, 8)
+            assert any(k.all() for k in kept.T)
+            assert any(k.any() and not k.all() for k in kept.T)
 
     def test_stalled_error_ends_lm_without_overflow(self):
         # rank 5 stalls at a relative error of 1.2e-12, above ALS_TOL, where

@@ -41,6 +41,14 @@ class TestCpFull:
         assert out.shape == (2, 3, 64)
         np.testing.assert_allclose(out, _outer_sum(w, f), rtol=0, atol=1e-13)
 
+    def test_unit_weights_and_prebuilt_product_give_the_same_bits(self):
+        rng = np.random.default_rng(8)
+        w = rng.normal(size=(2, 4))
+        f = [rng.normal(size=(2, 4, n)) for n in SHAPE]
+        np.testing.assert_array_equal(cp_full(None, f), cp_full(np.ones((2, 4)), f))
+        kr = khatri_rao(f[0] * w[..., None], f[1])
+        np.testing.assert_array_equal(cp_full(w, f, kr), cp_full(w, f))
+
 
 class TestMttkrp:
     @pytest.mark.parametrize("mode", [0, 1, 2])
@@ -55,6 +63,15 @@ class TestMttkrp:
                 others = [f[v][r, idx[v]] for v in range(3) if v != mode]
                 expect[r, idx[mode]] += t[a, b, c] * others[0] * others[1]
         np.testing.assert_allclose(mttkrp(unfold(t, mode), f, mode), expect, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_prebuilt_product_gives_the_same_bits(self, mode):
+        rng = np.random.default_rng(30 + mode)
+        t = rng.normal(size=(2, *SHAPE))
+        f = [rng.normal(size=(2, 3, n)) for n in SHAPE]
+        kr = khatri_rao(*(f[v] for v in range(3) if v != mode))
+        np.testing.assert_array_equal(mttkrp(unfold(t, mode), f, mode, kr),
+                                      mttkrp(unfold(t, mode), f, mode))
 
 
 class TestUnfold:
