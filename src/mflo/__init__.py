@@ -56,6 +56,8 @@ from .encoding import (
     cnot_count_canonical,
     cnot_count_tucker,
     lcu_postselect_oracle,
+    qft_cx_informational,
+    rank_ancillae,
     success_prob_canonical,
     success_prob_tucker,
     tucker_success_from_core,
@@ -102,6 +104,8 @@ __all__ = [
     "optimize_widths",
     "overlap_3d",
     "penalty",
+    "qft_cx_informational",
+    "rank_ancillae",
     "renormalized",
     "sample_ao_1d",
     "solve_core",

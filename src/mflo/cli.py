@@ -42,6 +42,8 @@ from .encoding import (
     cnot_count_canonical,
     cnot_count_tucker,
     lcu_postselect_oracle,
+    qft_cx_informational,
+    rank_ancillae,
     success_prob_canonical,
     success_prob_tucker,
     tucker_success_from_core,
@@ -463,9 +465,7 @@ def _cnot_payload(counts) -> dict:
     return {"total": counts.cx_total, "sph": counts.cx_sph, "amp": counts.cx_amp}
 
 
-def _canonical_entry(canon: CanonicalState, rank: int, n_qe: int) -> dict:
-    counts = cnot_count_canonical(canon.spec.n_l, n_qe, max(1, canon.R))
-    prob = success_prob_canonical(canon)
+def _canonical_entry(canon: CanonicalState, rank: int) -> dict:
     return {
         "requested_rank": int(rank),
         "rank": int(canon.R),
@@ -473,21 +473,21 @@ def _canonical_entry(canon: CanonicalState, rank: int, n_qe: int) -> dict:
         "canon_norm2": canon.canon_norm2,
         "lambdas": canon.lambdas,
         "u": {ax: canon.u[v] for v, ax in enumerate(AXES)},
-        "success_probability": prob,
-        "n_a_canonical": counts.n_a_canonical,
-        "cnot": _cnot_payload(counts),
+        "success_probability": success_prob_canonical(canon),
+        "n_a_canonical": rank_ancillae(canon.R),
+        "cnot": _cnot_payload(cnot_count_canonical(canon.spec.n_l, canon.spec.n, canon.R)),
         "flags": list(canon.flags),
         "sweeps": canon.sweeps,
         "converged": canon.converged,
     }
 
 
-def _rank_sweep(entries: list[dict], tuckers: list[TuckerState], ranks, options: CpdOptions,
-                n_qe: int) -> None:
+def _rank_sweep(entries: list[dict], tuckers: list[TuckerState], ranks,
+                options: CpdOptions) -> None:
     """Fill each entry's ``canonical`` map from one rank ladder over all cores."""
     for rank, canons in decompose_cores(tuckers, ranks, options).items():
         for entry, canon in zip(entries, canons):
-            entry["canonical"][str(rank)] = _canonical_entry(canon, rank, n_qe)
+            entry["canonical"][str(rank)] = _canonical_entry(canon, rank)
 
 
 def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
@@ -541,7 +541,7 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
         }
         report["mos"][name] = entry
         tuckers.append(tucker)
-    _rank_sweep(list(report["mos"].values()), tuckers, ranks, cpd_opt, cell.n_qe)
+    _rank_sweep(list(report["mos"].values()), tuckers, ranks, cpd_opt)
 
     report_path = Path(out_path or Path(job_path).with_suffix(".report.json"))
     _write_report(report, report_path)
@@ -651,7 +651,6 @@ def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dic
     report_path = Path(report_path)
     report = json.loads(report_path.read_text())
     job = report["job"]
-    n_qe = job["cell"]["n_qe"]
     options = _job_cpd_options(job)
     names = list(report["mos"]) if not mo_names else list(dict.fromkeys(mo_names))
     for name in names:
@@ -663,8 +662,8 @@ def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dic
         if any(r < 1 for r in ranks):
             raise ValueError(f"rank must be in [1, {n_prod}], got {min(ranks)}")
     entries = [report["mos"][name] for name in names]
-    tuckers = [_tucker_from_payload(entry, n_qe) for entry in entries]
-    _rank_sweep(entries, tuckers, ranks, options, n_qe)
+    tuckers = [_tucker_from_payload(entry, job["cell"]["n_qe"]) for entry in entries]
+    _rank_sweep(entries, tuckers, ranks, options)
     out = Path(out_path) if out_path is not None else report_path
     _write_report(report, out)
     return report, out
@@ -676,19 +675,18 @@ def gate_count_table(n_l, n_qe: int, ranks=()) -> dict:
     ``run_fit`` takes a report's grid-level ``ancillae`` and ``cnot_tucker``
     from this table.
     """
-    n_a, n_al, _ = ancilla_counts(n_l)
-    tucker = cnot_count_tucker(n_l, n_qe)
+    n_a, n_al = ancilla_counts(n_l)
     out = {
         "n_l": [int(v) for v in n_l],
         "n_qe": int(n_qe),
         "ancillae": {"per_axis": list(n_a), "lorentzian": n_al},
-        "tucker": _cnot_payload(tucker),
-        "qft_informational": tucker.qft_cx_informational,
+        "tucker": _cnot_payload(cnot_count_tucker(n_l, n_qe)),
+        "qft_informational": qft_cx_informational(n_qe),
         "canonical": {},
     }
     for rank in ranks:
-        c = cnot_count_canonical(n_l, n_qe, rank)
-        out["canonical"][str(int(rank))] = {**_cnot_payload(c), "n_a_canonical": c.n_a_canonical}
+        out["canonical"][str(int(rank))] = {**_cnot_payload(cnot_count_canonical(n_l, n_qe, rank)),
+                                            "n_a_canonical": rank_ancillae(rank)}
     return out
 
 
@@ -701,8 +699,8 @@ _GATE_COUNT_CASES = (
     ((3, 4, 2), 7, 2, 231, 201, 215),
     ((3, 3, 2), 7, 3, 231, 201, 231),
     ((4, 2, 2), 7, 2, 173, 159, 169),
+    ((2, 1, 1), 6, 2, 63, 63, 65),
 )
-_H2_GATE_CASE = ((2, 1, 1), 6, 63)
 _PROB_CASES = (
     # (core over a 2-state basis, frozen 1/(n_prod sum d^2), printed value)
     ((0.523, 0.581), 0.8182100836210706, 0.82),
@@ -746,10 +744,7 @@ def _check_gate_counts() -> str:
             raise AssertionError(
                 f"n_l={n_l}: got {(t.cx_total, t.cx_sph, c.cx_total)}, "
                 f"expected {(total, sph, canon_total)}")
-    n_l, n_qe, total = _H2_GATE_CASE
-    if cnot_count_tucker(n_l, n_qe).cx_total != total:
-        raise AssertionError(f"two-LF layout: expected Tucker total {total}")
-    return f"{len(_GATE_COUNT_CASES) + 1} layouts exact"
+    return f"{len(_GATE_COUNT_CASES)} layouts exact"
 
 
 def _check_probability_constants() -> str:

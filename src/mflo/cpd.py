@@ -37,9 +37,10 @@ counts (core, candidate) pairs: every candidate of every core of a report
    by less than LM_RTOL, relative (see ``_lm``).  When every pair keeps its
    step, as in most iterations, the trial carries over unmerged, and its
    Khatri-Rao product serves the next gradient.
-3. Choice.  The candidate with the lowest error wins.  Candidates whose
-   errors agree within ALS_TOL are tied, and the lowest index among them
-   wins, so round-off does not pick the winner.
+3. Choice.  The candidate with the lowest warm-up error wins; it is the one
+   stage 2 finishes, and LM only lowers its error, so the choice stands.
+   Candidates whose errors agree within ALS_TOL are tied, and the lowest
+   index among them wins, so round-off does not pick the winner.
 
 The candidates are the ``n_restarts`` seeded starts (SVD basis, one batched
 SVD per mode for a whole stack, or the exact form at R = n_prod, then
@@ -48,9 +49,10 @@ The requested ranks are decomposed in increasing order, and each rank's extra
 candidate is the previous rank's winner plus greedy rank-one terms of its
 residual.  That start is no worse than the previous winner, and both stages
 only lower a candidate's error, so the error cannot rise with rank.  Once a
-rank's winner is exact (relative error at most ALS_TOL), every higher rank of
-the ladder reports that state, flagged ``rank-reduced``.  So a rank's result
-can depend on which lower ranks were decomposed with it.
+rank's winner is exact (relative error at most EXACT_TOL = sqrt(eps), below
+which the deviation, about the error squared, reads round-off), every higher
+rank of the ladder reports that state, flagged ``rank-reduced``.  So a rank's
+result can depend on which lower ranks were decomposed with it.
 
 A finished pair leaves the stack in both stages, and every operation acts on
 each pair alone, so a core's result does not depend on what it was stacked
@@ -93,6 +95,7 @@ __all__ = [
 
 RIDGE_SCALE = 1e-14  # ridge of every mode solve, relative to the Gram's trace
 ALS_TOL = 1e-12  # stop when the relative fit change drops below this
+EXACT_TOL = float(np.finfo(np.float64).eps) ** 0.5  # exact: the deviation, ~error^2, reads round-off
 WARMUP_SWEEPS = 30  # ALS sweeps of every candidate before LM
 LM_MAX_ITER = 100  # LM iterations of a core's best candidate
 LM_RTOL = 1e-8  # LM stops once an accepted step lowers the error less than this, relative
@@ -427,8 +430,8 @@ def _rank_stage(d: np.ndarray, R: int, seeds, prev, bases) -> list[CpResult]:
     starts read the cores' stacked ``_left_singular`` in ``bases``, and, when
     ``prev`` holds the previous rank's stacked winning factors, the ladder
     start.  All of them run at most WARMUP_SWEEPS ALS sweeps together; each
-    core's best candidate that did not converge there goes on to at most
-    LM_MAX_ITER LM iterations.
+    core's best candidate is its winner, and goes on to at most LM_MAX_ITER
+    LM iterations unless it converged there.
     """
     starts = [_init(d, R, r, seed, bases) for r, seed in enumerate(seeds)]
     if prev is not None:
@@ -450,12 +453,11 @@ def _rank_stage(d: np.ndarray, R: int, seeds, prev, bases) -> list[CpResult]:
             v[m][refine] = factors[m]
         sweeps[refine] += iters
     errors = [tuple(float(x) for x in e) for e in err.reshape(-1, n_cand)]
-    win = np.array([c * n_cand + _best_restart(e) for c, e in enumerate(errors)])
-    ridged = _ridged([m[win] for m in v]) & (sweeps[win] > 0)
+    ridged = _ridged([m[best] for m in v]) & (sweeps[best] > 0)
     return [CpResult(v=tuple(m[w] for m in v), rec_error=e[w - c * n_cand], restart_errors=e,
                      flags=("gram-ridge",) if r else (), sweeps=int(sweeps[w]),
                      converged=bool(converged[w]))
-            for c, (e, w, r) in enumerate(zip(errors, win, ridged))]
+            for c, (e, w, r) in enumerate(zip(errors, best, ridged))]
 
 
 def _cp_stack(cores, ranks, options: CpdOptions | None):
@@ -463,8 +465,8 @@ def _cp_stack(cores, ranks, options: CpdOptions | None):
 
     The iterable ``ranks`` is deduplicated and run as the ascending ladder,
     returned as {rank: each core's ``CpResult``}.  A core whose winner is
-    exact (relative error at most ALS_TOL) keeps that result at every higher
-    rank of the ladder.
+    exact (relative error at most EXACT_TOL, so its deviation reads round-off)
+    keeps that result at every higher rank of the ladder.
     """
     opt = options or CpdOptions()
     ladder = sorted({int(R) for R in ranks})
@@ -489,7 +491,7 @@ def _cp_stack(cores, ranks, options: CpdOptions | None):
     winners: list[CpResult | None] = [None] * len(d)
     found = {}
     for R in ladder:
-        todo = [c for c, w in enumerate(winners) if w is None or w.rec_error > ALS_TOL]
+        todo = [c for c, w in enumerate(winners) if w is None or w.rec_error > EXACT_TOL]
         if todo:
             prev = (None if winners[todo[0]] is None else
                     [np.stack([winners[c].v[m] for c in todo]) for m in range(3)])

@@ -4,7 +4,7 @@ Counts come from closed forms, not from emitted circuits.  The building
 blocks: a uniformly controlled rotation over n controls costs 2^(n-1) CNOTs,
 a CNOT fanned out over the n_qe grid qubits of one direction costs
 2 n_qe - 3, and amplitude-encoding maps over n ancillae cost 2^n - 2.
-QFT gates are excluded from every total; an informational field carries a
+QFT gates are excluded from every total; ``qft_cx_informational`` gives a
 textbook QFT count for context only (it is not part of the reported model).
 
 Success probabilities follow from the linear-combination semantics: a
@@ -32,6 +32,8 @@ from .tensor import metric_inner
 __all__ = [
     "CircuitCostReport",
     "ancilla_counts",
+    "rank_ancillae",
+    "qft_cx_informational",
     "cnot_count_tucker",
     "cnot_count_canonical",
     "success_prob_tucker",
@@ -46,50 +48,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CircuitCostReport:
-    """CNOT and ancilla bookkeeping for one encoding circuit."""
+    """CNOT counts of one encoding circuit, QFT gates excluded."""
 
-    form: str                      # "tucker" or "canonical"
-    n_a_axis: tuple[int, int, int]  # ceil(log2 n_Lv) per direction
-    n_a_lorentzian: int            # sum of the above
-    cx_total: int                  # excludes QFT gates
+    cx_total: int
     cx_sph: int                    # shifted-profile preparation share
     cx_amp: int                    # amplitude-encoding share
-    n_a_canonical: int | None = None
-    R: int | None = None
-    qft_cx_informational: int = 0  # textbook QFT count, NOT in cx_total
-
-    def __post_init__(self):
-        if self.form not in ("tucker", "canonical"):
-            raise ValueError(f"form must be 'tucker' or 'canonical', got {self.form!r}")
-        for name in ("cx_total", "cx_sph", "cx_amp", "n_a_lorentzian"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
-def ancilla_counts(n_l, R: int | None = None):
-    """(n_Av per direction, their sum, and ceil(log2 R) when R is given) of layout n_l."""
+def ancilla_counts(n_l):
+    """n_Av = ceil(log2 n_Lv) per direction of layout n_l, and their sum."""
     counts = tuple(int(c) for c in n_l)
     if len(counts) != 3 or any(c < 1 for c in counts):
         raise ValueError(f"need three positive LF counts, got {n_l!r}")
     n_a = tuple((c - 1).bit_length() for c in counts)
-    n_ac = None
-    if R is not None:
-        if R < 1:
-            raise ValueError(f"rank must be >= 1, got {R}")
-        n_ac = (int(R) - 1).bit_length()
-    return n_a, sum(n_a), n_ac
+    return n_a, sum(n_a)
 
 
-def _check_n_qe(n_qe: int) -> None:
+def rank_ancillae(R: int) -> int:
+    """ceil(log2 R) ancillae of the canonical form's rank register."""
+    if R < 1:
+        raise ValueError(f"rank must be >= 1, got {R}")
+    return (int(R) - 1).bit_length()
+
+
+def qft_cx_informational(n_qe: int) -> int:
+    """Textbook QFT CNOTs over three axes, which no total includes."""
+    # per axis: n(n-1)/2 controlled phases at 2 CNOTs each, plus 3 CNOTs per final swap
+    return 3 * (n_qe * (n_qe - 1) + 3 * (n_qe // 2))
+
+
+def _sph(n_l, n_qe: int):
+    """``ancilla_counts(n_l)`` and the shifted-profile share at n_qe grid qubits per axis."""
     # below one grid qubit per direction the closed forms go negative
     if n_qe < 1:
         raise ValueError(f"n_qe must be >= 1, got {n_qe}")
-
-
-def _qft_informational(n_qe: int) -> int:
-    # textbook QFT per axis: n(n-1)/2 controlled phases at 2 CNOTs each,
-    # plus 3 CNOTs per final swap; three axes
-    return 3 * (n_qe * (n_qe - 1) + 3 * (n_qe // 2))
+    n_a, n_al = ancilla_counts(n_l)
+    return n_a, n_al, -9 + 3 * n_qe * sum(1 << v for v in n_a)
 
 
 def cnot_count_tucker(n_l, n_qe: int) -> CircuitCostReport:
@@ -99,33 +93,17 @@ def cnot_count_tucker(n_l, n_qe: int) -> CircuitCostReport:
     amplitude-encoding stage vanishes and its component is 0, not the raw
     2^0 - 2 of the closed form; all other layouts use the form verbatim.
     """
-    _check_n_qe(n_qe)
-    n_a, n_al, _ = ancilla_counts(n_l)
-    pow_sum = sum(1 << v for v in n_a)
-    cx_sph = -9 + 3 * n_qe * pow_sum
+    _, n_al, cx_sph = _sph(n_l, n_qe)
     cx_amp = max(0, (1 << n_al) - 2)
-    return CircuitCostReport(
-        form="tucker", n_a_axis=n_a, n_a_lorentzian=n_al,
-        cx_total=cx_sph + cx_amp, cx_sph=cx_sph, cx_amp=cx_amp,
-        qft_cx_informational=_qft_informational(n_qe))
+    return CircuitCostReport(cx_total=cx_sph + cx_amp, cx_sph=cx_sph, cx_amp=cx_amp)
 
 
 def cnot_count_canonical(n_l, n_qe: int, R: int) -> CircuitCostReport:
     """CNOT counts for the rank-R canonical-form state, QFT excluded."""
-    _check_n_qe(n_qe)
-    n_a, n_al, n_ac = ancilla_counts(n_l, R)
-    pow_sum = sum(1 << v for v in n_a)
-    cx_sph = -9 + 3 * n_qe * pow_sum
-    amp_raw = ((1 << n_ac) - 2) + sum((1 << n_ac) * ((1 << v) - 1) for v in n_a)
-    total = -(1 << (n_ac + 1)) - 11 + (3 * n_qe + (1 << n_ac)) * pow_sum
-    if total != cx_sph + amp_raw:
-        raise AssertionError("closed form and component sum disagree")
-    cx_amp = max(0, amp_raw)
-    return CircuitCostReport(
-        form="canonical", n_a_axis=n_a, n_a_lorentzian=n_al,
-        cx_total=cx_sph + cx_amp, cx_sph=cx_sph, cx_amp=cx_amp,
-        n_a_canonical=n_ac, R=int(R),
-        qft_cx_informational=_qft_informational(n_qe))
+    n_a, _, cx_sph = _sph(n_l, n_qe)
+    n_ac = rank_ancillae(R)
+    cx_amp = max(0, (1 << n_ac) - 2 + sum((1 << n_ac) * ((1 << v) - 1) for v in n_a))
+    return CircuitCostReport(cx_total=cx_sph + cx_amp, cx_sph=cx_sph, cx_amp=cx_amp)
 
 
 def tucker_success_from_core(core) -> float:

@@ -447,24 +447,40 @@ class TestRunDecompose:
             run_decompose(path, [2, 0])
         assert Path(path).read_bytes() == original
 
-    def test_each_rank_decomposed_once_in_ascending_order(self, tmp_path, monkeypatch):
-        import mflo.cpd as cpd
-
-        # off-center y LFs give the 2x2x1 cores rank 2, so rank 4 repeats rank 2
+    @staticmethod
+    def _off_center_y_report(tmp_path):
+        # off-center y LFs give the 2x2x1 cores rank 2 (antibonding) and 1 (bonding)
         job = json.loads(H2.read_text())
         job["lorentzian"]["centers"]["y"] = [26, 34]
         (tmp_path / "job.json").write_text(json.dumps(job))
-        _, path = run_fit(tmp_path / "job.json", out_path=tmp_path / "r.json")
+        return run_fit(tmp_path / "job.json", out_path=tmp_path / "r.json")[1]
+
+    def test_each_rank_decomposed_once_in_ascending_order(self, tmp_path, monkeypatch):
+        import mflo.cpd as cpd
+
+        path = self._off_center_y_report(tmp_path)
         ranks = []
         stage = cpd._rank_stage
         monkeypatch.setattr(cpd, "_rank_stage",
                             lambda d, R, *rest: ranks.append(R) or stage(d, R, *rest))
         assert main(["decompose", "--report", str(path), "--ranks", "4,1,2,1"]) == EXIT_OK
         assert ranks == [1, 2]
-        for entry in json.loads(Path(path).read_text())["mos"].values():
-            canon = entry["canonical"]
+        mos = json.loads(Path(path).read_text())["mos"]
+        for name, exact in (("bonding", 1), ("antibonding", 2)):
+            canon = mos[name]["canonical"]
             assert sorted(canon, key=int) == ["1", "2", "4"]
-            assert (canon["4"]["rank"], canon["4"]["flags"]) == (2, ["rank-reduced"])
+            assert (canon["4"]["rank"], canon["4"]["flags"]) == (exact, ["rank-reduced"])
+
+    def test_exact_rank_not_padded_with_round_off_terms(self, tmp_path):
+        # bonding is exact at rank 1 to well below the deviation's resolution;
+        # padding it with round-off terms would halve P and add CNOTs
+        path = self._off_center_y_report(tmp_path)
+        report, _ = run_decompose(path, [1, 2, 4])
+        canon = report["mos"]["bonding"]["canonical"]
+        for rank in ("2", "4"):
+            assert canon[rank]["flags"] == ["rank-reduced"]
+            for key in ("rank", "success_probability", "cnot", "n_a_canonical", "deviation"):
+                assert canon[rank][key] == canon["1"][key]
 
     def test_exact_rank_repeated_at_higher_ranks(self, tmp_path):
         report, _ = run_fit(H2, out_path=tmp_path / "r.json")

@@ -7,12 +7,13 @@ import pytest
 
 from mflo.cpd import CpdOptions, decompose_cores
 from mflo.encoding import (
-    CircuitCostReport,
     TWO_CENTER_COLUMNS,
     ancilla_counts,
     cnot_count_canonical,
     cnot_count_tucker,
     lcu_postselect_oracle,
+    qft_cx_informational,
+    rank_ancillae,
     success_prob_canonical,
     success_prob_tucker,
     tucker_success_from_core,
@@ -63,14 +64,13 @@ class TestAncillae:
         ((5, 8, 9), (3, 3, 4)),
     ])
     def test_per_axis_counts(self, n_l, expect):
-        n_a, n_al, n_ac = ancilla_counts(n_l)
+        n_a, n_al = ancilla_counts(n_l)
         assert n_a == expect
         assert n_al == sum(expect)
-        assert n_ac is None
 
     @pytest.mark.parametrize("R,expect", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
     def test_rank_register(self, R, expect):
-        assert ancilla_counts((2, 2, 2), R)[2] == expect
+        assert rank_ancillae(R) == expect
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestAncillae:
         with pytest.raises(ValueError):
             ancilla_counts((2, 0, 2))
         with pytest.raises(ValueError):
-            ancilla_counts((2, 2, 2), R=0)
+            rank_ancillae(0)
 
 
 class TestGateCounts:
@@ -95,7 +95,7 @@ class TestGateCounts:
     def test_tucker_components_sum(self, n_l, n_qe):
         rep = cnot_count_tucker(n_l, n_qe)
         n_a = tuple((c - 1).bit_length() for c in n_l)
-        assert rep.n_a_axis == n_a
+        assert ancilla_counts(n_l)[0] == n_a
         assert rep.cx_sph == -9 + 3 * n_qe * sum(2 ** v for v in n_a)
         assert rep.cx_amp == 2 ** sum(n_a) - 2
         assert rep.cx_total == rep.cx_sph + rep.cx_amp
@@ -110,8 +110,7 @@ class TestGateCounts:
         pow_sum = sum(2 ** v for v in n_a)
         closed = -(2 ** (n_ac + 1)) - 11 + (3 * n_qe + 2 ** n_ac) * pow_sum
         assert rep.cx_total == closed
-        assert rep.n_a_canonical == n_ac
-        assert rep.R == R
+        assert rank_ancillae(R) == n_ac
 
     def test_single_product_state_has_no_amplitude_stage(self):
         rep = cnot_count_tucker((1, 1, 1), 4)
@@ -122,17 +121,8 @@ class TestGateCounts:
         assert can.cx_total == can.cx_sph
 
     def test_qft_share_reported_but_excluded(self):
-        rep = cnot_count_tucker((3, 3, 3), 7)
-        assert rep.qft_cx_informational == 3 * (7 * 6 + 3 * 3)
-        assert rep.cx_total == 305  # unchanged by the QFT share
-
-    def test_report_validation(self):
-        with pytest.raises(ValueError, match="form"):
-            CircuitCostReport(form="dense", n_a_axis=(0, 0, 0), n_a_lorentzian=0,
-                              cx_total=0, cx_sph=0, cx_amp=0)
-        with pytest.raises(ValueError, match="non-negative"):
-            CircuitCostReport(form="tucker", n_a_axis=(0, 0, 0), n_a_lorentzian=0,
-                              cx_total=-1, cx_sph=0, cx_amp=0)
+        assert qft_cx_informational(7) == 3 * (7 * 6 + 3 * 3)
+        assert cnot_count_tucker((3, 3, 3), 7).cx_total == 305  # unchanged by the QFT share
 
 
 class TestTuckerSuccess:
@@ -342,7 +332,7 @@ class TestOracleProperties:
     @given(n_l=st.tuples(*[st.integers(min_value=1, max_value=64)] * 3))
     @settings(max_examples=60, deadline=None)
     def test_ancillae_cover_the_basis(self, n_l):
-        n_a, n_al, _ = ancilla_counts(n_l)
+        n_a, n_al = ancilla_counts(n_l)
         for count, bits in zip(n_l, n_a):
             assert 2 ** bits >= count
             if count > 1:
