@@ -48,7 +48,6 @@ from .cpd import (
     CpdOptions,
     canonical_statevector,
     decompose_cores,
-    normalize_factors,
 )
 from .encoding import (
     CircuitCostReport,
@@ -100,7 +99,6 @@ __all__ = [
     "lf_profile_da",
     "lf_state",
     "mo_norm_factor",
-    "normalize_factors",
     "optimize_widths",
     "overlap_3d",
     "penalty",

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 failed run or failed verification, 2 malformed job
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import struct
@@ -984,6 +985,7 @@ def _parse_ranks(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
+@functools.cache  # built on first use, so importing the module does not pay for it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mflo",

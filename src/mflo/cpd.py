@@ -4,9 +4,9 @@ The Tucker-form core d is approximated by a rank-R sum of separable terms,
 d ~ sum_r v_r^x (x) v_r^y (x) v_r^z.  CP runs in the metric the report uses.
 With the Cholesky factorization S_v = L_v L_v^T of each direction's LF
 overlap, ``decompose_cores`` hands CP the core d' = (L_x^T (x) L_y^T (x)
-L_z^T) d, whose Euclidean norm is the metric norm of d, and maps the factors
-back with v = L_v^-T v'.  So CP minimizes ||d - e||_S, and at a converged
-rank its squared relative residual is the reported deviation.
+L_z^T) d, whose Euclidean norm is the metric norm of d.  So CP minimizes
+||d - e||_S, and at a converged rank its squared relative residual is the
+reported deviation.
 ``decompose_cores`` is the only entry point.
 
 Each rank runs three stages on stacked factors of shape (B, R, n_v), where B
@@ -62,17 +62,18 @@ ended in.  The relative error is always the direct residual ||d - e|| / ||d||.
 A core's winner is flagged ``gram-ridge`` when it swept and one of its final
 mode Grams has its smallest eigenvalue at most the ridge.
 
-Factors are then rescaled in the LF overlap metric,
-N_r^(v) = sqrt(v_r . S^(v) v_r), so each row u_r = v_r / N_r describes a
-normalized single-direction state and lambda_r = N_r^x N_r^y N_r^z collects
-the canonical coefficients.
-
-The per-direction S^(v) are the spec's cached ``overlaps``; normalization,
-the overlap with the Tucker state and the deviation all read them, the last
-two through ``tensor.metric_inner``.  ``decompose_cores`` stores the canonical
-squared norm so that the success probability needs no second contraction.
-The canonical-form state is the resulting sum itself and is deliberately not
-renormalized; its squared norm enters the post-selection success probability.
+The Cholesky factors are the only place CP meets the metric: every
+canonical entry is built in the coordinates CP ran in.  A whitened row's
+Euclidean norm is the metric norm N_r^(v) of its LF-basis row, so
+u_r = L_v^-T v'_r / N_r describes a normalized single-direction state and
+lambda_r = N_r^x N_r^y N_r^z collects the canonical coefficients.  The
+overlap with the Tucker state, the canonical squared norm and |d|^2 are
+plain sums over the whitened core and the whitened reconstruction, so the
+reported deviation is the one CP minimized.  ``decompose_cores`` stores the
+canonical squared norm so that the success probability needs no second
+contraction.  The canonical-form state is the resulting sum itself and is
+deliberately not renormalized; its squared norm enters the post-selection
+success probability.
 """
 
 from __future__ import annotations
@@ -81,14 +82,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import TuckerState
 from .lorentzian import LorentzianBasisSpec
-from .tensor import _OTHERS, cp_full, khatri_rao, metric_inner, mode_product, mttkrp, unfold
+from .tensor import _OTHERS, cp_full, khatri_rao, mode_product, mttkrp, unfold
 
 __all__ = [
     "CanonicalState",
     "CpdOptions",
-    "normalize_factors",
     "decompose_cores",
     "canonical_statevector",
 ]
@@ -508,65 +507,50 @@ def _best_restart(errors) -> int:
     return next(r for r, e in enumerate(errors) if e <= floor)
 
 
-def normalize_factors(v, spec: LorentzianBasisSpec):
-    """Metric-normalize factor rows and collect canonical coefficients.
+def normalize_factors(v, chol):
+    """Metric-normalize whitened factor rows and collect canonical coefficients.
 
-    Returns (u, lambdas) with u_r . S^(v) u_r = 1 per direction in the
-    spec's ``overlaps``, lambdas positive and sorted descending, and the
-    reconstruction unchanged.  Rows whose metric norm vanishes are dropped,
-    so the effective rank shrinks; ``decompose_cores`` flags that as
-    ``rank-reduced``.
+    ``v`` holds factor rows v'_r = L^T v_r in the Cholesky coordinates CP ran
+    in, with ``chol`` the lower factor L of S^(v) = L L^T per direction, so
+    the Euclidean norm of v'_r is the metric norm N_r of the LF-basis row v_r.
+    Returns (u, w, lambdas): u_r = L^-T w_r is a row of unit metric norm,
+    w_r = v'_r / N_r its whitened form, and lambdas = N^x N^y N^z are
+    positive and sorted descending, with the reconstruction unchanged.  Rows
+    whose metric norm vanishes are dropped, so the effective rank shrinks;
+    ``decompose_cores`` flags that as ``rank-reduced``.
     """
-    v = [np.asarray(m, dtype=np.float64) for m in v]
-    if len(v) != 3 or any(m.ndim != 2 for m in v):
-        raise ValueError("expected three (R x n_Lv) factor matrices")
-    R = v[0].shape[0]
-    if any(m.shape[0] != R for m in v):
-        raise ValueError("factor matrices disagree on the rank")
-    if tuple(m.shape[1] for m in v) != spec.n_l:
-        raise ValueError(
-            f"factor columns {tuple(m.shape[1] for m in v)} do not match spec {spec.n_l}")
-
-    norms = np.empty((3, R))
-    for axis in range(3):
-        quad = np.einsum("rl,lm,rm->r", v[axis], spec.overlaps[axis], v[axis])
-        norms[axis] = np.sqrt(np.maximum(quad, 0.0))
+    norms = np.array([np.sqrt(np.square(m).sum(axis=1)) for m in v])
     alive = np.all(norms > 1e-14, axis=0)
-    v = [m[alive] for m in v]
     norms = norms[:, alive]
-
-    u = [v[axis] / norms[axis][:, None] for axis in range(3)]
+    w = [m[alive] / n[:, None] for m, n in zip(v, norms)]
+    u = [np.linalg.solve(L.T, m.T).T for m, L in zip(w, chol)]
     lam = norms.prod(axis=0)
     # factor rows carry the sign convention; flipping a pair of directions
     # leaves every separable term unchanged
     for axis in (0, 1):
         lead = u[axis][np.arange(lam.size), np.argmax(np.abs(u[axis]), axis=1)]
         flip = np.where(lead < 0.0, -1.0, 1.0)[:, None]
-        u[axis] *= flip
-        u[2] *= flip
+        for m in (u[axis], u[2], w[axis], w[2]):
+            m *= flip
     order = np.argsort(-lam, kind="stable")
-    return tuple(m[order] for m in u), lam[order]
+    return tuple(m[order] for m in u), tuple(m[order] for m in w), lam[order]
 
 
-def _overlap_terms(S1, core, lambdas, u):
-    e = cp_full(lambdas, u)
-    overlap = metric_inner(e, core, S1)
-    canon_norm2 = metric_inner(e, e, S1)
-    tucker_norm2 = metric_inner(core, core, S1)
+def _canonical(spec: LorentzianBasisSpec, core: np.ndarray, chol, result: CpResult,
+               R: int) -> CanonicalState:
+    """Canonical state of ``result``, whose factors, like ``core``, are whitened by ``chol``."""
+    u, w, lam = normalize_factors(result.v, chol)
+    e = cp_full(lam, w)
+    canon_norm2 = float(np.sum(e * e))
+    overlap = float(np.sum(e * core))
     # rounding can push 1 - cos^2 just outside [0, 1]
-    deviation = float(np.clip(1.0 - overlap * overlap / (tucker_norm2 * canon_norm2), 0.0, 1.0))
-    return canon_norm2, deviation
-
-
-def _canonical(tucker: TuckerState, v, result: CpResult, R: int) -> CanonicalState:
-    """Canonical state of factors v (in the LF basis) with ``result``'s run diagnostics."""
-    u, lam = normalize_factors(v, tucker.spec)
-    canon_norm2, deviation = _overlap_terms(tucker.spec.overlaps, tucker.core, lam, u)
+    deviation = float(np.clip(1.0 - overlap * overlap / (float(np.sum(core * core)) * canon_norm2),
+                              0.0, 1.0))
     flags = list(result.flags)
     if lam.size < R:
         flags.append("rank-reduced")
     return CanonicalState(
-        R=int(lam.size), u=u, lambdas=lam, spec=tucker.spec,
+        R=int(lam.size), u=u, lambdas=lam, spec=spec,
         deviation=deviation, canon_norm2=canon_norm2, flags=tuple(flags),
         sweeps=result.sweeps, converged=result.converged)
 
@@ -580,10 +564,10 @@ def decompose_cores(tuckers, ranks, options: CpdOptions | None = None):
     its own metric.  The cores must share a shape, as the MOs of one job do.
     """
     chol = [[np.linalg.cholesky(s) for s in t.spec.overlaps] for t in tuckers]
-    found = _cp_stack([mode_product(t.core, L) for t, L in zip(tuckers, chol)], ranks, options)
-    return {R: [_canonical(t, tuple(np.linalg.solve(l.T, f.T).T for l, f in zip(L, result.v)),
-                           result, R)
-                for t, L, result in zip(tuckers, chol, results)]
+    cores = [mode_product(t.core, L) for t, L in zip(tuckers, chol)]
+    found = _cp_stack(cores, ranks, options)
+    return {R: [_canonical(t.spec, core, L, result, R)
+                for t, core, L, result in zip(tuckers, cores, chol, results)]
             for R, results in found.items()}
 
 

@@ -152,13 +152,14 @@ class _Engine:
     w_p = c_mu * b_{mu s}; the h-sample tables H_v[p, k]
     (``basis.primitive_tables``) never change during width optimization.
     Neither do the per-direction shift tables (``AxisLayout``: sin^2 and
-    parity on the unshifted grid, the gather index of each center) or the
-    groups of LFs that share a center, so they are built once here.  Each
-    evaluation then runs one vectorized profile build per direction and the
-    small per-direction matrices; the derivative tables reuse that build's
-    raw profiles, denominators and norms.  Trial widths are not wrapped in a
-    validated ``LorentzianBasisSpec``; ``optimize_widths`` builds one for the
-    returned state only.
+    parity on the unshifted grid, the gather index of each center), so they
+    are built once here.  Each evaluation then runs one vectorized profile
+    build per direction and the small per-direction matrices; the derivative
+    tables reuse that build's raw profiles, denominators and norms.  Trial
+    widths are not wrapped in a validated ``LorentzianBasisSpec``;
+    ``optimize_widths`` builds one for the returned state only.  Two LFs on
+    one center whose trial widths meet make the metric singular; the
+    evaluation discards that dimension, and the line search rejects it.
     """
 
     def __init__(self, problem: FitProblem):
@@ -167,13 +168,6 @@ class _Engine:
         self.n_l = spec.n_l
         self.splits = np.cumsum(self.n_l)[:2]
         self.layouts = spec.layouts
-        # LFs sharing a center differ only by width; equal widths there make
-        # the metric singular, so those groups are checked on every evaluation
-        self.shared_centers = []
-        for v, centers in enumerate(spec.centers):
-            _, inverse, counts = np.unique(centers, return_inverse=True, return_counts=True)
-            for g in np.nonzero(counts > 1)[0]:
-                self.shared_centers.append((v, np.nonzero(inverse == g)[0]))
         self.alpha = problem.alpha_pen
         L = cell.edge_lengths
         self.col_pref = L / math.sqrt(cell.N_qe)
@@ -185,13 +179,7 @@ class _Engine:
             raise ValueError(f"expected {sum(self.n_l)} widths, got {widths.size}")
         if not np.all((widths > 0.0) & (widths < math.inf)):
             raise ValueError("widths must be positive and finite")
-        parts = np.split(widths, self.splits)
-        for v, group in self.shared_centers:
-            if np.unique(parts[v][group]).size != group.size:
-                raise ValueError(
-                    f"direction {AXES[v]}: duplicate (a, k_c) pair "
-                    "makes the overlap matrix singular")
-        return parts
+        return np.split(widths, self.splits)
 
     def assemble(self, widths: np.ndarray):
         """Width-dependent pieces: LF profiles and states, 1D metrics, M tables, T."""

@@ -10,8 +10,11 @@ vector), so a leading batch axis runs one contraction per stack element: a
 stack of B cores (B, I, J, K) with factors (B, R, n_v) gives B MTTKRPs in one
 batched matmul.  Each element of a stack gets the same arithmetic whatever
 else the stack holds, so a result does not depend on what it was stacked
-with.  ``mode_product`` and ``metric_inner`` take a single tensor.  The
-dense oracles (``overlap_3d``, ``solve_core``, ``lcu_postselect_oracle``) do
+with.  ``mode_product`` and ``metric_inner`` take a single tensor.
+``metric_inner`` serves the fit's identity checks and the Tucker success
+probability; CP never calls it, since ``cpd`` whitens each core with the
+Cholesky factors of the metric once and takes plain sums there.  The dense
+oracles (``overlap_3d``, ``solve_core``, ``lcu_postselect_oracle``) do
 not use these.
 """
 

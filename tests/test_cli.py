@@ -18,6 +18,7 @@ from mflo.cli import (
     EXIT_SCHEMA,
     JOB_SCHEMA,
     JobError,
+    build_parser,
     export_state,
     gate_count_table,
     load_job,
@@ -226,6 +227,19 @@ class TestRunFit:
         assert entry["penalty"] == 0.0
         assert entry["fidelity"] == pytest.approx(entry["squared_overlap"], rel=1e-12)
         assert entry["fidelity"] == pytest.approx(entry["kappa_max"], rel=1e-12)
+
+    def test_lfs_sharing_a_center_fit(self, tmp_path):
+        # a line-search trial clips both x widths to one bound, which makes
+        # the metric singular; the guard rejects it and the fit goes on
+        job = json.loads(H2.read_text())
+        job["lorentzian"]["centers"]["x"] = [32, 32]
+        job["lorentzian"]["initial_widths"] = {"x": [2.0, 2.6], "y": [2.0], "z": [2.0]}
+        (tmp_path / "job.json").write_text(json.dumps(job))
+        out = tmp_path / "r.json"
+        assert main(["fit", "--job", str(tmp_path / "job.json"), "--out", str(out)]) == EXIT_OK
+        for entry in json.loads(out.read_text())["mos"].values():
+            assert len(set(entry["widths"]["x"])) == 2
+            assert max(entry["identity_residuals"].values()) <= 1e-10
 
     def test_identity_residuals_small(self, single_report):
         report, _ = single_report
@@ -572,6 +586,14 @@ class TestMain:
                      "--out", str(tmp_path / "s.csv"), "--max-qubits", "3"])
         assert code == EXIT_RESOURCE
         assert json.loads(capsys.readouterr().err)["error"] == "resource"
+
+    def test_parser_built_once_and_reused_cleanly(self):
+        # the parser is cached across calls; one call's arguments must not leak into the next
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["decompose", "--report", "r.json", "--ranks", "1", "--mo", "a"])
+        second = parser.parse_args(["decompose", "--report", "r.json", "--ranks", "2"])
+        assert (first.mo, second.mo) == (["a"], None)
 
     def test_gate_count_stdout(self, capsys):
         code = main(["gate-count", "--n-l", "3,3,3", "--n-qe", "7", "--rank", "3"])

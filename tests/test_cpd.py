@@ -58,6 +58,15 @@ def _reconstruct(v):
     return np.einsum("ra,rb,rc->abc", v[0], v[1], v[2])
 
 
+def _chol(spec):
+    return [np.linalg.cholesky(s) for s in spec.overlaps]
+
+
+def _whiten(v, chol):
+    """LF-basis factor rows v_r in the Cholesky coordinates CP runs in, L^T v_r."""
+    return [m @ L for m, L in zip(v, chol)]
+
+
 _ORACLE_MTTKRP = ("abc,rb,rc->ra", "abc,ra,rc->rb", "abc,ra,rb->rc")
 
 
@@ -146,8 +155,9 @@ class TestCpDecompose:
         true = [rng.normal(size=(2, 3)) for _ in range(3)]
         d = np.einsum("ra,rb,rc->abc", *true)
         res = cpd._cp_stack([d], [2], CpdOptions(n_restarts=4, seed=0))[2][0]
-        _, lam = normalize_factors(res.v, spec)
-        _, lam_true = normalize_factors(true, spec)
+        chol = _chol(spec)
+        *_, lam = normalize_factors(res.v, chol)
+        *_, lam_true = normalize_factors(true, chol)
         np.testing.assert_allclose(lam, lam_true, rtol=1e-8)
 
     def test_full_rank_exact(self):
@@ -550,6 +560,8 @@ def test_exact_init_matches_loop():
 
 
 class TestNormalizeFactors:
+    """Whitened factor rows in, LF-basis rows out, checked against v.S v oracles."""
+
     def _factors(self, seed=0, R=2, dims=(2, 2, 2)):
         rng = np.random.default_rng(seed)
         return [rng.normal(size=(R, dim)) for dim in dims]
@@ -557,14 +569,16 @@ class TestNormalizeFactors:
     def test_reconstruction_unchanged(self):
         spec = _spec()
         v = self._factors()
-        u, lam = normalize_factors(v, spec)
+        u, w, lam = normalize_factors(_whiten(v, _chol(spec)), _chol(spec))
         rec_v = _reconstruct(v)
         rec_u = np.einsum("r,ra,rb,rc->abc", lam, u[0], u[1], u[2])
         np.testing.assert_allclose(rec_u, rec_v, atol=1e-12)
+        for m, wm, L in zip(u, w, _chol(spec)):
+            np.testing.assert_allclose(m @ L, wm, atol=1e-12)
 
     def test_unit_metric_rows(self):
         spec = _spec()
-        u, lam = normalize_factors(self._factors(seed=1), spec)
+        u, _, lam = normalize_factors(_whiten(self._factors(seed=1), _chol(spec)), _chol(spec))
         for axis in range(3):
             S = spec.overlaps[axis]
             quad = np.einsum("rl,lm,rm->r", u[axis], S, u[axis])
@@ -572,11 +586,13 @@ class TestNormalizeFactors:
         assert np.all(lam > 0)
 
     def test_descending_order(self):
-        _, lam = normalize_factors(self._factors(seed=2, R=4), _spec())
+        chol = _chol(_spec())
+        *_, lam = normalize_factors(_whiten(self._factors(seed=2, R=4), chol), chol)
         assert np.all(np.diff(lam) <= 0)
 
     def test_sign_convention(self):
-        u, _ = normalize_factors(self._factors(seed=3, R=3), _spec())
+        chol = _chol(_spec())
+        u, *_ = normalize_factors(_whiten(self._factors(seed=3, R=3), chol), chol)
         for axis in (0, 1):
             for row in u[axis]:
                 assert row[int(np.argmax(np.abs(row)))] >= 0
@@ -584,7 +600,7 @@ class TestNormalizeFactors:
     def test_sign_flip_matches_row_loop(self):
         spec = _spec()
         v = self._factors(seed=5, R=6)
-        u, lam = normalize_factors(v, spec)
+        u, _, lam = normalize_factors(_whiten(v, _chol(spec)), _chol(spec))
         norms = [np.sqrt(np.einsum("rl,lm,rm->r", m, S, m)) for m, S in zip(v, spec.overlaps)]
         want = [m / n[:, None] for m, n in zip(v, norms)]
         for r in range(6):
@@ -594,25 +610,19 @@ class TestNormalizeFactors:
                     want[axis][r] = -row
                     want[2][r] = -want[2][r]
         order = np.argsort(-np.prod(norms, axis=0), kind="stable")
+        np.testing.assert_allclose(lam, np.prod(norms, axis=0)[order], rtol=1e-13)
         for m in range(3):
-            np.testing.assert_array_equal(u[m], want[m][order])
+            np.testing.assert_allclose(u[m], want[m][order], rtol=1e-12, atol=1e-14)
 
     def test_vanishing_row_dropped_without_warning(self):
-        spec = _spec()
-        v = self._factors(seed=4, R=3)
+        chol = _chol(_spec())
+        v = _whiten(self._factors(seed=4, R=3), chol)
         v[1][2] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u, lam = normalize_factors(v, spec)
+            u, w, lam = normalize_factors(v, chol)
         assert lam.size == 2
-        assert all(m.shape[0] == 2 for m in u)
-
-    def test_shape_validation(self):
-        spec = _spec()
-        with pytest.raises(ValueError, match="rank"):
-            normalize_factors([np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2))], spec)
-        with pytest.raises(ValueError, match="columns"):
-            normalize_factors([np.ones((2, 3))] * 3, spec)
+        assert all(m.shape[0] == 2 for m in (*u, *w))
 
 
 class TestDecomposeCore:
@@ -683,8 +693,11 @@ class TestDecomposeCore:
         devs = []
         for R in (1, 2, 3, 4):
             metric = decompose_cores([tucker], [R], opt)[R][0].deviation
-            u, lam = normalize_factors(cpd._cp_stack([tucker.core], [R], opt)[R][0].v, spec)
-            _, euclidean = cpd._overlap_terms(spec.overlaps, tucker.core, lam, u)
+            # the same CP run on the LF-basis core, scored in the metric
+            e = cp_full(None, cpd._cp_stack([tucker.core], [R], opt)[R][0].v)
+            S = spec.overlaps
+            euclidean = 1.0 - metric_inner(e, tucker.core, S) ** 2 / (
+                metric_inner(e, e, S) * metric_inner(tucker.core, tucker.core, S))
             assert metric <= euclidean
             devs.append(metric)
         assert all(a >= b for a, b in zip(devs, devs[1:]))
@@ -705,15 +718,6 @@ class TestDecomposeCore:
         assert canon.R == 1
         assert canon.lambdas.shape == (1,)
         assert canon.flags == ("rank-reduced",)
-
-    def test_spec_mismatch_rejected(self):
-        # factors of a 2x2x1 core cannot be normalized in a 2x2x2 metric
-        spec_a = _spec((2, 2, 2))
-        rng = np.random.default_rng(17)
-        result = cpd._cp_stack([rng.normal(size=(2, 2, 1))], [1],
-                               CpdOptions(n_restarts=1, seed=0))[1][0]
-        with pytest.raises(ValueError, match="spec"):
-            normalize_factors(result.v, spec_a)
 
     def test_metric_built_once_per_spec(self, monkeypatch):
         spec = _spec((2, 2, 2))
