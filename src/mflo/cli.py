@@ -315,7 +315,7 @@ def _json_default(obj):
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_json_default)
 
 
 def load_job(path) -> dict:
@@ -648,6 +648,7 @@ def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dic
     """Re-run the rank sweep on an existing report, updating it in place.
 
     The CP options come from the job embedded in the report.  Repeated MO names count once.
+    ``decompose_cores`` rejects a rank outside [1, n_prod] before any CP work.
     """
     report_path = Path(report_path)
     report = json.loads(report_path.read_text())
@@ -657,11 +658,6 @@ def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dic
     for name in names:
         if name not in report["mos"]:
             raise ValueError(f"report has no MO named {name!r}")
-        n_prod = math.prod(report["mos"][name]["core"]["shape"])
-        if any(r > n_prod for r in ranks):
-            raise ValueError(f"rank sweep exceeds n_prod={n_prod}")
-        if any(r < 1 for r in ranks):
-            raise ValueError(f"rank must be in [1, {n_prod}], got {min(ranks)}")
     entries = [report["mos"][name] for name in names]
     tuckers = [_tucker_from_payload(entry, job["cell"]["n_qe"]) for entry in entries]
     _rank_sweep(entries, tuckers, ranks, options)

@@ -43,8 +43,9 @@ counts (core, candidate) pairs: every candidate of every core of a report
    index among them wins, so round-off does not pick the winner.
 
 The candidates are the ``n_restarts`` seeded starts (SVD basis, one batched
-SVD per mode for a whole stack, or the exact form at R = n_prod, then
-random) and, past a ladder's first rung, one more.
+SVD per mode for a whole stack, then random) and, past a ladder's first
+rung, one more.  Full rank R = n_prod is an ordinary rung with the same
+candidates.
 The requested ranks are decomposed in increasing order, and each rank's extra
 candidate is the previous rank's winner plus greedy rank-one terms of its
 residual.  That start is no worse than the previous winner, and both stages
@@ -135,18 +136,6 @@ class CanonicalState:
     converged: bool
 
 
-def _exact_init(d: np.ndarray) -> list[np.ndarray]:
-    """Exact R = n_prod decomposition: one separable term per core entry (C order), per core."""
-    *lead, I, J, K = d.shape
-    rows = np.arange(I * J * K)
-    i, j, k = np.indices((I, J, K)).reshape(3, -1)
-    A, B, C = (np.zeros((*lead, rows.size, n)) for n in (I, J, K))
-    A[..., rows, i] = d.reshape(*lead, -1)
-    B[..., rows, j] = 1.0
-    C[..., rows, k] = 1.0
-    return [A, B, C]
-
-
 def _left_singular(d: np.ndarray) -> list[np.ndarray]:
     """Left singular vectors of each mode unfolding of d (or of each stacked core)."""
     return [np.linalg.svd(unfold(d, mode), full_matrices=False)[0] for mode in range(3)]
@@ -168,17 +157,16 @@ def _svd_init(bases, R: int, rng: np.random.Generator) -> list[np.ndarray]:
 
 def _init(d: np.ndarray, R: int, restart: int, seed: np.random.SeedSequence,
           bases) -> list[np.ndarray]:
-    """Restart 0 starts from the SVD basis (the exact form at R = n_prod), the rest at random.
+    """Restart 0 starts from the SVD basis, padded at random past its size, the rest at random.
 
     ``bases`` is ``_left_singular(d)``, computed once for every rank of a ladder.
     For a stack of cores, restart 0 gives stacked factors, and a random
     start's factors serve every core, which would each draw them alone.
     """
-    *_, I, J, K = d.shape
     rng = np.random.default_rng(seed)
     if restart == 0:
-        return _exact_init(d) if R == I * J * K else _svd_init(bases, R, rng)
-    return [rng.standard_normal((R, n)) for n in (I, J, K)]
+        return _svd_init(bases, R, rng)
+    return [rng.standard_normal((R, n)) for n in d.shape[-3:]]
 
 
 def _residual(d: np.ndarray, factors, norm_d: np.ndarray, kr=None) -> np.ndarray:

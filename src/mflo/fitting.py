@@ -32,7 +32,8 @@ below it), ``f_tol`` (the last step gains less than F_TOL, or the model
 predicts less for the next; or the line search fails to find a gain that
 the model puts below the round-off of F), ``max_iter`` (MAX_ITER steps) or
 ``stalled`` (no acceptable step, even from a fresh model); the last two flag
-the fit ``unconverged``.  A start with T = 0 stops at once as ``degenerate``.
+the fit ``unconverged``.  A point with T = 0 (in practice, the start) stops it
+as ``degenerate``.
 
 Everything here works in LF coefficient space; statevector assembly is
 provided only for oracles and exports.  T is a CP form over the primitive
@@ -130,6 +131,7 @@ class OptimizeDiagnostics:
     restart_fidelities: tuple[float, ...]
     fidelity_history: tuple[float, ...]
     discarded_dim: int
+    boundary_mass: dict[str, tuple[float, ...]]  # per axis, of each LF; see lorentzian.boundary_mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,8 +479,6 @@ def _ascend(engine: _Engine, a0: np.ndarray, grad_tol: float):
     ev = engine.evaluate(np.clip(a0, lo, hi))
     evaluations = 1
     history = [ev.fidelity]
-    if ev.kappa == 0.0:  # T = 0
-        return ev, 0, float("nan"), "degenerate", evaluations, history
     floor = min(ev.margin, -math.log(COEF_CAP))
     g = engine.gradient(ev)
     H = None                    # inverse Hessian model of -F; None is the identity
@@ -487,7 +487,8 @@ def _ascend(engine: _Engine, a0: np.ndarray, grad_tol: float):
     while True:
         a = ev.widths
         grad_norm = float(np.max(np.abs(np.clip(a + g, lo, hi) - a)))
-        stop = ("grad_tol" if grad_norm < grad_tol else
+        stop = ("degenerate" if ev.kappa == 0.0 else  # T = 0: the MO misses every LF product
+                "grad_tol" if grad_norm < grad_tol else
                 "f_tol" if improvement < F_TOL else
                 "max_iter" if len(history) > MAX_ITER else None)
         while not stop:
@@ -558,10 +559,6 @@ def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None)
     if not converged:
         flags.append("unconverged")
     spec = problem.spec.with_widths(ev.widths)
-    for v in range(3):
-        mass = boundary_mass(spec, v)
-        for l in np.nonzero(mass > 1e-3)[0]:
-            flags.append(f"boundary-{AXES[v]}{l}")
     diag = OptimizeDiagnostics(
         iterations=iterations,
         grad_norm=grad_norm,
@@ -572,6 +569,7 @@ def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None)
         restart_fidelities=tuple(restart_fids),
         fidelity_history=tuple(history),
         discarded_dim=ev.discarded,
+        boundary_mass={ax: tuple(boundary_mass(spec, v).tolist()) for v, ax in enumerate(AXES)},
     )
     return TuckerState(
         spec=spec,

@@ -444,7 +444,7 @@ class TestRunDecompose:
         assert Path(path).read_bytes() == original
 
     def test_names_and_ranks_checked_before_any_work(self, tmp_path, monkeypatch):
-        import mflo.cli as cli
+        import mflo.cpd as cpd
 
         _, path = run_fit(H2, out_path=tmp_path / "r.json")
         original = Path(path).read_bytes()
@@ -452,10 +452,10 @@ class TestRunDecompose:
         def never(*args, **kwargs):
             raise AssertionError("decomposed before validating")
 
-        monkeypatch.setattr(cli, "decompose_cores", never)
+        monkeypatch.setattr(cpd, "_rank_stage", never)
         with pytest.raises(ValueError, match="no MO named"):
             run_decompose(path, [1], mo_names=["bonding", "missing"])
-        with pytest.raises(ValueError, match="n_prod"):
+        with pytest.raises(ValueError, match=r"rank must be in \[1, 2\], got 99"):
             run_decompose(path, [1, 99])
         with pytest.raises(ValueError, match=r"rank must be in \[1, 2\], got 0"):
             run_decompose(path, [2, 0])
@@ -523,7 +523,7 @@ class TestRunDecompose:
 
     def test_bad_rank_and_mo(self, tmp_path):
         _, path = run_fit(SINGLE, out_path=tmp_path / "r.json")
-        with pytest.raises(ValueError, match="n_prod"):
+        with pytest.raises(ValueError, match=r"rank must be in \[1, 1\], got 2"):
             run_decompose(path, [2])
         with pytest.raises(ValueError, match="no MO named"):
             run_decompose(path, [1], mo_names=["missing"])

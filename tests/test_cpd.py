@@ -166,12 +166,6 @@ class TestCpDecompose:
         res = cpd._cp_stack([d], [27], CpdOptions(n_restarts=1, seed=0))[27][0]
         assert res.rec_error < 1e-12
 
-    def test_exact_start_not_flagged_ridge(self):
-        # the exact start's mode Grams are singular, but it never solves with them
-        d = np.random.default_rng(7).normal(size=(3, 3, 3))
-        res = cpd._cp_stack([d], [27], CpdOptions(n_restarts=1, seed=0))[27][0]
-        assert (res.sweeps, res.flags) == (0, ())
-
     def test_more_sweeps_never_worse(self, monkeypatch):
         rng = np.random.default_rng(8)
         d = rng.normal(size=(3, 3, 3))
@@ -512,18 +506,6 @@ class TestRankLadder:
         assert three.deviation == one.deviation
 
 
-def _exact_init_loop(d):
-    I, J, K = d.shape
-    A, B, C = np.zeros((d.size, I)), np.zeros((d.size, J)), np.zeros((d.size, K))
-    r = 0
-    for i in range(I):
-        for j in range(J):
-            for k in range(K):
-                A[r, i], B[r, j], C[r, k] = d[i, j, k], 1.0, 1.0
-                r += 1
-    return [A, B, C]
-
-
 def _svd_init_per_rank(d, R, rng):
     """SVD start computed from scratch at each rank, as the ladder once did."""
     out = []
@@ -543,7 +525,7 @@ def test_hoisted_svd_gives_the_per_rank_starts(shape):
     d = np.random.default_rng(47).normal(size=shape)
     bases = cpd._left_singular(d)
     seeds = np.random.SeedSequence(3).spawn(2)
-    for R in range(1, d.size):
+    for R in range(1, d.size + 1):
         for restart in range(2):
             got = cpd._init(d, R, restart, seeds[restart], bases)
             rng = np.random.default_rng(seeds[restart])
@@ -551,12 +533,6 @@ def test_hoisted_svd_gives_the_per_rank_starts(shape):
                       else [rng.standard_normal((R, n)) for n in shape])
             for g, e in zip(got, expect):
                 np.testing.assert_array_equal(g, e)
-
-
-def test_exact_init_matches_loop():
-    d = np.random.default_rng(34).normal(size=(3, 2, 4))
-    for got, want in zip(cpd._exact_init(d), _exact_init_loop(d)):
-        np.testing.assert_array_equal(got, want)
 
 
 class TestNormalizeFactors:

@@ -1,5 +1,7 @@
 """Overlap tensors, core solve, analytic gradient, and width optimization."""
 
+import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from mflo.fitting import (
     t_tensor,
     tucker_statevector,
 )
-from mflo.lorentzian import AxisProfiles, LorentzianBasisSpec, lf_state
+from mflo.lorentzian import AXES, AxisProfiles, LorentzianBasisSpec, boundary_mass, lf_state
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -497,6 +499,37 @@ class TestOptimizeWidths:
         assert "unconverged" in fit.diagnostics.flags
         assert (fit.diagnostics.stop_reason, fit.diagnostics.iterations) == ("max_iter", 1)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_zero_overlap_stops_degenerate(self, alpha):
+        # a zero norm factor zeroes every primitive weight, so T = 0 at any widths
+        problem = dataclasses.replace(_problem(alpha=alpha), norm_factor=0.0)
+        assert not np.any(_Engine(problem).wpref)
+        fit = optimize_widths(problem)
+        diag = fit.diagnostics
+        assert (diag.stop_reason, diag.flags, diag.converged) == ("degenerate", ("degenerate",), True)
+        assert (diag.iterations, diag.evaluations) == (0, 1)
+        # F = kappa - penalty, and kappa is quadratic in T: only the penalty has a gradient
+        assert math.isfinite(diag.grad_norm) and (diag.grad_norm > 0.0) == (alpha > 0.0)
+        dd = fit.core.ravel()
+        assert float(dd @ overlap_3d(fit.spec) @ dd) == pytest.approx(1.0, abs=1e-12)
+        json.dumps(dataclasses.asdict(diag), allow_nan=False)
+
+    def test_failed_line_search_ends_stalled(self, monkeypatch):
+        # after one accepted step every search fails with the guard hit: the
+        # ascent first turns the guard on, then drops its BFGS model, then stalls
+        search, calls = mflo.fitting._line_search, []
+
+        def fail_after_one(*args):
+            calls.append(args)
+            return search(*args) if len(calls) == 1 else (None, 1, True)
+
+        monkeypatch.setattr(mflo.fitting, "_line_search", fail_after_one)
+        diag = optimize_widths(_problem()).diagnostics
+        assert (diag.stop_reason, diag.converged, diag.flags) == ("stalled", False, ("unconverged",))
+        assert (diag.iterations, len(calls)) == (1, 4)
+        # the guard's linearization rides along once the guard is on
+        assert [args[-1] is not None for args in calls] == [False, False, True, True]
+
     # options pairs the run options with a MAX_ITER override (None: the default)
     @pytest.mark.parametrize("problem, options", [
         (_problem, (OptimizeOptions(), None)),
@@ -540,13 +573,17 @@ class TestOptimizeWidths:
         dd = fit.core.ravel()
         assert float(dd @ overlap_3d(fit.spec) @ dd) == pytest.approx(1.0, abs=1e-10)
 
-    def test_boundary_flag_on_edge_center(self):
+    def test_boundary_mass_on_edge_center(self):
         spec = _spec(widths=((0.8,), (1.0,), (0.9,)), centers=((0,), (8,), (8,)))
         ao = gaussian_ao([0.5], [1.0], (0, 0, 0), [0.5, 4.0, 4.0])
         mo = MolecularOrbital(ao_list=(ao,), coefficients=[1.0])
         problem = FitProblem.build(mo, _cube(n_qe=4), spec)
         fit = optimize_widths(problem)
-        assert any(f.startswith("boundary-x") for f in fit.diagnostics.flags)
+        mass = fit.diagnostics.boundary_mass
+        assert mass == {ax: tuple(boundary_mass(fit.spec, v)) for v, ax in enumerate(AXES)}
+        # the x LF sits on the grid edge, the y and z LFs in the middle
+        assert mass["x"][0] > 0.5 > 0.1 > max(mass["y"][0], mass["z"][0])
+        assert fit.diagnostics.flags == ()
 
     def test_box_antibonding_converges_along_guard(self):
         # the optimum sits on the coefficient guard, where F is resolved to
