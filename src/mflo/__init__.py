@@ -8,7 +8,6 @@ report the ancilla/CNOT cost and post-selection success probability of the
 matching amplitude-encoding circuits.
 """
 
-from .exceptions import ConditioningError, DegenerateInputError, ResourceLimitError
 from .lorentzian import (
     AXES,
     LorentzianBasisSpec,
@@ -20,7 +19,9 @@ from .lorentzian import (
 from .basis import (
     DEFAULT_MAX_QUBITS,
     ContractedGaussianAO,
+    DegenerateInputError,
     MolecularOrbital,
+    ResourceLimitError,
     SimulationCell,
     ao_self_overlap,
     build_ideal_state,
@@ -30,18 +31,14 @@ from .basis import (
     sample_ao_1d,
 )
 from .fitting import (
+    ConditioningError,
     FitProblem,
     OptimizeDiagnostics,
     OptimizeOptions,
     TuckerState,
     box_centers,
-    fidelity_gradient,
     optimize_widths,
-    overlap_3d,
     penalty,
-    solve_core,
-    t_tensor,
-    tucker_statevector,
 )
 from .cpd import (
     CanonicalState,
@@ -92,7 +89,6 @@ __all__ = [
     "cnot_count_canonical",
     "cnot_count_tucker",
     "decompose_cores",
-    "fidelity_gradient",
     "gaussian_ao",
     "lcu_postselect_oracle",
     "lf_profile",
@@ -100,17 +96,13 @@ __all__ = [
     "lf_state",
     "mo_norm_factor",
     "optimize_widths",
-    "overlap_3d",
     "penalty",
     "qft_cx_informational",
     "rank_ancillae",
     "renormalized",
     "sample_ao_1d",
-    "solve_core",
     "success_prob_canonical",
     "success_prob_tucker",
-    "t_tensor",
-    "tucker_statevector",
     "tucker_success_from_core",
     "two_center_analysis",
     "two_center_csv_lines",

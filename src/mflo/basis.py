@@ -27,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, ResourceLimitError
 from .lorentzian import _axis_index
 from .tensor import cp_full
 
 __all__ = [
+    "ResourceLimitError",
+    "DegenerateInputError",
     "ContractedGaussianAO",
     "MolecularOrbital",
     "SimulationCell",
@@ -46,6 +47,14 @@ __all__ = [
 
 #: default memory guard: 2^(3*8) = 16.8M float64 amplitudes per grid
 DEFAULT_MAX_QUBITS = 8
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a requested grid would exceed the configured memory guard."""
+
+
+class DegenerateInputError(ValueError):
+    """Raised when an input is structurally unusable (zero orbital, empty basis)."""
 
 
 def _double_factorial(n: int) -> int:

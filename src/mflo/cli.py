@@ -11,7 +11,8 @@ an existing report; ``gate-count`` is a standalone resource calculator;
 built-in check battery.
 
 Exit codes: 0 success, 1 failed run or failed verification, 2 malformed job
-(the error names the offending field by JSON pointer), 3 resource guard.
+(the error names the offending field by JSON pointer) or command line, 3
+resource guard.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from . import __version__
 from .basis import (
     DEFAULT_MAX_QUBITS,
     MolecularOrbital,
+    ResourceLimitError,
     SimulationCell,
     build_ideal_state,
     gaussian_ao,
@@ -51,7 +53,6 @@ from .encoding import (
     two_center_analysis,
     two_center_csv_lines,
 )
-from .exceptions import ConditioningError, DegenerateInputError, ResourceLimitError
 from .fitting import (
     FitProblem,
     OptimizeOptions,
@@ -970,15 +971,16 @@ def run_verify(job_path, max_qubits=DEFAULT_MAX_QUBITS, stream=None) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _parse_triple(text: str) -> tuple[int, int, int]:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected three comma-separated integers, got {text!r}")
-    return tuple(parts)
-
-
-def _parse_ranks(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+def _int_list(text: str, count: int | None = None) -> tuple[int, ...]:
+    """argparse type: comma-separated integers, exactly ``count`` of them if given."""
+    try:
+        values = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or count not in (None, len(values)):
+        many = "" if count is None else f"{count} "
+        raise argparse.ArgumentTypeError(f"expected {many}comma-separated integers, got {text!r}")
+    return values
 
 
 @functools.cache  # built on first use, so importing the module does not pay for it
@@ -996,13 +998,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", help="re-run the CP rank sweep on an existing report")
     dec.add_argument("--report", required=True)
-    dec.add_argument("--ranks", required=True, type=_parse_ranks)
+    dec.add_argument("--ranks", required=True, type=_int_list, help="e.g. 1,2,4")
     dec.add_argument("--mo", action="append", default=None, help="restrict to named MOs")
     dec.add_argument("--out", default=None, help="write here instead of updating in place")
 
     gc = sub.add_parser("gate-count", help="ancilla/CNOT calculator for a basis layout")
     gc.add_argument("--job", default=None, help="take the layout from a job file")
-    gc.add_argument("--n-l", type=_parse_triple, default=None, help="e.g. 3,3,3")
+    gc.add_argument("--n-l", type=functools.partial(_int_list, count=3), default=None,
+                    help="e.g. 3,3,3")
     gc.add_argument("--n-qe", type=int, default=None)
     gc.add_argument("--rank", action="append", type=int, default=None)
     gc.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -1118,8 +1121,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         _emit_error("resource", str(exc))
         return EXIT_RESOURCE
-    except (ConditioningError, DegenerateInputError, RuntimeError,
-            ValueError, OSError, KeyError) as exc:
+    except (RuntimeError, ValueError, OSError, KeyError) as exc:
         _emit_error("run", str(exc))
         return EXIT_FAIL
 

@@ -50,11 +50,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import MolecularOrbital, SimulationCell, mo_norm_factor, primitive_tables
-from .exceptions import ConditioningError
 from .lorentzian import AXES, AxisProfiles, LorentzianBasisSpec, _symmetric_gram, boundary_mass
 from .tensor import cp_full, mode_product, mttkrp, unfold
 
 __all__ = [
+    "ConditioningError",
     "FitProblem",
     "TuckerState",
     "OptimizeOptions",
@@ -79,6 +79,10 @@ MAX_ITER = 2000  # accepted steps per restart
 F_TOL = 1e-12  # an ascent stops once a step gains, or its model predicts, less
 RESTART_JITTER = 0.25  # log-normal spread of the widths a restart starts from
 _EPS = float(np.finfo(np.float64).eps)
+
+
+class ConditioningError(RuntimeError):
+    """Raised when the basis overlap metric is singular beyond regularization."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +208,7 @@ class _Engine:
         f = float(np.sum(T * d))
         norm2 = float(np.sum(d * d))
         return _Eval(profiles=prof, widths=widths, V=V, S1=S1, Q=[q for _, q in eigs], lam=lam,
-                     keep=keep, tr1=tr1, tr2=tr2, M=M, T=T, core=d, kappa=kappa, pen=pen,
+                     keep=keep, tr1=tr1, tr2=tr2, M=M, core=d, kappa=kappa, pen=pen,
                      fidelity=kappa - pen, f=f, discarded=int(T.size - np.count_nonzero(keep)),
                      margin=-math.log(norm2), resolution=_EPS * float(lam.max()) * kappa * norm2)
 
@@ -276,7 +280,6 @@ class _Eval:
     tr1: list  # Tr(S_v) per direction
     tr2: list  # Tr(S_v^2) per direction
     M: list
-    T: np.ndarray
     core: np.ndarray
     kappa: float
     pen: float
@@ -319,8 +322,7 @@ def _solve_core_factored(T: np.ndarray, eigs):
     lam = cp_full(np.ones(1), [e[0][None, :] for e in eigs])
     lam_max = float(lam.max())
     if not math.isfinite(lam_max) or lam_max <= 0.0:
-        raise ConditioningError("overlap metric has no positive eigenvalue",
-                                discarded=T.size)
+        raise ConditioningError("overlap metric has no positive eigenvalue")
     keep = lam >= EIG_CUTOFF * lam_max
     tt = mode_product(T, Q)
     kappa = float(np.sum(np.where(keep, tt * tt / np.where(keep, lam, 1.0), 0.0)))
@@ -371,8 +373,7 @@ def solve_core(T, S: np.ndarray, alpha_pen: float = 0.0):
         raise ValueError("metric entries must be finite")
     w, Q = np.linalg.eigh(0.5 * (S + S.T))
     if w[-1] <= 0.0:
-        raise ConditioningError("overlap metric has no positive eigenvalue",
-                                discarded=n_prod)
+        raise ConditioningError("overlap metric has no positive eigenvalue")
     keep = w >= EIG_CUTOFF * w[-1]
     pen = (alpha_pen / n_prod) * (float(np.sum(S * S)) - 2.0 * float(np.trace(S)) + n_prod)
     tt = Q[:, keep].T @ t

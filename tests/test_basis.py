@@ -16,7 +16,7 @@ from mflo.basis import (
     renormalized,
     sample_ao_1d,
 )
-from mflo.exceptions import DegenerateInputError, ResourceLimitError
+from mflo import DegenerateInputError, ResourceLimitError
 
 STO3G_EXP = [3.42525091, 0.62391373, 0.1688554]
 STO3G_COEF = [0.15432897, 0.53532814, 0.44463454]
@@ -42,6 +42,26 @@ class TestAOValidation:
     def test_rejects_negative_powers(self):
         with pytest.raises(ValueError):
             gaussian_ao([1.0], [1.0], (0, -1, 0), [0, 0, 0])
+
+    @pytest.mark.parametrize("exponents, coefficients, center, message", [
+        ([], [], [0, 0, 0], "at least one primitive"),
+        ([1.0], [math.nan], [0, 0, 0], "coefficients must be finite"),
+        ([1.0], [1.0], [0, 0], "finite 3-vector"),
+        ([1.0], [1.0], [0, math.inf, 0], "finite 3-vector"),
+    ])
+    def test_rejects_malformed_ao(self, exponents, coefficients, center, message):
+        with pytest.raises(ValueError, match=message):
+            ContractedGaussianAO(exponents=exponents, coefficients=coefficients,
+                                 powers=(0, 0, 0), center=center)
+
+    @pytest.mark.parametrize("n_aos, coefficients, message", [
+        (0, [], "at least one AO"),
+        (1, [math.nan], "must be finite"),
+        (2, [1.0, math.inf], "must be finite"),
+    ])
+    def test_rejects_malformed_mo(self, n_aos, coefficients, message):
+        with pytest.raises(ValueError, match=message):
+            MolecularOrbital(ao_list=(_s_ao(),) * n_aos, coefficients=coefficients)
 
     def test_warns_on_unnormalized_contraction(self):
         with pytest.warns(UserWarning, match="squared norm"):
@@ -115,6 +135,11 @@ class TestSimulationCell:
         with pytest.raises(ValueError):
             _cell(n_qe=0)
 
+    @pytest.mark.parametrize("origin", [(0.0, 0.0), (0.0, math.nan, 0.0)])
+    def test_rejects_bad_origin(self, origin):
+        with pytest.raises(ValueError, match="origin must be a finite 3-vector"):
+            _cell(origin=origin)
+
 
 @pytest.mark.filterwarnings("ignore:AO squared norm")
 class TestSampleAO1D:
@@ -143,6 +168,11 @@ class TestSampleAO1D:
         vals = sample_ao_1d(ao, "x", 0, cell)
         assert vals[2] == 0.0
         assert vals[3] == -vals[1]  # antisymmetric around the center
+
+    @pytest.mark.parametrize("s", [-1, 1])
+    def test_primitive_index_checked(self, s):
+        with pytest.raises(ValueError, match=r"primitive index .* out of range \[0, 1\)"):
+            sample_ao_1d(_s_ao(), "x", s, _cell())
 
 
 def naive_grid_state(mo, cell):

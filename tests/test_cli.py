@@ -29,7 +29,7 @@ from mflo.cli import (
     run_verify,
 )
 from mflo.cpd import CpdOptions
-from mflo.exceptions import ResourceLimitError
+from mflo import ResourceLimitError
 from mflo.fitting import OptimizeOptions
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -399,6 +399,30 @@ class TestExports:
         with pytest.raises(ValueError, match="version 2"):
             read_state_export(patched)
 
+    def test_unknown_form_tag_rejected(self, single_report, tmp_path):
+        report, _ = single_report
+        data = bytearray(export_state(report, "ideal", "binary",
+                                      out_path=tmp_path / "s.bin").read_bytes())
+        data[12:16] = (7).to_bytes(4, "little")
+        patched = tmp_path / "tag7.bin"
+        patched.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="tag7.bin: unknown form tag 7"):
+            read_state_export(patched)
+
+    def test_canonical_export_needs_a_decomposition(self, single_report, tmp_path, capsys):
+        _, path = single_report
+        bare = json.loads(path.read_text())
+        for entry in bare["mos"].values():
+            entry["canonical"] = {}
+        bare_path = tmp_path / "bare.report.json"
+        bare_path.write_text(json.dumps(bare))
+        code = main(["export-state", "--report", str(bare_path), "--which", "canonical",
+                     "--out", str(tmp_path / "c.csv")])
+        assert code == EXIT_FAIL
+        error = json.loads(capsys.readouterr().err)
+        assert (error["error"], error["message"]) == (
+            "run", "MO 'ground' has no canonical decompositions in the report")
+
     def test_clipped_csv_rejected(self, single_report, tmp_path):
         report, _ = single_report
         lines = export_state(report, "ideal", "csv",
@@ -609,6 +633,24 @@ class TestMain:
         assert table["n_l"] == [2, 1, 1]
         assert table["tucker"]["total"] == 63
         assert table["canonical"]["2"]["total"] == 65
+
+    @pytest.mark.parametrize("argv, message", [
+        (["decompose", "--report", "r.json", "--ranks", "x"],
+         "argument --ranks: expected comma-separated integers, got 'x'"),
+        (["decompose", "--report", "r.json", "--ranks", "1,,2"],
+         "argument --ranks: expected comma-separated integers, got '1,,2'"),
+        (["gate-count", "--n-l", "a,b,c", "--n-qe", "7"],
+         "argument --n-l: expected 3 comma-separated integers, got 'a,b,c'"),
+        (["gate-count", "--n-l", "3,3", "--n-qe", "7"],
+         "argument --n-l: expected 3 comma-separated integers, got '3,3'"),
+    ])
+    def test_malformed_integer_lists_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"mflo {argv[0]}: error: {message}"
+        assert "_parse" not in err and "_int_list" not in err
 
     def test_gate_count_needs_layout(self, capsys):
         code = main(["gate-count", "--n-qe", "7"])

@@ -209,6 +209,11 @@ class TestCpDecompose:
         with pytest.raises(ValueError, match="rank"):
             cpd._cp_stack([np.ones((2, 2, 2))], [R], None)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2), (2, 2, 2, 2)])
+    def test_core_must_be_three_way(self, shape):
+        with pytest.raises(ValueError, match="core tensor must be 3-way"):
+            cpd._cp_stack([np.ones(shape)], [1], None)
+
 
 class TestStackedAls:
     # below the typical rank, so the errors are well above round-off

@@ -12,7 +12,7 @@ import mflo.basis
 import mflo.cli
 import mflo.fitting
 from mflo.basis import MolecularOrbital, SimulationCell, build_ideal_state, gaussian_ao
-from mflo.exceptions import ConditioningError
+from mflo import ConditioningError
 from mflo.fitting import (
     EIG_CUTOFF,
     COEF_CAP,
@@ -187,6 +187,10 @@ class TestPenalty:
         expect = (alpha / n_prod) * (tr2 - 2.0 * tr1 + n_prod)
         assert penalty(spec, alpha) == pytest.approx(expect, rel=1e-12)
 
+    def test_negative_strength_rejected(self):
+        with pytest.raises(ValueError, match="penalty strength must be >= 0"):
+            penalty(_spec(), -0.1)
+
 
 class TestSolveCore:
     def test_single_product_state(self):
@@ -267,6 +271,11 @@ class TestSolveCore:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape"):
             solve_core(np.ones((2, 1, 1)), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_metric_raises(self, bad):
+        with pytest.raises(ValueError, match="metric entries must be finite"):
+            solve_core(np.ones((2, 1, 1)), np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def _fidelity_at(problem, widths_flat):

@@ -229,6 +229,24 @@ class TestBasisSpec:
         with pytest.raises(ValueError):
             _spec(widths=((0.5,), (1.0,), (2.0,)), centers=((3, 9), (8,), (8,)))
 
+    def test_qubit_count_checked(self):
+        with pytest.raises(ValueError, match="qubit count must be >= 1"):
+            _spec(n=0)
+
+    def test_empty_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction x: need at least one LF"):
+            _spec(widths=((), (1.0,), (2.0,)), centers=((), (8,), (8,)))
+
+    @pytest.mark.parametrize("axis", ["w", 3, -1, None])
+    def test_unknown_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match="axis must be one of"):
+            _spec().state_matrix(axis)
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_with_widths_count_checked(self, count):
+        with pytest.raises(ValueError, match=f"expected 4 widths, got {count}"):
+            _spec().with_widths(np.ones(count))
+
     def test_with_widths_roundtrip(self):
         spec = _spec()
         flat = spec.widths_flat()
