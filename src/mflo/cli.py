@@ -4,9 +4,9 @@ A job is a single JSON document (``"schema": 1``) naming the molecule (AO
 list plus named MO coefficient vectors), the simulation cell, the LF basis
 layout (explicit per-direction centers or a box generator), initial widths,
 the penalty strength, and the CP ranks to sweep.  ``fit`` runs the whole
-pipeline and writes a deterministic report; ``decompose`` re-sweeps ranks on
-an existing report; ``gate-count`` is a standalone resource calculator;
-``export-state`` materializes grid statevectors as CSV or binary;
+pipeline and writes a deterministic report; ``decompose`` adds ranks to a
+report's rank ladder and re-runs it; ``gate-count`` is a standalone resource
+calculator; ``export-state`` materializes grid statevectors as CSV or binary;
 ``two-center`` tabulates the interference sweep; ``verify`` runs the
 built-in check battery.
 
@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import struct
 import sys
 import tempfile
@@ -486,10 +487,11 @@ def _canonical_entry(canon: CanonicalState, rank: int) -> dict:
 
 def _rank_sweep(entries: list[dict], tuckers: list[TuckerState], ranks,
                 options: CpdOptions) -> None:
-    """Fill each entry's ``canonical`` map from one rank ladder over all cores."""
-    for rank, canons in decompose_cores(tuckers, ranks, options).items():
-        for entry, canon in zip(entries, canons):
-            entry["canonical"][str(rank)] = _canonical_entry(canon, rank)
+    """Write each entry's ``canonical`` map afresh from one rank ladder over all cores."""
+    found = decompose_cores(tuckers, ranks, options)
+    for i, entry in enumerate(entries):
+        entry["canonical"] = {str(rank): _canonical_entry(canons[i], rank)
+                              for rank, canons in found.items()}
 
 
 def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
@@ -539,7 +541,6 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
             "identity_residuals": residuals,
             "diagnostics": {k: list(v) if isinstance(v, tuple) else v
                             for k, v in asdict(tucker.diagnostics).items()},
-            "canonical": {},
         }
         report["mos"][name] = entry
         tuckers.append(tucker)
@@ -645,24 +646,26 @@ def read_state_export(path) -> tuple[np.ndarray, dict]:
     return vals, {"format": "csv", "n_qe": n_qe}
 
 
-def run_decompose(report_path, ranks, mo_names=None, out_path=None) -> tuple[dict, Path]:
-    """Re-run the rank sweep on an existing report, updating it in place.
+def run_decompose(report_path, ranks, out_path=None) -> tuple[dict, Path]:
+    """Add ``ranks`` to a report's rank ladder and re-run the whole ladder.
 
-    The CP options come from the job embedded in the report.  Repeated MO names count once.
-    ``decompose_cores`` rejects a rank outside [1, n_prod] before any CP work.
+    The ladder is the union of the embedded job's ``cpd.ranks``, the ranks
+    the report holds and ``ranks``.  It is written to the job's ``cpd.ranks``
+    and run on every MO, so the report stays what fitting its own ``job``
+    entry writes.  An empty ladder, or a rank outside [1, n_prod], raises
+    before any CP work, and then nothing is written.
     """
-    report_path = Path(report_path)
-    report = json.loads(report_path.read_text())
+    report = json.loads(Path(report_path).read_text())
     job = report["job"]
-    options = _job_cpd_options(job)
-    names = list(report["mos"]) if not mo_names else list(dict.fromkeys(mo_names))
-    for name in names:
-        if name not in report["mos"]:
-            raise ValueError(f"report has no MO named {name!r}")
-    entries = [report["mos"][name] for name in names]
+    cpd = job.setdefault("cpd", {})
+    entries = list(report["mos"].values())
+    held = {int(key) for entry in entries for key in entry["canonical"]}
+    cpd["ranks"] = sorted(held.union(cpd.get("ranks", []), ranks))
+    if not cpd["ranks"]:
+        raise ValueError("decompose needs at least one rank")
     tuckers = [_tucker_from_payload(entry, job["cell"]["n_qe"]) for entry in entries]
-    _rank_sweep(entries, tuckers, ranks, options)
-    out = Path(out_path) if out_path is not None else report_path
+    _rank_sweep(entries, tuckers, cpd["ranks"], _job_cpd_options(job))
+    out = Path(out_path or report_path)
     _write_report(report, out)
     return report, out
 
@@ -996,10 +999,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--job", required=True)
     fit.add_argument("--out", default=None, help="report path (default <job>.report.json)")
 
-    dec = sub.add_parser("decompose", help="re-run the CP rank sweep on an existing report")
+    dec = sub.add_parser("decompose", help="add ranks to a report's CP rank ladder and re-run it")
     dec.add_argument("--report", required=True)
     dec.add_argument("--ranks", required=True, type=_int_list, help="e.g. 1,2,4")
-    dec.add_argument("--mo", action="append", default=None, help="restrict to named MOs")
     dec.add_argument("--out", default=None, help="write here instead of updating in place")
 
     gc = sub.add_parser("gate-count", help="ancilla/CNOT calculator for a basis layout")
@@ -1044,8 +1046,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    report, path = run_decompose(args.report, args.ranks, mo_names=args.mo,
-                                 out_path=args.out)
+    report, path = run_decompose(args.report, args.ranks, out_path=args.out)
     for name in sorted(report["mos"]):
         for key in sorted(report["mos"][name]["canonical"], key=int):
             entry = report["mos"][name]["canonical"][key]
@@ -1114,7 +1115,14 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # stays silent, and fail, since the output was not all delivered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except JobError as exc:
         _emit_error("schema", exc.message, pointer=exc.pointer)
         return EXIT_SCHEMA

@@ -53,7 +53,8 @@ only lower a candidate's error, so the error cannot rise with rank.  Once a
 rank's winner is exact (relative error at most EXACT_TOL = sqrt(eps), below
 which the deviation, about the error squared, reads round-off), every higher
 rank of the ladder reports that state, flagged ``rank-reduced``.  So a rank's
-result can depend on which lower ranks were decomposed with it.
+result can depend on which lower ranks were decomposed with it, and
+``mflo decompose`` therefore re-runs a report's whole ladder.
 
 A finished pair leaves the stack in both stages, and every operation acts on
 each pair alone, so a core's result does not depend on what it was stacked

@@ -36,6 +36,7 @@ JOBS = Path(__file__).resolve().parent.parent / "jobs"
 SINGLE = JOBS / "single_gaussian.json"
 H2 = JOBS / "h2_like.json"
 H2_N12 = JOBS / "h2_n12.json"
+BOX_6x4x4 = JOBS / "h2_box_6x4x4.json"
 
 
 def _broken_job(tmp_path, mutate):
@@ -467,7 +468,7 @@ class TestRunDecompose:
         assert Path(out) == tmp_path / "r2.json"
         assert Path(path).read_bytes() == original
 
-    def test_names_and_ranks_checked_before_any_work(self, tmp_path, monkeypatch):
+    def test_ranks_checked_before_any_work(self, tmp_path, monkeypatch):
         import mflo.cpd as cpd
 
         _, path = run_fit(H2, out_path=tmp_path / "r.json")
@@ -477,8 +478,6 @@ class TestRunDecompose:
             raise AssertionError("decomposed before validating")
 
         monkeypatch.setattr(cpd, "_rank_stage", never)
-        with pytest.raises(ValueError, match="no MO named"):
-            run_decompose(path, [1], mo_names=["bonding", "missing"])
         with pytest.raises(ValueError, match=r"rank must be in \[1, 2\], got 99"):
             run_decompose(path, [1, 99])
         with pytest.raises(ValueError, match=r"rank must be in \[1, 2\], got 0"):
@@ -529,28 +528,56 @@ class TestRunDecompose:
             assert two["cnot"] == one["cnot"]
             assert two["deviation"] == one["deviation"]
 
-    def test_repeated_mo_decomposed_once(self, tmp_path, monkeypatch):
-        import mflo.cli as cli
-
-        _, path = run_fit(H2, out_path=tmp_path / "r.json")
-        stacked = []
-        decompose = cli.decompose_cores
-        monkeypatch.setattr(cli, "decompose_cores",
-                            lambda tuckers, *rest: stacked.append(len(tuckers))
-                            or decompose(tuckers, *rest))
-        base = ["decompose", "--report", str(path), "--ranks", "1,2"]
-        assert main(base + ["--mo", "bonding", "--out", str(tmp_path / "once.json")]) == EXIT_OK
-        assert main(base + ["--mo", "bonding", "--mo", "bonding",
-                            "--out", str(tmp_path / "twice.json")]) == EXIT_OK
-        assert stacked == [1, 1]
-        assert (tmp_path / "twice.json").read_bytes() == (tmp_path / "once.json").read_bytes()
-
-    def test_bad_rank_and_mo(self, tmp_path):
+    def test_bad_rank(self, tmp_path):
         _, path = run_fit(SINGLE, out_path=tmp_path / "r.json")
         with pytest.raises(ValueError, match=r"rank must be in \[1, 1\], got 2"):
             run_decompose(path, [2])
-        with pytest.raises(ValueError, match="no MO named"):
-            run_decompose(path, [1], mo_names=["missing"])
+
+    def test_empty_ladder_rejected(self, tmp_path):
+        # a job whose cpd.ranks is empty would fail the schema on a refit
+        path = _broken_job(tmp_path, lambda j: j["cpd"].pop("ranks"))
+        _, report = run_fit(path, out_path=tmp_path / "r.json")
+        original = Path(report).read_bytes()
+        with pytest.raises(ValueError, match="at least one rank"):
+            run_decompose(report, [])
+        assert Path(report).read_bytes() == original
+
+    def test_added_ranks_extend_the_fitted_ladder(self, tmp_path):
+        # the 6x4x4 fit holds the ladder 1, 2, 4 with an exact R=4; ranks added
+        # later join that ladder instead of starting one of their own
+        _, path = run_fit(BOX_6x4x4, out_path=tmp_path / "r.json")
+        report, _ = run_decompose(path, [5, 6])
+        assert report["job"]["cpd"]["ranks"] == [1, 2, 4, 5, 6]
+        for entry in report["mos"].values():
+            canon = [entry["canonical"][k] for k in sorted(entry["canonical"], key=int)]
+            devs = [c["deviation"] for c in canon]
+            assert all(b <= a for a, b in zip(devs, devs[1:])), devs
+            exact = next(c for c in canon if c["deviation"] <= np.finfo(float).eps)
+            for c in canon[canon.index(exact) + 1:]:
+                assert c["flags"] == ["rank-reduced"]
+                for key in ("rank", "success_probability", "cnot"):
+                    assert c[key] == exact[key]
+
+    def test_refitting_the_embedded_job_reproduces_the_report(self, tmp_path):
+        path = self._off_center_y_report(tmp_path)
+        report, _ = run_decompose(path, [4])
+        job = tmp_path / "embedded.json"
+        job.write_text(json.dumps(report["job"]))
+        _, refit = run_fit(job, out_path=tmp_path / "refit.json")
+        assert Path(refit).read_bytes() == Path(path).read_bytes()
+
+    def test_ranks_added_in_steps_equal_ranks_added_at_once(self, tmp_path):
+        job = json.loads(H2.read_text())
+        job["lorentzian"]["centers"]["y"] = [26, 34]
+        del job["cpd"]["ranks"]
+        (tmp_path / "job.json").write_text(json.dumps(job))
+        _, path = run_fit(tmp_path / "job.json", out_path=tmp_path / "r.json")
+        steps, once = tmp_path / "steps.json", tmp_path / "once.json"
+        run_decompose(path, [2], out_path=steps)
+        run_decompose(steps, [4])
+        run_decompose(path, [2, 4], out_path=once)
+        assert json.loads(once.read_text())["job"]["cpd"]["ranks"] == [2, 4]
+        assert steps.read_bytes() == once.read_bytes()
 
 
 class TestGateCountTable:
@@ -615,9 +642,9 @@ class TestMain:
         # the parser is cached across calls; one call's arguments must not leak into the next
         parser = build_parser()
         assert build_parser() is parser
-        first = parser.parse_args(["decompose", "--report", "r.json", "--ranks", "1", "--mo", "a"])
-        second = parser.parse_args(["decompose", "--report", "r.json", "--ranks", "2"])
-        assert (first.mo, second.mo) == (["a"], None)
+        first = parser.parse_args(["gate-count", "--n-qe", "7", "--rank", "3"])
+        second = parser.parse_args(["gate-count", "--n-qe", "7"])
+        assert (first.rank, second.rank) == ([3], None)
 
     def test_gate_count_stdout(self, capsys):
         code = main(["gate-count", "--n-l", "3,3,3", "--n-qe", "7", "--rank", "3"])
@@ -675,6 +702,18 @@ class TestMain:
         assert main(["export-state", "--report", str(report), "--which", "tucker",
                      "--out", str(state)]) == EXIT_OK
         assert state.exists()
+
+    def test_closed_stdout_fails_without_a_message(self):
+        # the reader takes one line of a 1.5 MB table and closes the pipe
+        code = "import sys; from mflo.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "two-center", "--n", "6", "--a", "0.5",
+             "--center-a", "20", "--center-b", "40", "--points", "20001"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"theta,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (EXIT_FAIL, b"")
 
     def test_two_center_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
