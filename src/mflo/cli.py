@@ -65,6 +65,7 @@ from .fitting import (
     solve_core,
     t_tensor,
     tucker_statevector,
+    with_structure,
 )
 from .lorentzian import AXES, LorentzianBasisSpec, lf_profile, lf_profile_da, lf_state
 from .tensor import metric_inner
@@ -541,6 +542,7 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
             "identity_residuals": residuals,
             "diagnostics": {k: list(v) if isinstance(v, tuple) else v
                             for k, v in asdict(tucker.diagnostics).items()},
+            "structural_rank": None if tucker.structural is None else len(tucker.structural[0]),
         }
         report["mos"][name] = entry
         tuckers.append(tucker)
@@ -652,19 +654,28 @@ def run_decompose(report_path, ranks, out_path=None) -> tuple[dict, Path]:
     The ladder is the union of the embedded job's ``cpd.ranks``, the ranks
     the report holds and ``ranks``.  It is written to the job's ``cpd.ranks``
     and run on every MO, so the report stays what fitting its own ``job``
-    entry writes.  An empty ladder, or a rank outside [1, n_prod], raises
-    before any CP work, and then nothing is written.
+    entry writes: where the ladder reaches an MO's structural rank, the
+    closed-form factors come from re-evaluating the job's fit at the stored
+    widths (``fitting.with_structure``).  An empty ladder, or a rank outside
+    [1, n_prod], raises before any CP work, and then nothing is written.
     """
     report = json.loads(Path(report_path).read_text())
     job = report["job"]
     cpd = job.setdefault("cpd", {})
-    entries = list(report["mos"].values())
-    held = {int(key) for entry in entries for key in entry["canonical"]}
+    held = {int(key) for entry in report["mos"].values() for key in entry["canonical"]}
     cpd["ranks"] = sorted(held.union(cpd.get("ranks", []), ranks))
     if not cpd["ranks"]:
         raise ValueError("decompose needs at least one rank")
-    tuckers = [_tucker_from_payload(entry, job["cell"]["n_qe"]) for entry in entries]
-    _rank_sweep(entries, tuckers, cpd["ranks"], _job_cpd_options(job))
+    cell = _job_cell(job)
+    mos = _job_molecule(job)
+    alpha = float(job["lorentzian"].get("alpha_pen", 0.0))
+    tuckers = []
+    for name, entry in report["mos"].items():
+        tucker = _tucker_from_payload(entry, cell.n_qe)
+        problem = FitProblem(mo=mos[name], cell=cell, spec=tucker.spec, alpha_pen=alpha,
+                             norm_factor=entry["norm_factor"])
+        tuckers.append(with_structure(problem, tucker, cpd["ranks"][-1]))
+    _rank_sweep(list(report["mos"].values()), tuckers, cpd["ranks"], _job_cpd_options(job))
     out = Path(out_path or report_path)
     _write_report(report, out)
     return report, out
@@ -861,6 +872,7 @@ def _check_cp_exactness(report: dict) -> str:
     name = sorted(report["mos"])[0]
     tucker = _tucker_from_payload(report["mos"][name], n_qe)
     n_prod = tucker.spec.n_prod
+    # the payload's state carries no closed-form factors, so this rung runs CP
     canon = decompose_cores([tucker], [n_prod], CpdOptions(n_restarts=2))[n_prod][0]
     if canon.deviation >= 1e-10:
         raise AssertionError(f"full-rank deviation {canon.deviation:.3e}")
@@ -871,7 +883,7 @@ def _check_cp_exactness(report: dict) -> str:
     oracle = lcu_postselect_oracle(list(zip(lam_flat, states)), metric=overlap_3d(tucker.spec))
     if abs(oracle - prob) > 1e-10:
         raise AssertionError(f"canonical probability vs oracle {abs(oracle - prob):.3e}")
-    return f"deviation {canon.deviation:.1e}, probability oracle agrees"
+    return f"deviation {canon.deviation:.1e} after {canon.sweeps} CP sweeps, probability oracle agrees"
 
 
 def _check_export_roundtrip(report: dict, tmp: Path, max_qubits: int) -> str:

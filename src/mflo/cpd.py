@@ -44,8 +44,7 @@ counts (core, candidate) pairs: every candidate of every core of a report
 
 The candidates are the ``n_restarts`` seeded starts (SVD basis, one batched
 SVD per mode for a whole stack, then random) and, past a ladder's first
-rung, one more.  Full rank R = n_prod is an ordinary rung with the same
-candidates.
+rung, one more.
 The requested ranks are decomposed in increasing order, and each rank's extra
 candidate is the previous rank's winner plus greedy rank-one terms of its
 residual.  That start is no worse than the previous winner, and both stages
@@ -55,6 +54,18 @@ which the deviation, about the error squared, reads round-off), every higher
 rank of the ladder reports that state, flagged ``rank-reduced``.  So a rank's
 result can depend on which lower ranks were decomposed with it, and
 ``mflo decompose`` therefore re-runs a report's whole ladder.
+
+A fitted core is already a CP form: with no metric dimension discarded,
+S d = t / sqrt(kappa) is a sum over the Gaussian primitives, which merge
+into R* terms, the structural rank (``fitting._Engine.structural_factors``).
+A Tucker state that carries those factors (``TuckerState.structural``)
+takes them, whitened by the Cholesky factors, at its first rung R >= R*
+unless a lower rung is already exact: no candidate runs, ``sweeps`` is 0,
+it is converged and flagged ``structural``, and ``rank-reduced`` when
+R* < R.  If the closed form's direct residual exceeds EXACT_TOL, as round-off
+in an ill-conditioned metric can make it, CP runs there as on any rung.
+Below R*, and for a state without the factors, full rank R = n_prod
+included, every rung is an ordinary one with the same candidates.
 
 A finished pair leaves the stack in both stages, and every operation acts on
 each pair alone, so a core's result does not depend on what it was stacked
@@ -448,13 +459,16 @@ def _rank_stage(d: np.ndarray, R: int, seeds, prev, bases) -> list[CpResult]:
             for c, (e, w, r) in enumerate(zip(errors, best, ridged))]
 
 
-def _cp_stack(cores, ranks, options: CpdOptions | None):
+def _cp_stack(cores, ranks, options: CpdOptions | None, closed=None):
     """Euclidean CP of equally shaped cores, all (core, candidate) pairs stacked.
 
     The iterable ``ranks`` is deduplicated and run as the ascending ladder,
     returned as {rank: each core's ``CpResult``}.  A core whose winner is
     exact (relative error at most EXACT_TOL, so its deviation reads round-off)
-    keeps that result at every higher rank of the ladder.
+    keeps that result at every higher rank of the ladder.  ``closed`` holds,
+    per core, None or exact CP factors of it; a core that is not yet exact
+    takes them at its first rung at least their rank, if their direct
+    residual is at most EXACT_TOL.
     """
     opt = options or CpdOptions()
     ladder = sorted({int(R) for R in ranks})
@@ -477,8 +491,14 @@ def _cp_stack(cores, ranks, options: CpdOptions | None):
     bases = _left_singular(d)
     seeds = np.random.SeedSequence(opt.seed).spawn(max(1, opt.n_restarts))
     winners: list[CpResult | None] = [None] * len(d)
+    closed = [None] * len(d) if closed is None else list(closed)
     found = {}
     for R in ladder:
+        for c, factors in enumerate(closed):
+            if factors is not None and R >= len(factors[0]):
+                closed[c] = None  # one try per core
+                if winners[c] is None or winners[c].rec_error > EXACT_TOL:
+                    winners[c] = _structural(d[c], factors) or winners[c]
         todo = [c for c, w in enumerate(winners) if w is None or w.rec_error > EXACT_TOL]
         if todo:
             prev = (None if winners[todo[0]] is None else
@@ -488,6 +508,15 @@ def _cp_stack(cores, ranks, options: CpdOptions | None):
                 winners[c] = result
         found[R] = list(winners)
     return found
+
+
+def _structural(d: np.ndarray, factors) -> CpResult | None:
+    """The exact CP form ``factors`` of core d as a result, or None past EXACT_TOL."""
+    err = float(_residual(d[None], [f[None] for f in factors], _norms(d[None]))[0])
+    if err > EXACT_TOL:
+        return None
+    return CpResult(v=tuple(factors), rec_error=err, restart_errors=(err,),
+                    flags=("structural",), sweeps=0, converged=True)
 
 
 def _best_restart(errors) -> int:
@@ -551,10 +580,15 @@ def decompose_cores(tuckers, ranks, options: CpdOptions | None = None):
     deduplicated iterable ``ranks``, run as a ladder (see the module
     docstring); a single rank is a one-rung ladder.  CP runs on each core in
     its own metric.  The cores must share a shape, as the MOs of one job do.
+    A state's ``structural`` factors of S d become factors of the whitened
+    core L^T d = L^-1 S d, and serve as its closed form from their rank up.
     """
     chol = [[np.linalg.cholesky(s) for s in t.spec.overlaps] for t in tuckers]
     cores = [mode_product(t.core, L) for t, L in zip(tuckers, chol)]
-    found = _cp_stack(cores, ranks, options)
+    closed = [None if t.structural is None else
+              tuple(np.linalg.solve(L, f.T).T for L, f in zip(Ls, t.structural))
+              for t, Ls in zip(tuckers, chol)]
+    found = _cp_stack(cores, ranks, options, closed)
     return {R: [_canonical(t.spec, core, L, result, R)
                 for t, core, L, result in zip(tuckers, cores, chol, results)]
             for R, results in found.items()}

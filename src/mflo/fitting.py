@@ -39,19 +39,23 @@ Everything here works in LF coefficient space; statevector assembly is
 provided only for oracles and exports.  T is a CP form over the primitive
 pairs (``tensor.cp_full``); g contracts d with its factor tables
 (``tensor.mttkrp``) in the one derivative pass per point, which the guard's
-margin gradient shares.
+margin gradient shares.  The same form gives the fitted core in closed CP
+form: with no metric dimension discarded, S d = t / sqrt(kappa) is a sum of
+one separable term per primitive, and primitives that share their sample
+tables on two axes merge into one term (``_Engine.structural_factors``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .basis import MolecularOrbital, SimulationCell, mo_norm_factor, primitive_tables
-from .lorentzian import AXES, AxisProfiles, LorentzianBasisSpec, _symmetric_gram, boundary_mass
-from .tensor import cp_full, mode_product, mttkrp, unfold
+from .lorentzian import (AXES, AxisLayout, AxisProfiles, LorentzianBasisSpec, _symmetric_gram,
+                         boundary_mass)
+from .tensor import _OTHERS, cp_full, mode_product, mttkrp, unfold
 
 __all__ = [
     "ConditioningError",
@@ -65,6 +69,7 @@ __all__ = [
     "solve_core",
     "fidelity_gradient",
     "optimize_widths",
+    "with_structure",
     "box_centers",
     "tucker_statevector",
 ]
@@ -149,6 +154,10 @@ class TuckerState:
     penalty: float            # P at the optimized widths
     kappa_max: float          # top generalized eigenvalue, = F + P
     diagnostics: OptimizeDiagnostics | None = field(default=None, compare=False)
+    # CP factors (F_x, F_y, F_z) with cp_full(None, F) = S d, one term per
+    # merged primitive group (see _Engine.structural_factors); None when the
+    # closed form does not hold or was not built
+    structural: tuple | None = field(default=None, compare=False)
 
 
 class _Engine:
@@ -157,41 +166,49 @@ class _Engine:
     Primitive pairs (mu, s) are flattened to one axis p with weights
     w_p = c_mu * b_{mu s}; the h-sample tables H_v[p, k]
     (``basis.primitive_tables``) never change during width optimization.
-    Neither do the per-direction shift tables (``AxisLayout``: sin^2 and
-    parity on the unshifted grid, the gather index of each center), so they
-    are built once here.  Each evaluation then runs one vectorized profile
-    build per direction and the small per-direction matrices; the derivative
-    tables reuse that build's raw profiles, denominators and norms.  Trial
-    widths are not wrapped in a validated ``LorentzianBasisSpec``;
-    ``optimize_widths`` builds one for the returned state only.  Two LFs on
-    one center whose trial widths meet make the metric singular; the
-    evaluation discards that dimension, and the line search rejects it.
+    Neither do the shift tables (``AxisLayout``: sin^2 and parity on the
+    unshifted grid, the gather index of each center).  The three directions
+    share one grid, so one layout covers the centers of all of them, x then
+    y then z, and is built once here.  Each evaluation then runs one
+    vectorized profile build for the whole basis, whose row slices are the
+    directions' states, and the small per-direction matrices; the derivative
+    tables come from one derivative build per point, which reuses that
+    build's raw profiles, denominators and norms.  Trial widths are not
+    wrapped in a validated ``LorentzianBasisSpec``; ``optimize_widths``
+    builds one for the returned state only.  Two LFs on one center whose
+    trial widths meet make the metric singular; the evaluation discards that
+    dimension, and the line search rejects it.
+
+    The primitives are also grouped here, by their sample rows, for
+    ``structural_factors``: primitives whose rows agree on the two axes
+    other than m give one CP term, whose mode-m factor sums their weighted
+    M_m rows.  ``structural_rank`` is the fewest terms over the three
+    choices of m, the lowest m among ties, and needs no widths.
     """
 
     def __init__(self, problem: FitProblem):
         cell, spec = problem.cell, problem.spec
         weights, self.h = primitive_tables(problem.mo, cell)
-        self.n_l = spec.n_l
-        self.splits = np.cumsum(self.n_l)[:2]
-        self.layouts = spec.layouts
+        ends = np.cumsum(spec.n_l)
+        self.rows = [slice(int(e - n), int(e)) for e, n in zip(ends, spec.n_l)]
+        self.layout = AxisLayout(spec.n, np.concatenate(spec.centers))
         self.alpha = problem.alpha_pen
         L = cell.edge_lengths
         self.col_pref = L / math.sqrt(cell.N_qe)
         self.pref = problem.norm_factor / math.sqrt(float(np.prod(L)))
         self.wpref = self.pref * weights
-
-    def _split_widths(self, widths: np.ndarray) -> list[np.ndarray]:
-        if widths.size != sum(self.n_l):
-            raise ValueError(f"expected {sum(self.n_l)} widths, got {widths.size}")
-        if not np.all((widths > 0.0) & (widths < math.inf)):
-            raise ValueError("widths must be positive and finite")
-        return np.split(widths, self.splits)
+        self.merge_axis, self.groups, self.leads = _merge_primitives(self.h)
+        self.structural_rank = self.leads.size
 
     def assemble(self, widths: np.ndarray):
         """Width-dependent pieces: LF profiles and states, 1D metrics, M tables, T."""
-        parts = self._split_widths(widths)
-        prof = [AxisProfiles(self.layouts[v], parts[v]) for v in range(3)]
-        V = [p.states() for p in prof]
+        if widths.size != self.rows[2].stop:
+            raise ValueError(f"expected {self.rows[2].stop} widths, got {widths.size}")
+        if not np.all((widths > 0.0) & (widths < math.inf)):
+            raise ValueError("widths must be positive and finite")
+        prof = AxisProfiles(self.layout, widths)
+        states = prof.states()
+        V = [states[rows] for rows in self.rows]
         S1 = [_symmetric_gram(states) for states in V]
         # M_v[p, l]: primitive p's samples against LF l of direction v, so
         # T = sum_p pref w_p M_x[p] (x) M_y[p] (x) M_z[p]
@@ -220,8 +237,9 @@ class _Engine:
         """
         if ev.derivs is None:
             d, tables = ev.core, []
-            for v, prof in enumerate(ev.profiles):
-                dV = prof.states_da()
+            states_da = ev.profiles.states_da()
+            for v, rows in enumerate(self.rows):
+                dV = states_da[rows]
                 # g[l] = sum over the other axes of d times dT/da_l, where dT/da_l
                 # swaps M_v for dM_v in T: the MTTKRP of d with the other two M
                 # tables, weighted by dM_v and summed over primitives
@@ -234,6 +252,24 @@ class _Engine:
                 tables.append((dM, q, ds, g, d_sdd))
             ev.derivs = tables
         return ev.derivs
+
+    def structural_factors(self, ev: "_Eval"):
+        """CP factors (F_x, F_y, F_z) of S d at ``ev``, one term per primitive group.
+
+        With no metric dimension discarded, d = S^-1 t / sqrt(kappa), so
+        S d = T / sqrt(kappa) = sum_p pref w_p M_x[p] (x) M_y[p] (x) M_z[p] /
+        sqrt(kappa).  A group's primitives share their M rows off the merge
+        axis m, so the group is one term: those shared rows, and on m the sum
+        of its primitives' rows times pref w_p / sqrt(kappa).  Returns None
+        when a dimension was discarded or kappa = 0: then no closed form holds.
+        """
+        if ev.discarded or ev.kappa == 0.0:
+            return None
+        m = self.merge_axis
+        factors = [M[self.leads] for M in ev.M]
+        factors[m] = np.zeros_like(factors[m])
+        np.add.at(factors[m], self.groups, (self.wpref / math.sqrt(ev.kappa))[:, None] * ev.M[m])
+        return tuple(factors)
 
     def gradient(self, ev: "_Eval") -> np.ndarray:
         grad = []
@@ -270,7 +306,7 @@ class _Engine:
 
 @dataclass
 class _Eval:
-    profiles: list
+    profiles: AxisProfiles  # of the whole basis, directions stacked as in _Engine.rows
     widths: np.ndarray
     V: list
     S1: list
@@ -291,6 +327,26 @@ class _Eval:
     # eps lam_max, and kappa = sum tt^2 / lam amplifies them by |d|^2
     resolution: float
     derivs: list | None = field(default=None, init=False)  # see _Engine._derivatives
+
+
+def _merge_primitives(h):
+    """Primitive groups of ``_Engine.structural_factors`` from the sample tables ``h``.
+
+    Returns the merge axis m, each primitive's group and the first primitive
+    of each group.  Rows are compared bit for bit.
+    """
+    rows = [[t[p].tobytes() for t in h] for p in range(len(h[0]))]
+    merges = []
+    for a, b in _OTHERS:
+        first = {}  # (row on a, row on b) -> its group's first primitive
+        for p, row in enumerate(rows):
+            first.setdefault((row[a], row[b]), p)
+        group = {key: g for g, key in enumerate(first)}
+        merges.append((np.array(list(first.values())),
+                       np.array([group[row[a], row[b]] for row in rows])))
+    m = min(range(3), key=lambda m: merges[m][0].size)
+    leads, groups = merges[m]
+    return m, groups, leads
 
 
 def _traces(S1) -> tuple[list[float], list[float]]:
@@ -580,7 +636,22 @@ def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None)
         penalty=ev.pen,
         kappa_max=ev.kappa,
         diagnostics=diag,
+        structural=engine.structural_factors(ev),
     )
+
+
+def with_structure(problem: FitProblem, tucker: TuckerState, max_rank: int) -> TuckerState:
+    """``tucker`` with the closed-form CP factors of its fit, if ``max_rank`` reaches them.
+
+    A fresh engine groups the primitives; only when its structural rank is at
+    most ``max_rank`` does it evaluate the fit at the state's widths, so the
+    factors are the ones ``optimize_widths`` attached to the same fit.
+    """
+    engine = _Engine(problem.with_spec(tucker.spec))
+    if engine.structural_rank > max_rank:
+        return tucker
+    ev = engine.evaluate(tucker.spec.widths_flat())
+    return replace(tucker, structural=engine.structural_factors(ev))
 
 
 def tucker_statevector(spec: LorentzianBasisSpec, core: np.ndarray) -> np.ndarray:

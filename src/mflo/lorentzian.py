@@ -14,12 +14,13 @@ Basis functions used for fitting are cyclic shifts of this profile to integer
 centers k_c.  The shift wraps mod N, consistent with generating the state by
 a QFT acting on a periodic register.
 
-Every LF, single or a whole direction of a basis, is built the same way:
-``AxisProfiles`` evaluates the formula for all widths of a direction at once
-on the unshifted grid, and the shift to each center is an index gather
-through the precomputed tables of an ``AxisLayout`` (sin^2(pi j / N), the
-parity of j, and the flat index of (k - k_c) mod N).  Those tables depend
-only on n and the centers, so a fit builds them once.
+Every LF, single, a direction of a basis or a whole basis, is built the same
+way: ``AxisProfiles`` evaluates the formula for all its widths at once on the
+unshifted grid, and the shift to each center is an index gather through the
+precomputed tables of an ``AxisLayout`` (sin^2(pi j / N), the parity of j,
+and the flat index of (k - k_c) mod N).  Those tables depend only on n and
+the centers, and the three directions share one grid, so a fit builds one
+layout over all the centers of its basis, once.
 
 Notes
 -----
@@ -66,7 +67,7 @@ def _check_width(a: float) -> float:
 
 
 class AxisLayout:
-    """Width-independent shift tables of one direction's LFs on a 2^n grid.
+    """Width-independent shift tables of a set of LFs on a 2^n grid.
 
     The profile depends on the grid index only through sin^2(pi j / N) and
     the parity of j, with j = (k - k_c) mod N.  Both are tabulated once on
@@ -86,10 +87,10 @@ class AxisLayout:
 
 
 class AxisProfiles:
-    """All normalized shifted LFs of one direction at fixed widths.
+    """All normalized shifted LFs of one layout at fixed widths.
 
     One pass of the raw formula over the unshifted grid builds every profile
-    of the direction.  The raw values, denominators and norms are kept, so
+    of the layout.  The raw values, denominators and norms are kept, so
     the width derivatives reuse them instead of evaluating the formula again.
     Inputs are not validated here; callers pass positive finite widths.
     """

@@ -28,7 +28,8 @@ from mflo.cli import (
     run_fit,
     run_verify,
 )
-from mflo.cpd import CpdOptions
+import mflo.cli
+from mflo.cpd import CpdOptions, decompose_cores
 from mflo import ResourceLimitError
 from mflo.fitting import OptimizeOptions
 
@@ -543,8 +544,9 @@ class TestRunDecompose:
         assert Path(report).read_bytes() == original
 
     def test_added_ranks_extend_the_fitted_ladder(self, tmp_path):
-        # the 6x4x4 fit holds the ladder 1, 2, 4 with an exact R=4; ranks added
-        # later join that ladder instead of starting one of their own
+        # the 6x4x4 fit holds the ladder 1, 2, 4 with an exact R=4, the closed
+        # form of rank 3; ranks added later join that ladder instead of
+        # starting one of their own
         _, path = run_fit(BOX_6x4x4, out_path=tmp_path / "r.json")
         report, _ = run_decompose(path, [5, 6])
         assert report["job"]["cpd"]["ranks"] == [1, 2, 4, 5, 6]
@@ -554,9 +556,26 @@ class TestRunDecompose:
             assert all(b <= a for a, b in zip(devs, devs[1:])), devs
             exact = next(c for c in canon if c["deviation"] <= np.finfo(float).eps)
             for c in canon[canon.index(exact) + 1:]:
-                assert c["flags"] == ["rank-reduced"]
+                assert c["flags"] == exact["flags"] + ["rank-reduced"] * (
+                    "rank-reduced" not in exact["flags"])
                 for key in ("rank", "success_probability", "cnot"):
                     assert c[key] == exact[key]
+
+    def test_closed_form_entries_match_a_refit(self, tmp_path):
+        # R* = 3 on this job: the fitted R=4 rung and the added 5 and 8 are the
+        # closed form, rebuilt by decompose from the job at the stored widths
+        _, path = run_fit(BOX_6x4x4, out_path=tmp_path / "r.json")
+        report, _ = run_decompose(path, [5, 8])
+        for entry in report["mos"].values():
+            assert entry["structural_rank"] == 3
+            for rank in ("4", "5", "8"):
+                canon = entry["canonical"][rank]
+                assert (canon["rank"], canon["sweeps"]) == (3, 0)
+                assert canon["flags"] == ["structural", "rank-reduced"]
+        job = tmp_path / "embedded.json"
+        job.write_text(json.dumps(report["job"]))
+        _, refit = run_fit(job, out_path=tmp_path / "refit.json")
+        assert Path(refit).read_bytes() == Path(path).read_bytes()
 
     def test_refitting_the_embedded_job_reproduces_the_report(self, tmp_path):
         path = self._off_center_y_report(tmp_path)
@@ -746,6 +765,24 @@ class TestMain:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cp_exactness_check_runs_cp(tmp_path, bench_jobs, monkeypatch):
+    # the fitted state carries its closed form; the check must not take it
+    report, _ = run_fit(bench_jobs("fit-box", 1)["h2_box"], out_path=tmp_path / "r.json")
+    assert all(e["canonical"]["4"]["flags"][0] == "structural" for e in report["mos"].values())
+    found = []
+
+    def recording(*args, **kwargs):
+        out = decompose_cores(*args, **kwargs)
+        found.extend(state for states in out.values() for state in states)
+        return out
+
+    monkeypatch.setattr(mflo.cli, "decompose_cores", recording)
+    detail = mflo.cli._check_cp_exactness(report)
+    [canon] = found
+    assert canon.sweeps > 0 and "structural" not in canon.flags
+    assert f"after {canon.sweeps} CP sweeps" in detail
 
 
 def test_run_verify_skips_grid_checks_past_the_guard(capsys):

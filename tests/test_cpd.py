@@ -1,5 +1,6 @@
 """Canonical decomposition of core tensors and its metric bookkeeping."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -511,6 +512,70 @@ class TestRankLadder:
         assert three.deviation == one.deviation
 
 
+def _structural_tucker(spec, factors, structural=None):
+    """Tucker state whose core is S^-1 cp_full(factors), carrying ``structural`` (default: factors)."""
+    dual = cp_full(None, factors)
+    core = np.linalg.solve(overlap_3d(spec), dual.ravel()).reshape(dual.shape)
+    tucker = _tucker(core, spec)
+    return dataclasses.replace(tucker, structural=factors if structural is None else structural)
+
+
+class TestStructuralRung:
+    """A state's closed-form factors stand in for CP from their rank up."""
+
+    def _factors(self, seed, R=2, n_l=(2, 2, 2)):
+        rng = np.random.default_rng(seed)
+        return tuple(rng.normal(size=(R, n)) for n in n_l)
+
+    def test_closed_form_taken_at_its_rank_and_carried_up(self):
+        tucker = _structural_tucker(_spec((2, 2, 2)), self._factors(60))
+        ladder = decompose_cores([tucker], [1, 2, 3], CpdOptions(n_restarts=2, seed=0))
+        one, two, three = (ladder[R][0] for R in (1, 2, 3))
+        assert "structural" not in one.flags and one.sweeps > 0
+        assert (two.R, two.flags, two.sweeps, two.converged) == (2, ("structural",), 0, True)
+        assert two.deviation <= 1e-14
+        assert (three.R, three.flags, three.sweeps) == (2, ("structural", "rank-reduced"), 0)
+        np.testing.assert_array_equal(three.lambdas, two.lambdas)
+
+    def test_lower_exact_rung_keeps_its_result(self):
+        # two parallel terms: the core has CP rank 1, which CP finds at R = 1
+        a, b, c = self._factors(61, R=1)
+        factors = (np.vstack([a, 2.0 * a]), np.vstack([b, b]), np.vstack([c, c]))
+        tucker = _structural_tucker(_spec((2, 2, 2)), factors)
+        ladder = decompose_cores([tucker], [1, 2], CpdOptions(n_restarts=2, seed=0))
+        one, two = ladder[1][0], ladder[2][0]
+        assert "structural" not in one.flags and one.deviation <= 1e-14
+        assert two.flags == one.flags + ("rank-reduced",) and two.sweeps == one.sweeps
+
+    def test_closed_form_past_exact_tol_runs_cp(self):
+        spec = _spec((2, 2, 2))
+        factors = self._factors(62)
+        off = tuple(f.copy() for f in factors)
+        off[0][0, 0] += 1e-3
+        found = decompose_cores([_structural_tucker(spec, factors, off)], [2],
+                                CpdOptions(n_restarts=2, seed=0))[2][0]
+        assert "structural" not in found.flags and found.sweeps > 0
+
+    def test_without_factors_every_rung_runs_cp(self):
+        tucker = dataclasses.replace(_structural_tucker(_spec((2, 2, 2)), self._factors(63)),
+                                     structural=None)
+        found = decompose_cores([tucker], [2, 8], CpdOptions(n_restarts=2, seed=0))
+        assert all("structural" not in found[R][0].flags for R in (2, 8))
+        assert found[2][0].sweeps > 0
+
+    def test_a_core_with_a_closed_form_does_not_change_its_stack(self):
+        spec = _spec((2, 2, 2))
+        plain = _tucker(np.random.default_rng(64).normal(size=(2, 2, 2)), spec)
+        closed = _structural_tucker(spec, self._factors(65))
+        opt = CpdOptions(n_restarts=2, seed=0)
+        alone = decompose_cores([plain], [1, 2, 3], opt)
+        stacked = decompose_cores([closed, plain], [1, 2, 3], opt)
+        for R in (1, 2, 3):
+            np.testing.assert_array_equal(stacked[R][1].lambdas, alone[R][0].lambdas)
+            assert stacked[R][1].sweeps == alone[R][0].sweeps
+        assert stacked[2][0].flags == ("structural",)
+
+
 def _svd_init_per_rank(d, R, rng):
     """SVD start computed from scratch at each rank, as the ladder once did."""
     out = []
@@ -690,7 +755,7 @@ class TestDecomposeCore:
              np.array([[0.7, 1.0], [0.0, 0.0]]),
              np.array([[1.0, 0.4], [0.6, 0.9]]))
         # factors in the metric's Cholesky coordinates; the zero row stays zero
-        monkeypatch.setattr(cpd, "_cp_stack", lambda cores, ranks, options=None: {R: [CpResult(
+        monkeypatch.setattr(cpd, "_cp_stack", lambda cores, ranks, options=None, closed=None: {R: [CpResult(
             v=v, rec_error=0.5, restart_errors=(0.5,), flags=(), sweeps=7, converged=True)]
             for R in ranks})
         with warnings.catch_warnings():

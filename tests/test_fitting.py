@@ -29,8 +29,11 @@ from mflo.fitting import (
     solve_core,
     t_tensor,
     tucker_statevector,
+    with_structure,
 )
 from mflo.lorentzian import AXES, AxisProfiles, LorentzianBasisSpec, boundary_mass, lf_state
+from mflo.cpd import EXACT_TOL, CpdOptions, decompose_cores
+from mflo.tensor import cp_full, mode_product
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -391,7 +394,16 @@ class TestEngine:
             monkeypatch.setattr(owner, name, counting)
         optimize_widths(_guard_problem())
         assert calls["margin_gradient"] > 0
-        assert calls["states_da"] == 3 * calls["gradient"]
+        assert calls["states_da"] == calls["gradient"]
+
+    def test_one_profile_build_gives_each_direction_bit_for_bit(self):
+        problem = _h2_box_problem()
+        engine = _Engine(problem)
+        a = np.random.default_rng(7).uniform(0.2, 1.5, size=14)
+        _, V, *_ = engine.assemble(a)
+        spec = problem.spec.with_widths(a)
+        for v in range(3):
+            np.testing.assert_array_equal(V[v], spec.state_matrix(v))
 
     def test_margin_gradient_same_bits_after_gradient(self):
         engine = _Engine(_guard_problem())
@@ -406,6 +418,77 @@ class TestEngine:
         engine = _Engine(_problem())
         with pytest.raises(ValueError, match="positive"):
             engine.evaluate(np.array([0.8, bad, 1.0, 0.9]))
+
+
+def _job_problems(path):
+    """The FitProblem of each MO of a job file, as ``mflo fit`` builds them."""
+    job = mflo.cli.load_job(path)
+    cell = mflo.cli._job_cell(job)
+    spec = mflo.cli._job_spec(job, cell)
+    alpha = job["lorentzian"].get("alpha_pen", 0.0)
+    return {name: FitProblem.build(mo, cell, spec, alpha_pen=alpha)
+            for name, mo in mflo.cli._job_molecule(job).items()}
+
+
+def _job_path(bench_jobs, source):
+    """A shipped job by file stem, or (workload, seed, job name) of a benchmark job."""
+    if isinstance(source, str):
+        return JOBS / f"{source}.json"
+    workload, seed, name = source
+    return bench_jobs(workload, seed)[name]
+
+
+class TestStructuralFactors:
+    """The closed-form CP of the fitted core over the merged Gaussian primitives."""
+
+    @pytest.mark.parametrize("source", [("fit-box", 1, "h2_box"), ("fit-box", 2, "h2_box"),
+                                        ("fit-box", 3, "h2_box"), "h2_box_6x4x4"])
+    def test_rebuilds_the_whitened_core(self, bench_jobs, source):
+        for problem in _job_problems(_job_path(bench_jobs, source)).values():
+            fit = optimize_widths(problem)
+            chol = [np.linalg.cholesky(s) for s in fit.spec.overlaps]
+            whitened = mode_product(fit.core, chol)
+            closed = [np.linalg.solve(L, f.T).T for L, f in zip(chol, fit.structural)]
+            assert len(closed[0]) == 3
+            e = cp_full(None, closed)
+            # the residual follows the metric's conditioning (cond S_x ~ 1e6 on
+            # the antibonding MO), the deviation reads round-off
+            err = np.linalg.norm(e - whitened) / np.linalg.norm(whitened)
+            deviation = 1.0 - np.sum(e * whitened) ** 2 / (np.sum(e * e) * np.sum(whitened ** 2))
+            assert err <= EXACT_TOL
+            assert abs(deviation) <= 1e-13
+
+    @pytest.mark.parametrize("source,rank", [
+        ("h2_like", 3), ("h2_n12", 3), ("h2_box_4x3x3", 3), ("h2_box_6x4x4", 3),
+        ("single_gaussian", 1), (("fit-box", 1, "h2_box"), 3),
+        (("fit-finegrid", 1, "h2_fine"), 3), (("decompose-sweep", 1, "h4_sweep"), 9),
+        (("decompose-sweep", 1, "h6_sweep"), 9)])
+    def test_structural_rank(self, bench_jobs, source, rank):
+        # H 1s primitives: 3 exponents, on atoms along x (H2) or on 3 distinct
+        # (y, z) sites (the zig-zag H4 and H6)
+        for problem in _job_problems(_job_path(bench_jobs, source)).values():
+            assert _Engine(problem).structural_rank == rank
+
+    def test_no_closed_form_with_a_discarded_dimension_or_no_overlap(self):
+        spec = _spec(widths=((0.8, 1.3), (1.0,), (0.9,)), centers=((7, 7), (8,), (8,)))
+        engine = _Engine(_problem(spec=spec))
+        ev = engine.evaluate(np.array([1.1, 1.1, 1.0, 0.9]))
+        assert ev.discarded >= 1 and engine.structural_factors(ev) is None
+        assert engine.structural_factors(engine.evaluate(np.array([0.8, 1.3, 1.0, 0.9])))
+        problem = dataclasses.replace(_problem(), norm_factor=0.0)
+        fit = optimize_widths(problem)
+        assert fit.kappa_max == 0.0 and fit.structural is None
+        canon = decompose_cores([fit], [2], CpdOptions(n_restarts=2))[2][0]
+        assert "structural" not in canon.flags
+
+    def test_decompose_rebuilds_the_fit_factors_bit_for_bit(self):
+        problem = _h2_box_problem()
+        fit = optimize_widths(problem)
+        bare = dataclasses.replace(fit, structural=None)
+        assert with_structure(problem, bare, 2) is bare
+        again = with_structure(problem, bare, 3).structural
+        for a, b in zip(fit.structural, again):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_factored_identity_check_matches_dense_metric():

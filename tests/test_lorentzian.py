@@ -146,6 +146,24 @@ def test_state_derivative_is_shifted_derivative():
     np.testing.assert_array_equal(dV[0], np.roll(lf_profile_da(4, 1.2), 5))
 
 
+@pytest.mark.parametrize("n,counts", [(7, (6, 4, 4)), (8, (3, 2, 2))])
+def test_one_pass_over_a_basis_equals_one_pass_per_direction(n, counts):
+    # the fit builds every LF of a basis in one pass; a direction's rows must
+    # carry the bits of that direction built alone
+    rng = np.random.default_rng(sum(counts))
+    centers = [np.sort(rng.choice(1 << n, size=c, replace=False)) for c in counts]
+    widths = [rng.uniform(1e-3, 3.0, size=c) for c in counts]
+    whole = AxisProfiles(AxisLayout(n, np.concatenate(centers)), np.concatenate(widths))
+    states, states_da = whole.states(), whole.states_da()
+    start = 0
+    for k, a in zip(centers, widths):
+        part = AxisProfiles(AxisLayout(n, k), a)
+        rows = slice(start, start + k.size)
+        assert np.array_equal(states[rows], part.states())
+        assert np.array_equal(states_da[rows], part.states_da())
+        start += k.size
+
+
 PARITY_WIDTHS = (1e-3, 0.05, 0.6, 7.9, 50.0)
 
 
