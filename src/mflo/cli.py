@@ -25,7 +25,7 @@ import os
 import struct
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,6 @@ from .fitting import (
     solve_core,
     t_tensor,
     tucker_statevector,
-    with_structure,
 )
 from .lorentzian import AXES, LorentzianBasisSpec, lf_profile, lf_profile_da, lf_state
 from .tensor import metric_inner
@@ -428,7 +427,8 @@ def _spec_payload(spec: LorentzianBasisSpec) -> dict:
 
 
 def _tucker_from_payload(entry: dict, n_qe: int) -> TuckerState:
-    """The Tucker state that one MO entry of a report records."""
+    """The Tucker state that one MO entry of a report records, closed form included."""
+    factors = entry.get("structural_factors")
     return TuckerState(
         spec=LorentzianBasisSpec(
             n=n_qe,
@@ -439,6 +439,8 @@ def _tucker_from_payload(entry: dict, n_qe: int) -> TuckerState:
         squared_overlap=entry["squared_overlap"],
         penalty=entry["penalty"],
         kappa_max=entry["kappa_max"],
+        structural=None if factors is None else tuple(
+            np.asarray(factors[ax], dtype=np.float64) for ax in AXES),
     )
 
 
@@ -543,6 +545,8 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
             "diagnostics": {k: list(v) if isinstance(v, tuple) else v
                             for k, v in asdict(tucker.diagnostics).items()},
             "structural_rank": None if tucker.structural is None else len(tucker.structural[0]),
+            "structural_factors": None if tucker.structural is None else
+            dict(zip(AXES, tucker.structural)),
         }
         report["mos"][name] = entry
         tuckers.append(tucker)
@@ -654,10 +658,11 @@ def run_decompose(report_path, ranks, out_path=None) -> tuple[dict, Path]:
     The ladder is the union of the embedded job's ``cpd.ranks``, the ranks
     the report holds and ``ranks``.  It is written to the job's ``cpd.ranks``
     and run on every MO, so the report stays what fitting its own ``job``
-    entry writes: where the ladder reaches an MO's structural rank, the
-    closed-form factors come from re-evaluating the job's fit at the stored
-    widths (``fitting.with_structure``).  An empty ladder, or a rank outside
-    [1, n_prod], raises before any CP work, and then nothing is written.
+    entry writes.  Each MO's closed-form CP factors are its entry's
+    ``structural_factors``; the ladder checks them against the core before
+    it takes them, and runs CP where they miss it.  An entry without that
+    key, an empty ladder, or a rank outside [1, n_prod] raises before any CP
+    work, and then nothing is written.
     """
     report = json.loads(Path(report_path).read_text())
     job = report["job"]
@@ -666,15 +671,10 @@ def run_decompose(report_path, ranks, out_path=None) -> tuple[dict, Path]:
     cpd["ranks"] = sorted(held.union(cpd.get("ranks", []), ranks))
     if not cpd["ranks"]:
         raise ValueError("decompose needs at least one rank")
-    cell = _job_cell(job)
-    mos = _job_molecule(job)
-    alpha = float(job["lorentzian"].get("alpha_pen", 0.0))
-    tuckers = []
     for name, entry in report["mos"].items():
-        tucker = _tucker_from_payload(entry, cell.n_qe)
-        problem = FitProblem(mo=mos[name], cell=cell, spec=tucker.spec, alpha_pen=alpha,
-                             norm_factor=entry["norm_factor"])
-        tuckers.append(with_structure(problem, tucker, cpd["ranks"][-1]))
+        if "structural_factors" not in entry:
+            raise ValueError(f"MO {name!r} has no structural_factors entry; refit the report's job")
+    tuckers = [_tucker_from_payload(entry, job["cell"]["n_qe"]) for entry in report["mos"].values()]
     _rank_sweep(list(report["mos"].values()), tuckers, cpd["ranks"], _job_cpd_options(job))
     out = Path(out_path or report_path)
     _write_report(report, out)
@@ -870,9 +870,9 @@ def _check_cp_exactness(report: dict) -> str:
     job = report["job"]
     n_qe = job["cell"]["n_qe"]
     name = sorted(report["mos"])[0]
-    tucker = _tucker_from_payload(report["mos"][name], n_qe)
+    # without the report's closed-form factors, this rung runs CP
+    tucker = replace(_tucker_from_payload(report["mos"][name], n_qe), structural=None)
     n_prod = tucker.spec.n_prod
-    # the payload's state carries no closed-form factors, so this rung runs CP
     canon = decompose_cores([tucker], [n_prod], CpdOptions(n_restarts=2))[n_prod][0]
     if canon.deviation >= 1e-10:
         raise AssertionError(f"full-rank deviation {canon.deviation:.3e}")

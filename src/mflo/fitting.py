@@ -48,7 +48,7 @@ tables on two axes merge into one term (``_Engine.structural_factors``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,6 @@ __all__ = [
     "solve_core",
     "fidelity_gradient",
     "optimize_widths",
-    "with_structure",
     "box_centers",
     "tucker_statevector",
 ]
@@ -156,7 +155,7 @@ class TuckerState:
     diagnostics: OptimizeDiagnostics | None = field(default=None, compare=False)
     # CP factors (F_x, F_y, F_z) with cp_full(None, F) = S d, one term per
     # merged primitive group (see _Engine.structural_factors); None when the
-    # closed form does not hold or was not built
+    # closed form does not hold.  A report stores them as structural_factors
     structural: tuple | None = field(default=None, compare=False)
 
 
@@ -182,8 +181,9 @@ class _Engine:
     The primitives are also grouped here, by their sample rows, for
     ``structural_factors``: primitives whose rows agree on the two axes
     other than m give one CP term, whose mode-m factor sums their weighted
-    M_m rows.  ``structural_rank`` is the fewest terms over the three
-    choices of m, the lowest m among ties, and needs no widths.
+    M_m rows.  The merge axis gives the fewest terms over the three choices
+    of m, the lowest m among ties; that count, the structural rank R*, needs
+    no widths, and a report records it beside the factors.
     """
 
     def __init__(self, problem: FitProblem):
@@ -198,7 +198,6 @@ class _Engine:
         self.pref = problem.norm_factor / math.sqrt(float(np.prod(L)))
         self.wpref = self.pref * weights
         self.merge_axis, self.groups, self.leads = _merge_primitives(self.h)
-        self.structural_rank = self.leads.size
 
     def assemble(self, widths: np.ndarray):
         """Width-dependent pieces: LF profiles and states, 1D metrics, M tables, T."""
@@ -638,20 +637,6 @@ def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None)
         diagnostics=diag,
         structural=engine.structural_factors(ev),
     )
-
-
-def with_structure(problem: FitProblem, tucker: TuckerState, max_rank: int) -> TuckerState:
-    """``tucker`` with the closed-form CP factors of its fit, if ``max_rank`` reaches them.
-
-    A fresh engine groups the primitives; only when its structural rank is at
-    most ``max_rank`` does it evaluate the fit at the state's widths, so the
-    factors are the ones ``optimize_widths`` attached to the same fit.
-    """
-    engine = _Engine(problem.with_spec(tucker.spec))
-    if engine.structural_rank > max_rank:
-        return tucker
-    ev = engine.evaluate(tucker.spec.widths_flat())
-    return replace(tucker, structural=engine.structural_factors(ev))
 
 
 def tucker_statevector(spec: LorentzianBasisSpec, core: np.ndarray) -> np.ndarray:

@@ -561,11 +561,22 @@ class TestRunDecompose:
                 for key in ("rank", "success_probability", "cnot"):
                     assert c[key] == exact[key]
 
-    def test_closed_form_entries_match_a_refit(self, tmp_path):
+    def test_closed_form_entries_match_a_refit(self, tmp_path, monkeypatch):
         # R* = 3 on this job: the fitted R=4 rung and the added 5 and 8 are the
-        # closed form, rebuilt by decompose from the job at the stored widths
+        # closed form, which decompose reads from the report: it parses no
+        # molecule and builds no fit problem or engine
+        import mflo.fitting
+
         _, path = run_fit(BOX_6x4x4, out_path=tmp_path / "r.json")
-        report, _ = run_decompose(path, [5, 8])
+
+        def never(*args, **kwargs):
+            raise AssertionError("decompose rebuilt the fit")
+
+        with monkeypatch.context() as patch:
+            for owner, name in ((mflo.cli, "_job_molecule"), (mflo.cli, "FitProblem"),
+                                (mflo.fitting, "_Engine")):
+                patch.setattr(owner, name, never)
+            report, _ = run_decompose(path, [5, 8])
         for entry in report["mos"].values():
             assert entry["structural_rank"] == 3
             for rank in ("4", "5", "8"):
@@ -576,6 +587,40 @@ class TestRunDecompose:
         job.write_text(json.dumps(report["job"]))
         _, refit = run_fit(job, out_path=tmp_path / "refit.json")
         assert Path(refit).read_bytes() == Path(path).read_bytes()
+
+    def test_edited_closed_form_runs_cp(self, tmp_path):
+        # a closed form that misses the core by more than EXACT_TOL is not
+        # taken: its first rung at or above R* = 3 runs CP instead
+        _, path = run_fit(BOX_6x4x4, out_path=tmp_path / "r.json")
+        report = json.loads(Path(path).read_text())
+        row = report["mos"]["bonding"]["structural_factors"]["x"][0]
+        row[:] = [value * (1.0 + 1e-6) for value in row]
+        Path(path).write_text(json.dumps(report))
+        report, _ = run_decompose(path, [5])
+        canon = report["mos"]["bonding"]["canonical"]
+        assert canon["4"]["sweeps"] > 0 and "structural" not in canon["4"]["flags"]
+        devs = [canon[k]["deviation"] for k in sorted(canon, key=int)]
+        assert all(b <= a for a, b in zip(devs, devs[1:])), devs
+        assert report["mos"]["antibonding"]["canonical"]["4"]["flags"][0] == "structural"
+
+    def test_report_without_closed_form_rejected(self, tmp_path, capsys):
+        # decompose reads the closed form only from the report; export-state
+        # does not need it
+        _, path = run_fit(H2, out_path=tmp_path / "r.json")
+        report = json.loads(Path(path).read_text())
+        del report["mos"]["antibonding"]["structural_factors"]
+        Path(path).write_text(json.dumps(report))
+        original = Path(path).read_bytes()
+        with pytest.raises(ValueError, match="'antibonding' has no structural_factors"):
+            run_decompose(path, [2])
+        assert main(["decompose", "--report", str(path), "--ranks", "2"]) == EXIT_FAIL
+        assert "antibonding" in capsys.readouterr().err
+        assert Path(path).read_bytes() == original
+        out = tmp_path / "tucker.bin"
+        assert main(["export-state", "--report", str(path), "--which", "tucker",
+                     "--mo", "antibonding", "--format", "binary", "--out", str(out)]) == EXIT_OK
+        amplitudes, meta = read_state_export(out)
+        assert meta["form"] == "tucker" and amplitudes.size == 1 << (3 * meta["n_qe"])
 
     def test_refitting_the_embedded_job_reproduces_the_report(self, tmp_path):
         path = self._off_center_y_report(tmp_path)

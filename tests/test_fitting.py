@@ -29,7 +29,6 @@ from mflo.fitting import (
     solve_core,
     t_tensor,
     tucker_statevector,
-    with_structure,
 )
 from mflo.lorentzian import AXES, AxisProfiles, LorentzianBasisSpec, boundary_mass, lf_state
 from mflo.cpd import EXACT_TOL, CpdOptions, decompose_cores
@@ -465,9 +464,10 @@ class TestStructuralFactors:
         (("decompose-sweep", 1, "h6_sweep"), 9)])
     def test_structural_rank(self, bench_jobs, source, rank):
         # H 1s primitives: 3 exponents, on atoms along x (H2) or on 3 distinct
-        # (y, z) sites (the zig-zag H4 and H6)
+        # (y, z) sites (the zig-zag H4 and H6); R* is the number of merged
+        # primitive groups, one closed-form term each, and needs no widths
         for problem in _job_problems(_job_path(bench_jobs, source)).values():
-            assert _Engine(problem).structural_rank == rank
+            assert _Engine(problem).leads.size == rank
 
     def test_no_closed_form_with_a_discarded_dimension_or_no_overlap(self):
         spec = _spec(widths=((0.8, 1.3), (1.0,), (0.9,)), centers=((7, 7), (8,), (8,)))
@@ -480,15 +480,6 @@ class TestStructuralFactors:
         assert fit.kappa_max == 0.0 and fit.structural is None
         canon = decompose_cores([fit], [2], CpdOptions(n_restarts=2))[2][0]
         assert "structural" not in canon.flags
-
-    def test_decompose_rebuilds_the_fit_factors_bit_for_bit(self):
-        problem = _h2_box_problem()
-        fit = optimize_widths(problem)
-        bare = dataclasses.replace(fit, structural=None)
-        assert with_structure(problem, bare, 2) is bare
-        again = with_structure(problem, bare, 3).structural
-        for a, b in zip(fit.structural, again):
-            np.testing.assert_array_equal(a, b)
 
 
 def test_factored_identity_check_matches_dense_metric():
