@@ -133,14 +133,12 @@ def ao_self_overlap(ao: ContractedGaussianAO) -> float:
 def renormalized(ao: ContractedGaussianAO) -> ContractedGaussianAO:
     """Copy of the AO with coefficients scaled to unit continuous norm."""
     scale = 1.0 / math.sqrt(ao_self_overlap(ao))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ContractedGaussianAO(
-            exponents=ao.exponents,
-            coefficients=ao.coefficients * scale,
-            powers=ao.powers,
-            center=ao.center,
-        )
+    return ContractedGaussianAO(
+        exponents=ao.exponents,
+        coefficients=ao.coefficients * scale,
+        powers=ao.powers,
+        center=ao.center,
+    )
 
 
 def gaussian_ao(exponents, coefficients, powers, center,

@@ -426,9 +426,20 @@ def _spec_payload(spec: LorentzianBasisSpec) -> dict:
     }
 
 
-def _tucker_from_payload(entry: dict, n_qe: int) -> TuckerState:
-    """The Tucker state that one MO entry of a report records, closed form included."""
-    factors = entry.get("structural_factors")
+def _tucker_from_payload(name: str, entry: dict, n_qe: int) -> TuckerState:
+    """The Tucker state that MO ``name``'s entry of a report records, closed form checked."""
+    factors, structural = entry.get("structural_factors"), []
+    for ax in AXES if factors is not None else ():
+        try:
+            rows = np.atleast_1d(factors[ax])
+        except (KeyError, TypeError, ValueError):  # not a mapping, no such axis, or ragged
+            rows = np.empty(0)
+        n_l, n_rows = len(entry["widths"][ax]), len(structural[0]) if structural else len(rows)
+        if not (rows.dtype.kind in "if" and n_rows and rows.shape == (n_rows, n_l)
+                and np.isfinite(rows).all()):
+            raise ValueError(f"MO {name!r}: structural_factors[{ax!r}] is not R >= 1 rows of "
+                             f"{n_l} finite numbers, with the same R on every axis")
+        structural.append(rows.astype(np.float64))
     return TuckerState(
         spec=LorentzianBasisSpec(
             n=n_qe,
@@ -439,8 +450,7 @@ def _tucker_from_payload(entry: dict, n_qe: int) -> TuckerState:
         squared_overlap=entry["squared_overlap"],
         penalty=entry["penalty"],
         kappa_max=entry["kappa_max"],
-        structural=None if factors is None else tuple(
-            np.asarray(factors[ax], dtype=np.float64) for ax in AXES),
+        structural=None if factors is None else tuple(structural),
     )
 
 
@@ -574,7 +584,7 @@ def _rebuild_state(report: dict, which: str, mo: str, rank: int | None, max_qubi
         cell = _job_cell(job)
         return build_ideal_state(_job_molecule(job)[mo], cell, max_qubits=max_qubits)
     require_grid(n_qe, max_qubits)
-    tucker = _tucker_from_payload(entry, n_qe)
+    tucker = _tucker_from_payload(mo, entry, n_qe)
     if which == "tucker":
         return tucker_statevector(tucker.spec, tucker.core)
     if which == "canonical":
@@ -655,27 +665,30 @@ def read_state_export(path) -> tuple[np.ndarray, dict]:
 def run_decompose(report_path, ranks, out_path=None) -> tuple[dict, Path]:
     """Add ``ranks`` to a report's rank ladder and re-run the whole ladder.
 
-    The ladder is the union of the embedded job's ``cpd.ranks``, the ranks
-    the report holds and ``ranks``.  It is written to the job's ``cpd.ranks``
-    and run on every MO, so the report stays what fitting its own ``job``
-    entry writes.  Each MO's closed-form CP factors are its entry's
+    The ladder is the embedded job's ``cpd.ranks``, at which a report holds
+    its canonical entries, plus ``ranks``.  It is written to the job and run
+    on every MO, so the report stays what fitting its own ``job`` entry
+    writes.  A request that adds no rank runs no CP and writes the report
+    back unchanged.  Each MO's closed-form CP factors are its entry's
     ``structural_factors``; the ladder checks them against the core before
-    it takes them, and runs CP where they miss it.  An entry without that
-    key, an empty ladder, or a rank outside [1, n_prod] raises before any CP
-    work, and then nothing is written.
+    it takes them, and runs CP where they miss it.
+    A missing or malformed factor entry, an empty ladder, or a rank outside
+    [1, n_prod] raises before any CP work, and then nothing is written.
     """
     report = json.loads(Path(report_path).read_text())
     job = report["job"]
-    cpd = job.setdefault("cpd", {})
-    held = {int(key) for entry in report["mos"].values() for key in entry["canonical"]}
-    cpd["ranks"] = sorted(held.union(cpd.get("ranks", []), ranks))
-    if not cpd["ranks"]:
+    have = set(job.get("cpd", {}).get("ranks", []))
+    ladder = sorted(have.union(ranks))
+    if not ladder:
         raise ValueError("decompose needs at least one rank")
     for name, entry in report["mos"].items():
         if "structural_factors" not in entry:
             raise ValueError(f"MO {name!r} has no structural_factors entry; refit the report's job")
-    tuckers = [_tucker_from_payload(entry, job["cell"]["n_qe"]) for entry in report["mos"].values()]
-    _rank_sweep(list(report["mos"].values()), tuckers, cpd["ranks"], _job_cpd_options(job))
+    tuckers = [_tucker_from_payload(name, entry, job["cell"]["n_qe"])
+               for name, entry in report["mos"].items()]
+    if not have.issuperset(ranks):
+        job.setdefault("cpd", {})["ranks"] = ladder
+        _rank_sweep(list(report["mos"].values()), tuckers, ladder, _job_cpd_options(job))
     out = Path(out_path or report_path)
     _write_report(report, out)
     return report, out
@@ -830,23 +843,17 @@ def _check_gradient_fd() -> str:
 
 
 def _check_pipeline(report: dict) -> str:
-    worst = 0.0
-    for name, entry in report["mos"].items():
-        for value in entry["identity_residuals"].values():
-            worst = max(worst, float(value))
-        p = entry["success_probability_tucker"]
-        if not 0.0 < p <= 1.0 + 1e-12:
-            raise AssertionError(f"MO {name}: probability {p} outside (0, 1]")
-    if worst > IDENTITY_TOL:
-        raise AssertionError(f"identity residual {worst:.3e}")
+    """The worst identity residual; ``run_fit`` raises past IDENTITY_TOL or on P outside (0, 1]."""
+    worst = max(float(value) for entry in report["mos"].values()
+                for value in entry["identity_residuals"].values())
     return f"worst identity residual {worst:.1e}"
 
 
 def _check_tucker_oracle(report: dict) -> str:
     n_qe = report["job"]["cell"]["n_qe"]
     worst = 0.0
-    for entry in report["mos"].values():
-        tucker = _tucker_from_payload(entry, n_qe)
+    for name, entry in report["mos"].items():
+        tucker = _tucker_from_payload(name, entry, n_qe)
         branches = [(w, e) for w, e in zip(tucker.core.ravel(), np.eye(tucker.spec.n_prod))]
         oracle = lcu_postselect_oracle(branches, metric=overlap_3d(tucker.spec))
         worst = max(worst, abs(oracle - entry["success_probability_tucker"]))
@@ -871,7 +878,7 @@ def _check_cp_exactness(report: dict) -> str:
     n_qe = job["cell"]["n_qe"]
     name = sorted(report["mos"])[0]
     # without the report's closed-form factors, this rung runs CP
-    tucker = replace(_tucker_from_payload(report["mos"][name], n_qe), structural=None)
+    tucker = replace(_tucker_from_payload(name, report["mos"][name], n_qe), structural=None)
     n_prod = tucker.spec.n_prod
     canon = decompose_cores([tucker], [n_prod], CpdOptions(n_restarts=2))[n_prod][0]
     if canon.deviation >= 1e-10:
@@ -913,20 +920,19 @@ def run_verify(job_path, max_qubits=DEFAULT_MAX_QUBITS, stream=None) -> int:
     """
     stream = stream or sys.stdout
     results = []
+    report = None
 
-    def run(name, fn):
+    def run(name, fn, on_grid=False):
+        if on_grid:
+            try:
+                require_grid(report["job"]["cell"]["n_qe"], max_qubits)
+            except ResourceLimitError as exc:
+                results.append((name, "skip", str(exc)))
+                return
         try:
             results.append((name, "pass", fn()))
         except Exception as exc:  # noqa: BLE001 - each check reports independently
             results.append((name, "FAIL", str(exc)))
-
-    def run_on_grid(name, fn, n_qe):
-        try:
-            require_grid(n_qe, max_qubits)
-        except ResourceLimitError as exc:
-            results.append((name, "skip", str(exc)))
-            return
-        run(name, fn)
 
     run("profile-invariants", _check_profile_invariants)
     run("profile-limits", _check_profile_limits)
@@ -936,7 +942,6 @@ def run_verify(job_path, max_qubits=DEFAULT_MAX_QUBITS, stream=None) -> int:
     run("two-center-oracle", _check_two_center_oracle)
     run("gradient-fd", _check_gradient_fd)
 
-    report = None
     with tempfile.TemporaryDirectory() as td:
         tmp = Path(td)
 
@@ -945,27 +950,26 @@ def run_verify(job_path, max_qubits=DEFAULT_MAX_QUBITS, stream=None) -> int:
             report, _ = run_fit(job_path, out_path=tmp / "run1.json")
             return _check_pipeline(report)
 
+        def determinism():
+            run_fit(job_path, out_path=tmp / "run2.json")
+            if (tmp / "run1.json").read_bytes() != (tmp / "run2.json").read_bytes():
+                raise AssertionError("repeated runs differ")
+            return "repeated runs byte-identical"
+
         run("pipeline-identities", pipeline)
-        if report is not None:
-            n_qe = report["job"]["cell"]["n_qe"]
-            run("tucker-probability-oracle", lambda: _check_tucker_oracle(report))
-            run_on_grid("statevector-overlap",
-                        lambda: _check_statevector_overlap(report, max_qubits), n_qe)
-            run("cp-exactness", lambda: _check_cp_exactness(report))
-            run_on_grid("export-roundtrip",
-                        lambda: _check_export_roundtrip(report, tmp, max_qubits), n_qe)
-
-            def determinism():
-                run_fit(job_path, out_path=tmp / "run2.json")
-                if (tmp / "run1.json").read_bytes() != (tmp / "run2.json").read_bytes():
-                    raise AssertionError("repeated runs differ")
-                return "repeated runs byte-identical"
-
-            run("determinism", determinism)
-        else:
-            for name in ("tucker-probability-oracle", "statevector-overlap", "cp-exactness",
-                         "export-roundtrip", "determinism"):
+        # the checks of the fitted report: (name, check, builds N^3 grid states)
+        for name, check, on_grid in (
+                ("tucker-probability-oracle", lambda: _check_tucker_oracle(report), False),
+                ("statevector-overlap",
+                 lambda: _check_statevector_overlap(report, max_qubits), True),
+                ("cp-exactness", lambda: _check_cp_exactness(report), False),
+                ("export-roundtrip",
+                 lambda: _check_export_roundtrip(report, tmp, max_qubits), True),
+                ("determinism", determinism, False)):
+            if report is None:
                 results.append((name, "FAIL", "skipped: pipeline run failed"))
+            else:
+                run(name, check, on_grid)
 
     width = max(len(name) for name, _, _ in results)
     for name, status, detail in results:
@@ -1047,6 +1051,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str, out) -> None:
+    """Write ``text`` and a newline to the file ``out``, or print it when ``out`` is unset."""
+    if out:
+        Path(out).write_text(text + "\n")
+        print(f"written to {out}")
+    else:
+        print(text)
+
+
 def _cmd_fit(args) -> int:
     report, path = run_fit(args.job, out_path=args.out)
     for name, entry in sorted(report["mos"].items()):
@@ -1080,13 +1093,7 @@ def _cmd_gate_count(args) -> int:
             raise ValueError("gate-count needs either --job or both --n-l and --n-qe")
         n_l, n_qe = args.n_l, args.n_qe
         ranks = args.rank or []
-    table = gate_count_table(n_l, n_qe, ranks)
-    text = _dumps(table)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"written to {args.out}")
-    else:
-        print(text)
+    _emit(_dumps(gate_count_table(n_l, n_qe, ranks)), args.out)
     return EXIT_OK
 
 
@@ -1101,12 +1108,7 @@ def _cmd_export_state(args) -> int:
 def _cmd_two_center(args) -> int:
     thetas = np.linspace(-math.pi / 2, math.pi / 2, args.points)
     table = two_center_analysis(args.n, args.a, args.center_a, args.center_b, thetas)
-    lines = two_center_csv_lines(table)
-    if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
-        print(f"written to {args.out}")
-    else:
-        print("\n".join(lines))
+    _emit("\n".join(two_center_csv_lines(table)), args.out)
     return EXIT_OK
 
 

@@ -215,8 +215,8 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
     norm_d = _norms(d)
     out = [np.array(f, dtype=np.float64) for f in factors]
     err = _residual(d, out, norm_d)
-    sweeps = np.zeros(len(d), dtype=int)
     converged = err <= ALS_TOL
+    result = out, err, np.zeros(len(d), dtype=int), converged
     diagonal = np.s_[:, ::out[0].shape[1] + 1]  # of a Gram stack flattened to (pairs, R * R)
     live = np.flatnonzero(~converged)
     F = [f[live] for f in out]
@@ -237,22 +237,24 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
         done = np.abs(prev - e) < ALS_TOL
         prev = e
         if done.any():
-            finished = live[done]
-            converged[finished] = True
-            sweeps[finished] = sweep
-            err[finished] = e[done]
-            for m in range(3):
-                out[m][finished] = F[m][done]
+            _store(result, live[done], [f[done] for f in F], e[done], sweep, True)
             keep = ~done
             live, dl, nl, prev = live[keep], dl[keep], nl[keep], prev[keep]
             F = [f[keep] for f in F]
             unf = [u[keep] for u in unf]
             grams = [g[keep] for g in grams]
-    sweeps[live] = sweep
-    err[live] = prev
+    _store(result, live, F, prev, sweep, False)
+    return result
+
+
+def _store(result, pairs, factors, errors, count, converged: bool) -> None:
+    """Write stack rows ``pairs`` of ``result`` (factors, errors, counts, converged flags)."""
+    out, err, counts, flags = result
     for m in range(3):
-        out[m][live] = F[m]
-    return out, err, sweeps, converged
+        out[m][pairs] = factors[m]
+    err[pairs] = errors
+    counts[pairs] = count
+    flags[pairs] = converged
 
 
 def _gradient(unfolded, factors, grams, kr=None) -> list[np.ndarray]:
@@ -352,8 +354,7 @@ def _lm(d: np.ndarray, factors, err: np.ndarray, max_iter: int):
     norm_d = _norms(d)
     out = [np.array(f, dtype=np.float64) for f in factors]
     err = np.array(err, dtype=np.float64)
-    iters = np.zeros(len(d), dtype=int)
-    converged = np.zeros(len(d), dtype=bool)
+    result = out, err, np.zeros(len(d), dtype=int), np.zeros(len(d), dtype=bool)
     live = np.arange(len(d))
     F, dl, nl, e = out, d, norm_d, err.copy()
     unf = [unfold(d, m) for m in range(3)]
@@ -389,21 +390,13 @@ def _lm(d: np.ndarray, factors, err: np.ndarray, max_iter: int):
             done = np.where(ok, done, step_norm <= LM_STEP_FLOOR * x_norm)
             e = np.where(ok, e_new, e)
         if done.any():
-            finished = live[done]
-            converged[finished] = True
-            iters[finished] = it
-            err[finished] = e[done]
-            for m in range(3):
-                out[m][finished] = F[m][done]
+            _store(result, live[done], [f[done] for f in F], e[done], it, True)
             keep = ~done
             live, dl, nl, e, mu, nu = live[keep], dl[keep], nl[keep], e[keep], mu[keep], nu[keep]
             F, kr = [f[keep] for f in F], None if kr is None else kr[keep]
             unf = [u[keep] for u in unf]
-    iters[live] = it
-    err[live] = e
-    for m in range(3):
-        out[m][live] = F[m]
-    return out, err, iters, converged
+    _store(result, live, F, e, it, False)
+    return result
 
 
 def _ladder_start(d: np.ndarray, factors, R: int):
@@ -599,5 +592,5 @@ def canonical_statevector(spec: LorentzianBasisSpec, lambdas, u) -> np.ndarray:
 
     Term r has direction-v grid table u_r^(v) V^(v) and weight lambda_r.
     """
-    phi = [np.asarray(u[v], dtype=np.float64) @ spec.state_matrix(v) for v in range(3)]
+    phi = [np.asarray(u[v], dtype=np.float64) @ V for v, V in enumerate(spec.state_matrices())]
     return cp_full(np.asarray(lambdas, dtype=np.float64), phi).ravel()

@@ -53,8 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import MolecularOrbital, SimulationCell, mo_norm_factor, primitive_tables
-from .lorentzian import (AXES, AxisLayout, AxisProfiles, LorentzianBasisSpec, _symmetric_gram,
-                         boundary_mass)
+from .lorentzian import AXES, AxisProfiles, LorentzianBasisSpec, _symmetric_gram, boundary_mass
 from .tensor import _OTHERS, cp_full, mode_product, mttkrp, unfold
 
 __all__ = [
@@ -168,7 +167,7 @@ class _Engine:
     Neither do the shift tables (``AxisLayout``: sin^2 and parity on the
     unshifted grid, the gather index of each center).  The three directions
     share one grid, so one layout covers the centers of all of them, x then
-    y then z, and is built once here.  Each evaluation then runs one
+    y then z, read from the spec with each direction's ``rows``.  Each evaluation then runs one
     vectorized profile build for the whole basis, whose row slices are the
     directions' states, and the small per-direction matrices; the derivative
     tables come from one derivative build per point, which reuses that
@@ -189,9 +188,7 @@ class _Engine:
     def __init__(self, problem: FitProblem):
         cell, spec = problem.cell, problem.spec
         weights, self.h = primitive_tables(problem.mo, cell)
-        ends = np.cumsum(spec.n_l)
-        self.rows = [slice(int(e - n), int(e)) for e, n in zip(ends, spec.n_l)]
-        self.layout = AxisLayout(spec.n, np.concatenate(spec.centers))
+        self.layout, self.rows = spec.layout, spec.rows
         self.alpha = problem.alpha_pen
         L = cell.edge_lengths
         self.col_pref = L / math.sqrt(cell.N_qe)
@@ -201,8 +198,6 @@ class _Engine:
 
     def assemble(self, widths: np.ndarray):
         """Width-dependent pieces: LF profiles and states, 1D metrics, M tables, T."""
-        if widths.size != self.rows[2].stop:
-            raise ValueError(f"expected {self.rows[2].stop} widths, got {widths.size}")
         if not np.all((widths > 0.0) & (widths < math.inf)):
             raise ValueError("widths must be positive and finite")
         prof = AxisProfiles(self.layout, widths)
@@ -625,7 +620,7 @@ def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None)
         restart_fidelities=tuple(restart_fids),
         fidelity_history=tuple(history),
         discarded_dim=ev.discarded,
-        boundary_mass={ax: tuple(boundary_mass(spec, v).tolist()) for v, ax in enumerate(AXES)},
+        boundary_mass={ax: tuple(m.tolist()) for ax, m in zip(AXES, boundary_mass(spec))},
     )
     return TuckerState(
         spec=spec,
@@ -641,8 +636,7 @@ def optimize_widths(problem: FitProblem, options: OptimizeOptions | None = None)
 
 def tucker_statevector(spec: LorentzianBasisSpec, core: np.ndarray) -> np.ndarray:
     """Assemble the trial state on the full grid (k_z fastest), for exports and oracles."""
-    V = [spec.state_matrix(v) for v in range(3)]
-    return mode_product(np.asarray(core, dtype=np.float64), V).ravel()
+    return mode_product(np.asarray(core, dtype=np.float64), spec.state_matrices()).ravel()
 
 
 def box_centers(cell: SimulationCell, box_min, box_edges, counts):

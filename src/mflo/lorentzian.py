@@ -19,8 +19,8 @@ way: ``AxisProfiles`` evaluates the formula for all its widths at once on the
 unshifted grid, and the shift to each center is an index gather through the
 precomputed tables of an ``AxisLayout`` (sin^2(pi j / N), the parity of j,
 and the flat index of (k - k_c) mod N).  Those tables depend only on n and
-the centers, and the three directions share one grid, so a fit builds one
-layout over all the centers of its basis, once.
+the centers, and the three directions share one grid, so a basis
+(``LorentzianBasisSpec``) has one layout over all its centers.
 
 Notes
 -----
@@ -184,6 +184,8 @@ class LorentzianBasisSpec:
     ``widths[v]`` and ``centers[v]`` hold the n_Lv basis parameters for
     direction v in (x, y, z).  Duplicate (a, k_c) pairs within a direction
     are rejected because they make the overlap metric exactly singular.
+    One ``layout`` covers the centers of all three directions, x then y then
+    z, so every LF build of the basis is one pass, sliced by ``rows``.
     """
 
     n: int
@@ -235,10 +237,16 @@ class LorentzianBasisSpec:
         nx, ny, nz = self.n_l
         return nx * ny * nz
 
+    @property
+    def rows(self) -> tuple[slice, slice, slice]:
+        """Each direction's rows of ``layout``, and its entries of a flat width vector."""
+        nx, ny, nz = self.n_l
+        return slice(0, nx), slice(nx, nx + ny), slice(nx + ny, nx + ny + nz)
+
     @cached_property
-    def layouts(self) -> tuple[AxisLayout, AxisLayout, AxisLayout]:
-        """Shift tables of the three directions, built on first use."""
-        return tuple(AxisLayout(self.n, c) for c in self.centers)
+    def layout(self) -> AxisLayout:
+        """Shift tables of every LF of the basis, x then y then z, built on first use."""
+        return AxisLayout(self.n, np.concatenate(self.centers))
 
     @cached_property
     def overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,38 +258,37 @@ class LorentzianBasisSpec:
         are read-only, and the spec and its arrays are frozen, so the cache
         cannot go stale.
         """
-        out = tuple(_symmetric_gram(self.state_matrix(v)) for v in range(3))
+        out = tuple(_symmetric_gram(V) for V in self.state_matrices())
         for s in out:
             s.setflags(write=False)
         return out
 
+    def state_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each direction's ``state_matrix``, as the ``rows`` of one all-axes build."""
+        states = AxisProfiles(self.layout, self.widths_flat()).states()
+        return tuple(states[rows] for rows in self.rows)
+
     def state_matrix(self, axis) -> np.ndarray:
         """Rows are the shifted LF statevectors of one direction, shape (n_Lv, N)."""
-        v = _axis_index(axis)
-        return AxisProfiles(self.layouts[v], self.widths[v]).states()
+        return self.state_matrices()[_axis_index(axis)]
 
     def with_widths(self, widths_flat: np.ndarray) -> "LorentzianBasisSpec":
         """New spec with widths replaced from a flat (x then y then z) vector."""
-        nx, ny, nz = self.n_l
         w = np.asarray(widths_flat, dtype=np.float64).ravel()
-        if w.size != nx + ny + nz:
-            raise ValueError(f"expected {nx + ny + nz} widths, got {w.size}")
-        return LorentzianBasisSpec(
-            n=self.n,
-            widths=(w[:nx].copy(), w[nx:nx + ny].copy(), w[nx + ny:].copy()),
-            centers=self.centers,
-        )
+        if w.size != self.rows[2].stop:
+            raise ValueError(f"expected {self.rows[2].stop} widths, got {w.size}")
+        return LorentzianBasisSpec(n=self.n, widths=tuple(w[rows] for rows in self.rows),
+                                   centers=self.centers)
 
     def widths_flat(self) -> np.ndarray:
         return np.concatenate(self.widths)
 
 
-def boundary_mass(spec: LorentzianBasisSpec, axis) -> np.ndarray:
-    """Squared amplitude of each LF within BOUNDARY_MARGIN points of the grid edge.
+def boundary_mass(spec: LorentzianBasisSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared amplitude of each LF within BOUNDARY_MARGIN points of the grid edge, per direction.
 
     Large values mean the (periodically wrapped) basis function leaks across
     the cell boundary, which a hard-walled physical cell would not support.
     """
-    states = spec.state_matrix(axis)
     edge = np.r_[0:BOUNDARY_MARGIN, spec.N - BOUNDARY_MARGIN:spec.N]
-    return np.sum(states[:, edge] ** 2, axis=1)
+    return tuple(np.sum(V[:, edge] ** 2, axis=1) for V in spec.state_matrices())

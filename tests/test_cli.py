@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -37,6 +38,7 @@ JOBS = Path(__file__).resolve().parent.parent / "jobs"
 SINGLE = JOBS / "single_gaussian.json"
 H2 = JOBS / "h2_like.json"
 H2_N12 = JOBS / "h2_n12.json"
+BOX_4x3x3 = JOBS / "h2_box_4x3x3.json"
 BOX_6x4x4 = JOBS / "h2_box_6x4x4.json"
 
 
@@ -53,6 +55,12 @@ def single_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("fit") / "single.report.json"
     report, path = run_fit(SINGLE, out_path=out)
     return report, path
+
+
+@pytest.fixture(scope="module")
+def box_4x3x3_report(tmp_path_factory):
+    """Path of a fitted h2_box_4x3x3 report; tests copy it before they edit it."""
+    return run_fit(BOX_4x3x3, out_path=tmp_path_factory.mktemp("fit") / "box.report.json")[1]
 
 
 class TestLoadJob:
@@ -275,6 +283,21 @@ class TestRunFit:
         assert diag["evaluations"] >= len(hist)
         assert hist[-1] == pytest.approx(report["mos"]["ground"]["fidelity"], rel=1e-12)
         assert all(b >= a - 1e-12 for a, b in zip(hist, hist[1:]))
+
+    def test_identity_residual_past_tolerance_raises(self, tmp_path, monkeypatch):
+        # with T doubled, |<ideal|trial>|^2 = 4 kappa_max: no report is written
+        t_tensor = mflo.cli.t_tensor
+        monkeypatch.setattr(mflo.cli, "t_tensor", lambda problem: 2.0 * t_tensor(problem))
+        with pytest.raises(RuntimeError, match="identity check failed"):
+            run_fit(H2, out_path=tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("prob", [0.0, -0.25, 1.0 + 1e-9, math.nan])
+    def test_tucker_probability_outside_unit_interval_raises(self, tmp_path, monkeypatch, prob):
+        monkeypatch.setattr(mflo.cli, "success_prob_tucker", lambda tucker: prob)
+        with pytest.raises(RuntimeError, match=r"Tucker success probability .* outside \(0, 1\]"):
+            run_fit(H2, out_path=tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
 
     def test_repeated_runs_byte_identical(self, tmp_path):
         _, p1 = run_fit(SINGLE, out_path=tmp_path / "a.json")
@@ -622,6 +645,64 @@ class TestRunDecompose:
         amplitudes, meta = read_state_export(out)
         assert meta["form"] == "tucker" and amplitudes.size == 1 << (3 * meta["n_qe"])
 
+    @pytest.mark.parametrize("mo, axis, edit", [
+        ("antibonding", "y", lambda factors: factors["y"][0].pop()),  # a short row
+        ("antibonding", "x", lambda factors: factors.update(x=sum(factors["x"], []))),  # flattened
+        # the bonding MO's exact R=2 rung is carried up, so its factors are
+        # never tried: only the parse sees this edit
+        ("bonding", "z", lambda factors: factors["z"].append(list(factors["z"][0]))),
+    ], ids=["short-row", "flattened-axis", "extra-row"])
+    def test_malformed_closed_form_rejected(self, box_4x3x3_report, tmp_path, capsys,
+                                            mo, axis, edit):
+        report = json.loads(Path(box_4x3x3_report).read_text())
+        assert report["mos"]["bonding"]["canonical"]["2"]["deviation"] <= 1e-15
+        edit(report["mos"][mo]["structural_factors"])
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        original = path.read_bytes()
+        message = f"MO '{mo}': structural_factors['{axis}'] is not R >= 1 rows of "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_decompose(path, [5])
+        capsys.readouterr()
+        assert main(["decompose", "--report", str(path), "--ranks", "5"]) == EXIT_FAIL
+        out = tmp_path / "tucker.bin"
+        assert main(["export-state", "--report", str(path), "--which", "tucker", "--mo", mo,
+                     "--format", "binary", "--out", str(out)]) == EXIT_FAIL
+        errors = [json.loads(line)["message"] for line in capsys.readouterr().err.splitlines()]
+        assert len(errors) == 2 and all(e.startswith(message) for e in errors)
+        assert path.read_bytes() == original
+        assert not out.exists()
+
+    def test_request_that_adds_no_rank_runs_no_cp(self, box_4x3x3_report, tmp_path, capsys,
+                                                  monkeypatch):
+        # the job's ladder is 1, 2, 4: asking for ranks it holds leaves the
+        # report, and --out gets its bytes
+        path, copy = tmp_path / "r.json", tmp_path / "copy" / "r.json"
+        shutil.copyfile(box_4x3x3_report, path)
+        original = path.read_bytes()
+        report = json.loads(original)
+        assert report["job"]["cpd"]["ranks"] == [1, 2, 4]
+        table = [f"{name} R={key}: deviation={entry['deviation']:.3e} "
+                 f"P_canonical={entry['success_probability']:.6f}"
+                 for name in sorted(report["mos"])
+                 for key, entry in sorted(report["mos"][name]["canonical"].items(),
+                                          key=lambda item: int(item[0]))]
+
+        def never(*args, **kwargs):
+            raise AssertionError("decompose ran CP for a request that adds no rank")
+
+        monkeypatch.setattr(mflo.cli, "decompose_cores", never)
+        capsys.readouterr()
+        assert main(["decompose", "--report", str(path), "--ranks", "4,1"]) == EXIT_OK
+        assert main(["decompose", "--report", str(path), "--ranks", "2",
+                     "--out", str(copy)]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [*table, f"report written to {path}", *table, f"report written to {copy}"]
+        assert path.read_bytes() == copy.read_bytes() == original
+        with pytest.raises(AssertionError, match="adds no rank"):
+            run_decompose(path, [3])
+        assert path.read_bytes() == original
+
     def test_refitting_the_embedded_job_reproduces_the_report(self, tmp_path):
         path = self._off_center_y_report(tmp_path)
         report, _ = run_decompose(path, [4])
@@ -852,6 +933,9 @@ def test_run_verify_reports_failures(tmp_path, capsys):
     assert code == EXIT_FAIL
     assert "failed:" in out
     assert "pipeline-identities" in out
+    for name in ("tucker-probability-oracle", "statevector-overlap", "cp-exactness",
+                 "export-roundtrip", "determinism"):
+        assert re.search(rf"^{name} +FAIL  skipped: pipeline run failed$", out, re.M), name
 
 
 def test_cli_import_loads_neither_jsonschema_nor_scipy():

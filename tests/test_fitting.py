@@ -663,7 +663,7 @@ class TestOptimizeWidths:
         problem = FitProblem.build(mo, _cube(n_qe=4), spec)
         fit = optimize_widths(problem)
         mass = fit.diagnostics.boundary_mass
-        assert mass == {ax: tuple(boundary_mass(fit.spec, v)) for v, ax in enumerate(AXES)}
+        assert mass == {ax: tuple(m) for ax, m in zip(AXES, boundary_mass(fit.spec))}
         # the x LF sits on the grid edge, the y and z LFs in the middle
         assert mass["x"][0] > 0.5 > 0.1 > max(mass["y"][0], mass["z"][0])
         assert fit.diagnostics.flags == ()

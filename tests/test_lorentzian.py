@@ -189,7 +189,7 @@ def test_state_matrices_match_closed_form_and_central_difference(n):
     spec = _spec(n=n, widths=([a for a, _ in pairs], (1.0,), (2.0,)),
                  centers=([k for _, k in pairs], (0,), (0,)))
     V = spec.state_matrix("x")
-    dV = AxisProfiles(spec.layouts[0], spec.widths[0]).states_da()
+    dV = AxisProfiles(spec.layout, spec.widths_flat()).states_da()[spec.rows[0]]
     for a in PARITY_WIDTHS:
         with mpmath.workdps(60):
             h = mp.mpf("1e-20")
@@ -325,15 +325,15 @@ class TestOverlap1D:
 class TestBoundaryMass:
     def test_centered_narrow_state_clears_margin(self):
         spec = _spec(n=6, widths=((0.3,), (0.3,), (0.3,)), centers=((32,), (32,), (32,)))
-        assert float(boundary_mass(spec, 0)[0]) < 1e-3
+        assert float(boundary_mass(spec)[0][0]) < 1e-3
 
     def test_edge_centered_state_flagged(self):
         spec = _spec(widths=((1.0,), (1.0,), (1.0,)), centers=((0,), (8,), (8,)))
-        assert float(boundary_mass(spec, 0)[0]) > 0.5
+        assert float(boundary_mass(spec)[0][0]) > 0.5
 
     def test_mass_bounded_by_one(self):
         spec = _spec()
-        m = boundary_mass(spec, 0)
+        m = np.concatenate(boundary_mass(spec))
         assert np.all(m >= 0) and np.all(m <= 1 + 1e-12)
 
 
