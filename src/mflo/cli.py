@@ -25,6 +25,7 @@ import os
 import struct
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -67,7 +68,7 @@ from .fitting import (
     tucker_statevector,
 )
 from .lorentzian import AXES, LorentzianBasisSpec, lf_profile, lf_profile_da, lf_state
-from .tensor import metric_inner
+from .tensor import cp_full, metric_inner
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -203,6 +204,17 @@ JOB_SCHEMA = {
     },
 }
 
+_PER_AXIS = {"type": "object", "required": list(AXES)}
+#: What ``read_report`` takes from a report; ``_tucker_from_payload`` checks the factors.
+REPORT_SCHEMA = {"type": "object", "required": ["job", "mos"], "properties": {
+    "job": JOB_SCHEMA, "mos": {"type": "object", "minProperties": 1, "additionalProperties": {
+        "type": "object", "required": ["widths", "centers", "core", "fidelity", "squared_overlap",
+                                       "penalty", "kappa_max", "structural_factors"],
+        "properties": {"widths": {**_PER_AXIS, "additionalProperties": _NUM_LIST},
+                       "centers": {**_PER_AXIS, "additionalProperties": _INT_LIST},
+                       "core": {"type": "object", "required": ["shape", "values"],
+                                "properties": {"shape": _INT_LIST, "values": _NUM_LIST}}}}}}}
+
 
 class JobError(Exception):
     """Malformed job file; ``pointer`` names the offending field."""
@@ -335,12 +347,13 @@ def load_job(path) -> dict:
     return job
 
 
-def _check_cross_references(job: dict) -> None:
+def _check_cross_references(job: dict, at: str = "") -> None:
+    """Checks past the schema; ``at`` is the job's pointer in its document."""
     n_ao = len(job["molecule"]["aos"])
     for name, coeff in job["molecule"]["mos"].items():
         if len(coeff) != n_ao:
             raise JobError(
-                f"/molecule/mos/{name}",
+                f"{at}/molecule/mos/{name}",
                 f"MO has {len(coeff)} coefficients but the molecule lists {n_ao} AOs")
     lor = job["lorentzian"]
     n_qe = job["cell"]["n_qe"]
@@ -351,7 +364,7 @@ def _check_cross_references(job: dict) -> None:
             for i, k in enumerate(lor["centers"][ax]):
                 if not 0 <= k < N:
                     raise JobError(
-                        f"/lorentzian/centers/{ax}/{i}",
+                        f"{at}/lorentzian/centers/{ax}/{i}",
                         f"center {k} outside the grid range [0, {N})")
     else:
         counts = dict(zip(AXES, lor["box"]["counts"]))
@@ -360,7 +373,7 @@ def _check_cross_references(job: dict) -> None:
         for ax in AXES:
             if len(widths[ax]) != counts[ax]:
                 raise JobError(
-                    f"/lorentzian/initial_widths/{ax}",
+                    f"{at}/lorentzian/initial_widths/{ax}",
                     f"{len(widths[ax])} widths for {counts[ax]} centers")
     n_prod = 1
     for ax in AXES:
@@ -368,7 +381,7 @@ def _check_cross_references(job: dict) -> None:
     for i, rank in enumerate(job.get("cpd", {}).get("ranks", [])):
         if rank > n_prod:
             raise JobError(
-                f"/cpd/ranks/{i}",
+                f"{at}/cpd/ranks/{i}",
                 f"rank {rank} exceeds the basis size n_prod={n_prod}")
 
 
@@ -440,18 +453,44 @@ def _tucker_from_payload(name: str, entry: dict, n_qe: int) -> TuckerState:
             raise ValueError(f"MO {name!r}: structural_factors[{ax!r}] is not R >= 1 rows of "
                              f"{n_l} finite numbers, with the same R on every axis")
         structural.append(rows.astype(np.float64))
-    return TuckerState(
-        spec=LorentzianBasisSpec(
+    try:
+        spec = LorentzianBasisSpec(
             n=n_qe,
             widths=tuple(np.asarray(entry["widths"][ax], dtype=np.float64) for ax in AXES),
-            centers=tuple(np.asarray(entry["centers"][ax], dtype=np.int64) for ax in AXES)),
-        core=np.asarray(entry["core"]["values"], dtype=np.float64).reshape(entry["core"]["shape"]),
+            centers=tuple(np.asarray(entry["centers"][ax], dtype=np.int64) for ax in AXES))
+    except ValueError as exc:
+        raise ValueError(f"MO {name!r}: {exc}") from None
+    core = np.asarray(entry["core"]["values"], dtype=np.float64)
+    if list(entry["core"]["shape"]) != list(spec.n_l) or core.size != spec.n_prod:
+        raise ValueError(f"MO {name!r}: core is not {list(spec.n_l)}, one value per LF product")
+    return TuckerState(
+        spec=spec, core=core.reshape(spec.n_l),
         fidelity=entry["fidelity"],
         squared_overlap=entry["squared_overlap"],
         penalty=entry["penalty"],
         kappa_max=entry["kappa_max"],
         structural=None if factors is None else tuple(structural),
     )
+
+
+def read_report(path) -> tuple[dict, dict[str, TuckerState]]:
+    """A report file as (report, each MO's Tucker state), for every command that reads one.
+
+    Its job passes ``load_job``'s checks and its MOs are the job's; anything
+    else raises one ValueError naming the file and the field.
+    """
+    try:
+        report = json.loads(Path(path).read_text())
+        _validate(report, REPORT_SCHEMA)
+        job = report["job"]
+        _check_cross_references(job, at="/job")
+        for name in report["mos"]:
+            if name not in job["molecule"]["mos"]:
+                raise JobError(f"/mos/{name}", "not an MO of the report's job")
+        return report, {name: _tucker_from_payload(name, entry, job["cell"]["n_qe"])
+                        for name, entry in report["mos"].items()}
+    except (JobError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _identity_residuals(problem: FitProblem, tucker: TuckerState) -> dict:
@@ -619,46 +658,52 @@ def export_state(report: dict, which: str, fmt: str, mo: str | None = None,
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         N = 1 << n_qe
-        rows = (f"{x},{y},{z},{a!r}" for (x, y, z), a in
-                zip(np.ndindex(N, N, N), map(float, amplitudes)))
-        out_path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        tails = [f"{y},{z}," for y, z in np.ndindex(N, N)]
+        with out_path.open("w") as f:
+            f.write(CSV_HEADER + "\n")
+            for x, slab in enumerate(amplitudes.reshape(N, N * N)):  # one x-slab at a time
+                rows = map(str.__add__, tails, map(repr, slab.tolist()))
+                f.write(f"{x}," + f"\n{x},".join(rows) + "\n")
     else:
-        header = struct.pack(HEADER_FORMAT, MAGIC, BINARY_VERSION, n_qe, FORM_TAGS[which])
-        out_path.write_bytes(header + amplitudes.astype("<f8").tobytes())
+        with out_path.open("wb") as f:
+            f.write(struct.pack(HEADER_FORMAT, MAGIC, BINARY_VERSION, n_qe, FORM_TAGS[which]))
+            amplitudes.astype("<f8", copy=False).tofile(f)
     return out_path
 
 
 def read_state_export(path) -> tuple[np.ndarray, dict]:
     """Load a statevector export (either format); returns (amplitudes, meta)."""
     path = Path(path)
-    data = path.read_bytes()
-    if data[:4] == MAGIC:
-        if len(data) < 32:
-            raise ValueError(f"{path}: binary header needs 32 bytes, found {len(data)}")
-        magic, version, n_qe, tag = struct.unpack(HEADER_FORMAT, data[:32])
+    with path.open("rb") as f:
+        head = f.read(32)
+    if head[:4] == MAGIC:
+        if len(head) < 32:
+            raise ValueError(f"{path}: binary header needs 32 bytes, found {len(head)}")
+        magic, version, n_qe, tag = struct.unpack(HEADER_FORMAT, head)
         if version != BINARY_VERSION:
             raise ValueError(f"{path}: binary format version {version}, "
                              f"this reader handles {BINARY_VERSION}")
         form = {v: k for k, v in FORM_TAGS.items()}.get(tag)
         if form is None:
             raise ValueError(f"{path}: unknown form tag {tag}")
-        if len(data) - 32 != 8 << (3 * n_qe):
+        size = path.stat().st_size - 32
+        if size != 8 << (3 * n_qe):
             raise ValueError(f"{path}: expected {1 << (3 * n_qe)} amplitudes of 8 bytes, "
-                             f"found {len(data) - 32} bytes")
-        amps = np.frombuffer(data[32:], dtype="<f8")
-        return amps.copy(), {"format": "binary", "version": version, "n_qe": n_qe, "form": form}
-    lines = data.decode().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
+                             f"found {size} bytes")
+        return (np.fromfile(path, dtype="<f8", offset=32),
+                {"format": "binary", "version": version, "n_qe": n_qe, "form": form})
+    if head.splitlines()[:1] != [CSV_HEADER.encode()]:
         raise ValueError(f"{path}: expected the {MAGIC!r} binary magic or the CSV header "
                          f"{CSV_HEADER!r}")
-    rows = len(lines) - 1
-    n_qe = (rows.bit_length() - 1) // 3
-    if n_qe < 1 or rows != 1 << (3 * n_qe):
-        raise ValueError(f"{path}: expected 8^n_qe amplitude rows, found {rows}")
     try:
-        vals = np.asarray([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
-    except (IndexError, ValueError):
+        with warnings.catch_warnings():  # a file without rows fails the row count below
+            warnings.simplefilter("ignore", UserWarning)
+            vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3, ndmin=1)
+    except ValueError:
         raise ValueError(f"{path}: an amplitude row does not match {CSV_HEADER!r}") from None
+    n_qe = (vals.size.bit_length() - 1) // 3
+    if n_qe < 1 or vals.size != 1 << (3 * n_qe):
+        raise ValueError(f"{path}: expected 8^n_qe amplitude rows, found {vals.size}")
     return vals, {"format": "csv", "n_qe": n_qe}
 
 
@@ -672,23 +717,19 @@ def run_decompose(report_path, ranks, out_path=None) -> tuple[dict, Path]:
     back unchanged.  Each MO's closed-form CP factors are its entry's
     ``structural_factors``; the ladder checks them against the core before
     it takes them, and runs CP where they miss it.
-    A missing or malformed factor entry, an empty ladder, or a rank outside
+    A file that ``read_report`` refuses, an empty ladder, or a rank outside
     [1, n_prod] raises before any CP work, and then nothing is written.
     """
-    report = json.loads(Path(report_path).read_text())
+    report, tuckers = read_report(report_path)
     job = report["job"]
     have = set(job.get("cpd", {}).get("ranks", []))
     ladder = sorted(have.union(ranks))
     if not ladder:
         raise ValueError("decompose needs at least one rank")
-    for name, entry in report["mos"].items():
-        if "structural_factors" not in entry:
-            raise ValueError(f"MO {name!r} has no structural_factors entry; refit the report's job")
-    tuckers = [_tucker_from_payload(name, entry, job["cell"]["n_qe"])
-               for name, entry in report["mos"].items()]
     if not have.issuperset(ranks):
         job.setdefault("cpd", {})["ranks"] = ladder
-        _rank_sweep(list(report["mos"].values()), tuckers, ladder, _job_cpd_options(job))
+        _rank_sweep(list(report["mos"].values()), list(tuckers.values()), ladder,
+                    _job_cpd_options(job))
     out = Path(out_path or report_path)
     _write_report(report, out)
     return report, out
@@ -849,11 +890,10 @@ def _check_pipeline(report: dict) -> str:
     return f"worst identity residual {worst:.1e}"
 
 
-def _check_tucker_oracle(report: dict) -> str:
-    n_qe = report["job"]["cell"]["n_qe"]
+def _check_tucker_oracle(report: dict, tuckers: dict) -> str:
     worst = 0.0
     for name, entry in report["mos"].items():
-        tucker = _tucker_from_payload(name, entry, n_qe)
+        tucker = tuckers[name]
         branches = [(w, e) for w, e in zip(tucker.core.ravel(), np.eye(tucker.spec.n_prod))]
         oracle = lcu_postselect_oracle(branches, metric=overlap_3d(tucker.spec))
         worst = max(worst, abs(oracle - entry["success_probability_tucker"]))
@@ -873,16 +913,22 @@ def _check_statevector_overlap(report: dict, max_qubits: int) -> str:
     return f"worst residual {worst:.1e}"
 
 
-def _check_cp_exactness(report: dict) -> str:
-    job = report["job"]
-    n_qe = job["cell"]["n_qe"]
-    name = sorted(report["mos"])[0]
+def _check_cp_exactness(tuckers: dict) -> str:
+    """CP of the first MO's core is exact at R_b = min(n_x n_y, n_x n_z, n_y n_z).
+
+    Every n_x x n_y x n_z tensor has rank <= R_b (Kolda & Bader, SIAM Rev. 51, 455
+    (2009)).  The deviation is re-derived from the factors, P from the LCU oracle.
+    """
     # without the report's closed-form factors, this rung runs CP
-    tucker = replace(_tucker_from_payload(name, report["mos"][name], n_qe), structural=None)
-    n_prod = tucker.spec.n_prod
-    canon = decompose_cores([tucker], [n_prod], CpdOptions(n_restarts=2))[n_prod][0]
-    if canon.deviation >= 1e-10:
-        raise AssertionError(f"full-rank deviation {canon.deviation:.3e}")
+    tucker = replace(tuckers[sorted(tuckers)[0]], structural=None)
+    (nx, ny, nz), n_prod, S = tucker.spec.n_l, tucker.spec.n_prod, tucker.spec.overlaps
+    bound = min(nx * ny, nx * nz, ny * nz)
+    canon = decompose_cores([tucker], [bound], CpdOptions(n_restarts=2))[bound][0]
+    e, d = cp_full(canon.lambdas, canon.u), tucker.core
+    r = e * (metric_inner(e, d, S) / metric_inner(e, e, S)) - d  # the core's part off e
+    deviation = metric_inner(r, r, S) / metric_inner(d, d, S)
+    if deviation >= 1e-10:
+        raise AssertionError(f"deviation {deviation:.3e} at R_b={bound}")
     prob = success_prob_canonical(canon)
     lam_flat = np.einsum("r,ra,rb,rc->rabc", canon.lambdas,
                          canon.u[0], canon.u[1], canon.u[2]).reshape(canon.R * n_prod)
@@ -890,17 +936,16 @@ def _check_cp_exactness(report: dict) -> str:
     oracle = lcu_postselect_oracle(list(zip(lam_flat, states)), metric=overlap_3d(tucker.spec))
     if abs(oracle - prob) > 1e-10:
         raise AssertionError(f"canonical probability vs oracle {abs(oracle - prob):.3e}")
-    return f"deviation {canon.deviation:.1e} after {canon.sweeps} CP sweeps, probability oracle agrees"
+    return (f"R_b=min(n_x n_y, n_x n_z, n_y n_z)={bound}: deviation {deviation:.1e} < 1e-10 "
+            f"after {canon.sweeps} CP sweeps{'' if canon.converged else ' (unconverged)'}, "
+            "probability oracle agrees")
 
 
 def _check_export_roundtrip(report: dict, tmp: Path, max_qubits: int) -> str:
-    name = sorted(report["mos"])[0]
-    csv_path = export_state(report, "ideal", "csv", mo=name,
-                            out_path=tmp / "ideal.csv", max_qubits=max_qubits)
-    bin_path = export_state(report, "ideal", "binary", mo=name,
-                            out_path=tmp / "ideal.bin", max_qubits=max_qubits)
-    from_csv, _ = read_state_export(csv_path)
-    from_bin, meta = read_state_export(bin_path)
+    # write both before reading either: no reloaded copy is held while a state is built
+    paths = [export_state(report, "ideal", fmt, out_path=tmp / f"ideal.{fmt}",
+                          max_qubits=max_qubits) for fmt in ("csv", "binary")]
+    (from_csv, _), (from_bin, meta) = map(read_state_export, paths)
     if meta["form"] != "ideal" or meta["n_qe"] != report["job"]["cell"]["n_qe"]:
         raise AssertionError("binary header does not describe the export")
     if not np.array_equal(from_csv, from_bin):
@@ -914,13 +959,14 @@ def _check_export_roundtrip(report: dict, tmp: Path, max_qubits: int) -> str:
 def run_verify(job_path, max_qubits=DEFAULT_MAX_QUBITS, stream=None) -> int:
     """Invariant battery; prints a per-check table, returns an exit code.
 
-    The checks that build N^3 grid states are reported as skipped, not
-    failed, when the job's grid exceeds the qubit guard; skips do not fail
-    the run.
+    The report checks read the report file that the fit wrote, through
+    ``read_report``.  The checks that build N^3 grid states are reported as
+    skipped, not failed, when the job's grid exceeds the qubit guard; skips
+    do not fail the run.
     """
     stream = stream or sys.stdout
     results = []
-    report = None
+    report = tuckers = None
 
     def run(name, fn, on_grid=False):
         if on_grid:
@@ -946,8 +992,9 @@ def run_verify(job_path, max_qubits=DEFAULT_MAX_QUBITS, stream=None) -> int:
         tmp = Path(td)
 
         def pipeline():
-            nonlocal report
-            report, _ = run_fit(job_path, out_path=tmp / "run1.json")
+            nonlocal report, tuckers
+            run_fit(job_path, out_path=tmp / "run1.json")
+            report, tuckers = read_report(tmp / "run1.json")
             return _check_pipeline(report)
 
         def determinism():
@@ -959,10 +1006,10 @@ def run_verify(job_path, max_qubits=DEFAULT_MAX_QUBITS, stream=None) -> int:
         run("pipeline-identities", pipeline)
         # the checks of the fitted report: (name, check, builds N^3 grid states)
         for name, check, on_grid in (
-                ("tucker-probability-oracle", lambda: _check_tucker_oracle(report), False),
+                ("tucker-probability-oracle", lambda: _check_tucker_oracle(report, tuckers), False),
                 ("statevector-overlap",
                  lambda: _check_statevector_overlap(report, max_qubits), True),
-                ("cp-exactness", lambda: _check_cp_exactness(report), False),
+                ("cp-exactness", lambda: _check_cp_exactness(tuckers), False),
                 ("export-roundtrip",
                  lambda: _check_export_roundtrip(report, tmp, max_qubits), True),
                 ("determinism", determinism, False)):
@@ -1098,7 +1145,7 @@ def _cmd_gate_count(args) -> int:
 
 
 def _cmd_export_state(args) -> int:
-    report = json.loads(Path(args.report).read_text())
+    report, _ = read_report(args.report)
     path = export_state(report, args.which, args.format, mo=args.mo,
                         rank=args.rank, out_path=args.out, max_qubits=args.max_qubits)
     print(f"written to {path}")

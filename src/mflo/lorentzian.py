@@ -264,13 +264,9 @@ class LorentzianBasisSpec:
         return out
 
     def state_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each direction's ``state_matrix``, as the ``rows`` of one all-axes build."""
+        """Each direction's shifted LF statevectors, shape (n_Lv, N): ``rows`` of one build."""
         states = AxisProfiles(self.layout, self.widths_flat()).states()
         return tuple(states[rows] for rows in self.rows)
-
-    def state_matrix(self, axis) -> np.ndarray:
-        """Rows are the shifted LF statevectors of one direction, shape (n_Lv, N)."""
-        return self.state_matrices()[_axis_index(axis)]
 
     def with_widths(self, widths_flat: np.ndarray) -> "LorentzianBasisSpec":
         """New spec with widths replaced from a flat (x then y then z) vector."""

@@ -1,12 +1,14 @@
 """Job loading, the pipeline entry points, exports, and exit codes."""
 
+import copy
 import json
 import math
 import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from mflo.cli import (
     gate_count_table,
     load_job,
     main,
+    read_report,
     read_state_export,
     run_decompose,
     run_fit,
@@ -470,6 +473,15 @@ class TestExports:
         with pytest.raises(ValueError, match="header"):
             read_state_export(renamed)
 
+    def test_csv_without_rows_rejected_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("k_x,k_y,k_z,amplitude\n")
+        message = r"empty.csv: expected 8\^n_qe amplitude rows, found 0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                read_state_export(path)
+
 
 class TestRunDecompose:
     def test_updates_report_in_place(self, tmp_path):
@@ -627,23 +639,25 @@ class TestRunDecompose:
         assert report["mos"]["antibonding"]["canonical"]["4"]["flags"][0] == "structural"
 
     def test_report_without_closed_form_rejected(self, tmp_path, capsys):
-        # decompose reads the closed form only from the report; export-state
-        # does not need it
+        # decompose reads the closed form only from the report, and
+        # export-state reads reports through the same reader
         _, path = run_fit(H2, out_path=tmp_path / "r.json")
         report = json.loads(Path(path).read_text())
         del report["mos"]["antibonding"]["structural_factors"]
         Path(path).write_text(json.dumps(report))
         original = Path(path).read_bytes()
-        with pytest.raises(ValueError, match="'antibonding' has no structural_factors"):
+        message = f"{path}: /mos/antibonding: 'structural_factors' is a required property"
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_decompose(path, [2])
-        assert main(["decompose", "--report", str(path), "--ranks", "2"]) == EXIT_FAIL
-        assert "antibonding" in capsys.readouterr().err
-        assert Path(path).read_bytes() == original
+        capsys.readouterr()
         out = tmp_path / "tucker.bin"
+        assert main(["decompose", "--report", str(path), "--ranks", "2"]) == EXIT_FAIL
         assert main(["export-state", "--report", str(path), "--which", "tucker",
-                     "--mo", "antibonding", "--format", "binary", "--out", str(out)]) == EXIT_OK
-        amplitudes, meta = read_state_export(out)
-        assert meta["form"] == "tucker" and amplitudes.size == 1 << (3 * meta["n_qe"])
+                     "--mo", "bonding", "--format", "binary", "--out", str(out)]) == EXIT_FAIL
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert errors == [{"error": "run", "message": message}] * 2
+        assert Path(path).read_bytes() == original
+        assert not out.exists()
 
     @pytest.mark.parametrize("mo, axis, edit", [
         ("antibonding", "y", lambda factors: factors["y"][0].pop()),  # a short row
@@ -669,7 +683,7 @@ class TestRunDecompose:
         assert main(["export-state", "--report", str(path), "--which", "tucker", "--mo", mo,
                      "--format", "binary", "--out", str(out)]) == EXIT_FAIL
         errors = [json.loads(line)["message"] for line in capsys.readouterr().err.splitlines()]
-        assert len(errors) == 2 and all(e.startswith(message) for e in errors)
+        assert len(errors) == 2 and all(e.startswith(f"{path}: {message}") for e in errors)
         assert path.read_bytes() == original
         assert not out.exists()
 
@@ -723,6 +737,50 @@ class TestRunDecompose:
         run_decompose(path, [2, 4], out_path=once)
         assert json.loads(once.read_text())["job"]["cpd"]["ranks"] == [2, 4]
         assert steps.read_bytes() == once.read_bytes()
+
+
+def _rename_ground(report):
+    report["mos"]["nope"] = report["mos"].pop("ground")
+
+
+@pytest.mark.parametrize("command", [["decompose", "--ranks", "1"],
+                                     ["export-state", "--which", "tucker"]],
+                         ids=["decompose", "export-state"])
+@pytest.mark.parametrize("edit, error", [
+    ([1, 2], "<document>: expected object, got [1, 2]"),
+    ({"job": {"cell": {"n_qe": 6}, "cpd": {"ranks": [1]}}, "mos": []},
+     "/job: 'schema' is a required property"),
+    (lambda report: report["mos"]["ground"].pop("core"),
+     "/mos/ground: 'core' is a required property"),
+    (lambda report: report["mos"]["ground"]["core"].update(shape=[1, 1, 2]),
+     "MO 'ground': core is not [1, 1, 1], one value per LF product"),
+    (lambda report: report["mos"]["ground"]["widths"].update(x=[-1.0]),
+     "MO 'ground': direction x: widths must be positive"),
+    (_rename_ground, "/mos/nope: not an MO of the report's job"),
+    (lambda report: report["job"]["lorentzian"].update(alpha_pen=-1),
+     "/job/lorentzian/alpha_pen: expected a value >= 0, got -1"),
+], ids=["list", "job-without-schema", "entry-without-core", "core-shape", "bad-width",
+        "mo-not-in-job", "job-fails-schema"])
+def test_a_file_that_is_not_a_report_is_refused(single_report, tmp_path, capsys, command, edit,
+                                                 error):
+    # one reader serves both commands: a one-line run error that names the
+    # file and the field, before any work or write; ``edit`` changes a
+    # fitted report, or is the whole document
+    document = json.loads(single_report[1].read_text())
+    if callable(edit):
+        edit(document)
+    else:
+        document = edit
+    path, out = tmp_path / "r.json", tmp_path / "out" / "x"
+    path.write_text(json.dumps(document))
+    original = path.read_bytes()
+    capsys.readouterr()
+    assert main([command[0], "--report", str(path), *command[1:], "--out", str(out)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "run", "message": f"{path}: {error}"}
+    assert path.read_bytes() == original
+    assert not out.parent.exists()
 
 
 class TestGateCountTable:
@@ -895,7 +953,8 @@ class TestMain:
 
 def test_cp_exactness_check_runs_cp(tmp_path, bench_jobs, monkeypatch):
     # the fitted state carries its closed form; the check must not take it
-    report, _ = run_fit(bench_jobs("fit-box", 1)["h2_box"], out_path=tmp_path / "r.json")
+    report, tuckers = read_report(
+        run_fit(bench_jobs("fit-box", 1)["h2_box"], out_path=tmp_path / "r.json")[1])
     assert all(e["canonical"]["4"]["flags"][0] == "structural" for e in report["mos"].values())
     found = []
 
@@ -905,10 +964,12 @@ def test_cp_exactness_check_runs_cp(tmp_path, bench_jobs, monkeypatch):
         return out
 
     monkeypatch.setattr(mflo.cli, "decompose_cores", recording)
-    detail = mflo.cli._check_cp_exactness(report)
+    detail = mflo.cli._check_cp_exactness(tuckers)
     [canon] = found
     assert canon.sweeps > 0 and "structural" not in canon.flags
     assert f"after {canon.sweeps} CP sweeps" in detail
+    # the 6x4x4 layout's tensor-rank bound, not n_prod = 96
+    assert detail.startswith("R_b=min(n_x n_y, n_x n_z, n_y n_z)=16: ")
 
 
 def test_run_verify_skips_grid_checks_past_the_guard(capsys):
@@ -921,6 +982,70 @@ def test_run_verify_skips_grid_checks_past_the_guard(capsys):
     assert not any(line.split()[1:2] == ["FAIL"] for line in lines)
     assert lines[-1] == ("11/13 checks passed, 2 skipped: "
                          "statevector-overlap, export-roundtrip")
+
+
+def _double_core(report):
+    for entry in report["mos"].values():
+        entry["core"]["values"] = 2.0 * np.asarray(entry["core"]["values"])
+
+
+def _shift_tucker_probability(report):
+    for entry in report["mos"].values():
+        entry["success_probability_tucker"] *= 1.01
+
+
+def _writing(fault):
+    """A ``_write_report`` that writes the report with ``fault`` applied to a copy."""
+    write = mflo.cli._write_report
+
+    def faulty(report, path):
+        report = copy.deepcopy(report)
+        fault(report)
+        write(report, path)
+    return "_write_report", faulty
+
+
+def _perturbed_lambdas():
+    decompose = mflo.cli.decompose_cores
+
+    def perturbed(*args, **kwargs):
+        return {R: [replace(c, lambdas=c.lambdas[::-1]) for c in states]
+                for R, states in decompose(*args, **kwargs).items()}
+    return "decompose_cores", perturbed
+
+
+def _flipped_binary_byte():
+    export = mflo.cli.export_state
+
+    def flipped(report, which, fmt, **kwargs):
+        path = export(report, which, fmt, **kwargs)
+        if fmt == "binary":
+            data = bytearray(path.read_bytes())
+            data[32] ^= 1  # the lowest bit of the first amplitude
+            path.write_bytes(bytes(data))
+        return path
+    return "export_state", flipped
+
+
+@pytest.mark.parametrize("check, patch, detail", [
+    ("statevector-overlap", lambda: _writing(_double_core), "statevector overlap residual"),
+    ("tucker-probability-oracle", lambda: _writing(_shift_tucker_probability),
+     "probability oracle residual"),
+    ("cp-exactness", _perturbed_lambdas, "deviation"),
+    ("export-roundtrip", _flipped_binary_byte, "CSV and binary exports disagree"),
+], ids=["statevector-overlap", "tucker-probability-oracle", "cp-exactness", "export-roundtrip"])
+def test_a_fault_seeded_into_a_report_check_fails_it(tmp_path, capsys, monkeypatch, check, patch,
+                                                     detail):
+    # the report checks read the report file the fit wrote; off-center y LFs
+    # give the first MO (antibonding) a core of rank 2 = R_b, so CP runs
+    job = json.loads(H2.read_text())
+    job["lorentzian"]["centers"]["y"] = [26, 34]
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    monkeypatch.setattr(mflo.cli, *patch())
+    assert run_verify(tmp_path / "job.json") == EXIT_FAIL
+    failed = [line.split(maxsplit=2) for line in capsys.readouterr().out.splitlines()
+              if line.split()[1:2] == ["FAIL"]]
+    assert [(name, message.startswith(detail)) for name, _, message in failed] == [(check, True)]
 
 
 def test_run_verify_reports_failures(tmp_path, capsys):

@@ -792,11 +792,9 @@ def test_canonical_statevector_is_sum_of_separable_states():
     u = [rng.normal(size=(2, 2)) for _ in range(3)]
     lam = np.array([1.7, 0.4])
     full = canonical_statevector(spec, lam, u)
+    V = spec.state_matrices()
     parts = sum(
-        lam[r] * np.einsum("i,j,k->ijk",
-                           u[0][r] @ spec.state_matrix(0),
-                           u[1][r] @ spec.state_matrix(1),
-                           u[2][r] @ spec.state_matrix(2)).ravel()
+        lam[r] * np.einsum("i,j,k->ijk", u[0][r] @ V[0], u[1][r] @ V[1], u[2][r] @ V[2]).ravel()
         for r in range(2)
     )
     np.testing.assert_allclose(full, parts, atol=1e-13)
@@ -805,7 +803,7 @@ def test_canonical_statevector_is_sum_of_separable_states():
 def test_tucker_statevector_is_sum_of_separable_states():
     spec = _spec((2, 2, 2))
     core = np.random.default_rng(21).normal(size=(2, 2, 2))
-    V = [spec.state_matrix(v) for v in range(3)]
+    V = spec.state_matrices()
     full = tucker_statevector(spec, core)
     parts = sum(
         core[a, b, c] * np.einsum("i,j,k->ijk", V[0][a], V[1][b], V[2][c]).ravel()

@@ -401,8 +401,8 @@ class TestEngine:
         a = np.random.default_rng(7).uniform(0.2, 1.5, size=14)
         _, V, *_ = engine.assemble(a)
         spec = problem.spec.with_widths(a)
-        for v in range(3):
-            np.testing.assert_array_equal(V[v], spec.state_matrix(v))
+        for v, state_matrix in enumerate(spec.state_matrices()):
+            np.testing.assert_array_equal(V[v], state_matrix)
 
     def test_margin_gradient_same_bits_after_gradient(self):
         engine = _Engine(_guard_problem())

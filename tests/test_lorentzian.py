@@ -13,6 +13,7 @@ from mflo.lorentzian import (
     lf_profile,
     lf_profile_da,
     lf_state,
+    _axis_index,
 )
 
 WIDTHS = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -188,7 +189,7 @@ def test_state_matrices_match_closed_form_and_central_difference(n):
     pairs = [(a, k) for a in PARITY_WIDTHS for k in centers]
     spec = _spec(n=n, widths=([a for a, _ in pairs], (1.0,), (2.0,)),
                  centers=([k for _, k in pairs], (0,), (0,)))
-    V = spec.state_matrix("x")
+    V = spec.state_matrices()[0]
     dV = AxisProfiles(spec.layout, spec.widths_flat()).states_da()[spec.rows[0]]
     for a in PARITY_WIDTHS:
         with mpmath.workdps(60):
@@ -221,15 +222,14 @@ class TestBasisSpec:
 
     def test_state_matrix_rows(self):
         spec = _spec()
-        V = spec.state_matrix("x")
+        V = spec.state_matrices()[0]
         assert V.shape == (2, 16)
         np.testing.assert_array_equal(V[0], lf_state(4, 0.5, 3))
         np.testing.assert_array_equal(V[1], lf_state(4, 1.5, 9))
 
     def test_axis_aliases_agree(self):
-        spec = _spec()
-        np.testing.assert_array_equal(spec.state_matrix(0), spec.state_matrix("x"))
-        np.testing.assert_array_equal(spec.state_matrix(2), spec.state_matrix("z"))
+        # basis.sample_ao_1d takes an axis by index or by name
+        assert [_axis_index(v) for v in (0, "x", 2, "z")] == [0, 0, 2, 2]
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -258,7 +258,7 @@ class TestBasisSpec:
     @pytest.mark.parametrize("axis", ["w", 3, -1, None])
     def test_unknown_axis_rejected(self, axis):
         with pytest.raises(ValueError, match="axis must be one of"):
-            _spec().state_matrix(axis)
+            _axis_index(axis)
 
     @pytest.mark.parametrize("count", [3, 5])
     def test_with_widths_count_checked(self, count):
@@ -283,7 +283,7 @@ class TestBasisSpec:
 class TestOverlap1D:
     def test_matches_gram_of_state_matrix(self):
         spec = _spec()
-        V = spec.state_matrix("x")
+        V = spec.state_matrices()[0]
         np.testing.assert_allclose(spec.overlaps[0], V @ V.T, atol=1e-15)
 
     def test_unit_diagonal_symmetric(self):
@@ -309,8 +309,7 @@ class TestOverlap1D:
 
     def test_cached_overlaps_are_symmetrized_gram(self):
         spec = _spec()
-        for v in range(3):
-            V = spec.state_matrix(v)
+        for v, V in enumerate(spec.state_matrices()):
             s = V @ V.T
             np.testing.assert_array_equal(spec.overlaps[v], 0.5 * (s + s.T))
 
