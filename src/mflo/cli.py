@@ -205,15 +205,19 @@ JOB_SCHEMA = {
 }
 
 _PER_AXIS = {"type": "object", "required": list(AXES)}
-#: What ``read_report`` takes from a report; ``_tucker_from_payload`` checks the factors.
+#: What ``read_report`` takes from a report, bar the row counts of the factors and of ``u``.
 REPORT_SCHEMA = {"type": "object", "required": ["job", "mos"], "properties": {
     "job": JOB_SCHEMA, "mos": {"type": "object", "minProperties": 1, "additionalProperties": {
         "type": "object", "required": ["widths", "centers", "core", "fidelity", "squared_overlap",
-                                       "penalty", "kappa_max", "structural_factors"],
+                                       "penalty", "kappa_max", "structural_factors", "canonical"],
         "properties": {"widths": {**_PER_AXIS, "additionalProperties": _NUM_LIST},
                        "centers": {**_PER_AXIS, "additionalProperties": _INT_LIST},
                        "core": {"type": "object", "required": ["shape", "values"],
-                                "properties": {"shape": _INT_LIST, "values": _NUM_LIST}}}}}}}
+                                "properties": {"shape": _INT_LIST, "values": _NUM_LIST}},
+                       "canonical": {"type": "object", "additionalProperties": {
+                           "type": "object", "required": ["lambdas", "u"], "properties": {
+                               "lambdas": _NUM_LIST, "u": {**_PER_AXIS, "additionalProperties": {
+                                   "type": "array", "items": _NUM_LIST}}}}}}}}}}
 
 
 class JobError(Exception):
@@ -487,8 +491,15 @@ def read_report(path) -> tuple[dict, dict[str, TuckerState]]:
         for name in report["mos"]:
             if name not in job["molecule"]["mos"]:
                 raise JobError(f"/mos/{name}", "not an MO of the report's job")
-        return report, {name: _tucker_from_payload(name, entry, job["cell"]["n_qe"])
-                        for name, entry in report["mos"].items()}
+        tuckers = {}
+        for name, entry in report["mos"].items():
+            tuckers[name] = _tucker_from_payload(name, entry, job["cell"]["n_qe"])
+            for rank, c in entry["canonical"].items():
+                for ax, n in zip(AXES, tuckers[name].spec.n_l):
+                    if len(c["u"][ax]) != len(c["lambdas"]) or any(len(r) != n for r in c["u"][ax]):
+                        raise ValueError(f"MO {name!r}, rank {rank}: u[{ax!r}] is not "
+                                         f"{len(c['lambdas'])} rows of {n} numbers, one per lambda")
+        return report, tuckers
     except (JobError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -634,8 +645,7 @@ def _rebuild_state(report: dict, which: str, mo: str, rank: int | None, max_qubi
         if key not in entry["canonical"]:
             raise ValueError(f"MO {mo!r} has no rank-{rank} decomposition in the report")
         canon = entry["canonical"][key]
-        u = tuple(np.asarray(canon["u"][ax], dtype=np.float64) for ax in AXES)
-        return canonical_statevector(tucker.spec, np.asarray(canon["lambdas"]), u)
+        return canonical_statevector(tucker.spec, canon["lambdas"], [canon["u"][a] for a in AXES])
     raise ValueError(f"unknown state selector {which!r}")
 
 

@@ -21,7 +21,8 @@ counts (core, candidate) pairs: every candidate of every core of a report
    product, Khatri-Rao product, MTTKRP and solve, whose diagonal gets
    RIDGE_SCALE tr(Gram) in place, a ridge at round-off scale.  The last
    mode's Khatri-Rao product also gives the sweep's direct residual.  A pair
-   stops when its relative error changes by less than ALS_TOL.
+   stops once it is exact (relative error at most EXACT_TOL = sqrt(eps)) or
+   its relative error changes by less than ALS_TOL.
 2. Finish.  Each core's best candidate that did not stop in the warm-up runs
    Levenberg-Marquardt (LM) for at most LM_MAX_ITER iterations.  The
    normal equations come from the factor Grams and the MTTKRP alone (Tomasi
@@ -33,10 +34,10 @@ counts (core, candidate) pairs: every candidate of every core of a report
    at R = 8 on a 6x4x4 basis, and mode p follows by back-substitution (see
    ``_reduced_system``).  Per iteration: three Grams, the gradient, one R x R
    inverse, the reduced solve and the trial's direct residual.  A step is
-   kept only if it lowers the error, and LM stops once a kept step lowers it
-   by less than LM_RTOL, relative (see ``_lm``).  When every pair keeps its
-   step, as in most iterations, the trial carries over unmerged, and its
-   Khatri-Rao product serves the next gradient.
+   kept only if it lowers the error, and LM stops once a kept step makes it
+   exact or lowers it by less than LM_RTOL, relative (see ``_lm``).  When
+   every pair keeps its step, as in most iterations, the trial carries over
+   unmerged, and its Khatri-Rao product serves the next gradient.
 3. Choice.  The candidate with the lowest warm-up error wins; it is the one
    stage 2 finishes, and LM only lowers its error, so the choice stands.
    Candidates whose errors agree within ALS_TOL are tied, and the lowest
@@ -49,11 +50,10 @@ The requested ranks are decomposed in increasing order, and each rank's extra
 candidate is the previous rank's winner plus greedy rank-one terms of its
 residual.  That start is no worse than the previous winner, and both stages
 only lower a candidate's error, so the error cannot rise with rank.  Once a
-rank's winner is exact (relative error at most EXACT_TOL = sqrt(eps), below
-which the deviation, about the error squared, reads round-off), every higher
-rank of the ladder reports that state, flagged ``rank-reduced``.  So a rank's
-result can depend on which lower ranks were decomposed with it, and
-``mflo decompose`` therefore re-runs a report's whole ladder.
+rank's winner is exact, every higher rank of the ladder reports that state,
+flagged ``rank-reduced``.  So a rank's result can depend on which lower
+ranks were decomposed with it, and ``mflo decompose`` therefore re-runs a
+report's whole ladder.
 
 A fitted core is already a CP form: with no metric dimension discarded,
 S d = t / sqrt(kappa) is a sum over the Gaussian primitives, which merge
@@ -71,7 +71,9 @@ A finished pair leaves the stack in both stages, and every operation acts on
 each pair alone, so a core's result does not depend on what it was stacked
 with.  ``sweeps`` counts the winner's ALS sweeps plus LM iterations, and
 ``converged`` says that a stop test fired before the cap of the stage it
-ended in.  The relative error is always the direct residual ||d - e|| / ||d||.
+ended in: exact (the ladder's and the closed form's test too), an ALS change
+below ALS_TOL, an LM gain below LM_RTOL relative, or the LM step floor.  The
+relative error is always the direct residual ||d - e|| / ||d||.
 A core's winner is flagged ``gram-ridge`` when it swept and one of its final
 mode Grams has its smallest eigenvalue at most the ridge.
 
@@ -106,7 +108,7 @@ __all__ = [
 ]
 
 RIDGE_SCALE = 1e-14  # ridge of every mode solve, relative to the Gram's trace
-ALS_TOL = 1e-12  # stop when the relative fit change drops below this
+ALS_TOL = 1e-12  # ALS stalls below this change in relative error; restarts this close tie
 EXACT_TOL = float(np.finfo(np.float64).eps) ** 0.5  # exact: the deviation, ~error^2, reads round-off
 WARMUP_SWEEPS = 30  # ALS sweeps of every candidate before LM
 LM_MAX_ITER = 100  # LM iterations of a core's best candidate
@@ -205,17 +207,17 @@ def _ridged(factors) -> np.ndarray:
 def _als(d: np.ndarray, factors, max_sweeps: int):
     """ALS on stacked cores d (B, I, J, K) from stacked factors (B, R, n_v).
 
-    Each pair sweeps until its relative error changes by less than ALS_TOL or
-    ``max_sweeps`` is reached; a pair whose start is already exact does not
-    sweep, since sweeping would only add ridge noise.  Finished pairs leave
-    the stack, so the others do the same arithmetic as they would alone.
-    Returns the final factors, relative errors, sweep counts and converged
-    flags, one entry per pair.
+    Each pair sweeps until it is exact (relative error at most EXACT_TOL), its
+    relative error changes by less than ALS_TOL or ``max_sweeps`` is reached;
+    a pair whose start is already exact does not sweep, since sweeping would
+    only add ridge noise.  Finished pairs leave the stack, so the others do
+    the same arithmetic as they would alone.  Returns the final factors,
+    relative errors, sweep counts and converged flags, one entry per pair.
     """
     norm_d = _norms(d)
     out = [np.array(f, dtype=np.float64) for f in factors]
     err = _residual(d, out, norm_d)
-    converged = err <= ALS_TOL
+    converged = err <= EXACT_TOL
     result = out, err, np.zeros(len(d), dtype=int), converged
     diagonal = np.s_[:, ::out[0].shape[1] + 1]  # of a Gram stack flattened to (pairs, R * R)
     live = np.flatnonzero(~converged)
@@ -234,7 +236,7 @@ def _als(d: np.ndarray, factors, max_sweeps: int):
             F[mode] = np.linalg.solve(gram, mttkrp(unf[mode], F, mode, kr))
             grams[mode] = F[mode] @ F[mode].swapaxes(1, 2)
         e = _residual(dl, F, nl, kr)  # the mode-2 update's kr is that of the first two factors
-        done = np.abs(prev - e) < ALS_TOL
+        done = (np.abs(prev - e) < ALS_TOL) | (e <= EXACT_TOL)
         prev = e
         if done.any():
             _store(result, live[done], [f[done] for f in F], e[done], sweep, True)
@@ -343,13 +345,13 @@ def _lm(d: np.ndarray, factors, err: np.ndarray, max_iter: int):
     Each iteration solves (J^T J + mu I) delta = -J^T r for every live pair
     through ``_lm_step`` and keeps the step only if it lowers the pair's
     error; mu follows Nielsen's gain-ratio rule per pair.  A pair stops, and
-    counts as converged, when an accepted step lowers its error by less than
-    LM_RTOL relative or to at most ALS_TOL, or when a rejected step is below
-    LM_STEP_FLOOR relative to the factors, since an error stalled at its
-    round-off floor above ALS_TOL rejects every step and mu would grow until
-    it overflows.  ``max_iter`` iterations do not count as converged.
-    Returns the factors, relative errors, iteration counts and converged
-    flags.  Finished pairs leave the stack, as in ``_als``.
+    counts as converged, when an accepted step makes it exact (relative error
+    at most EXACT_TOL) or lowers its error by less than LM_RTOL relative, or
+    when a rejected step is below LM_STEP_FLOOR relative to the factors, since
+    an error stalled at its round-off floor above EXACT_TOL rejects every step
+    and mu would grow until it overflows.  ``max_iter`` iterations do not
+    count as converged.  Returns the factors, relative errors, iteration
+    counts and converged flags.  Finished pairs leave the stack, as in ``_als``.
     """
     norm_d = _norms(d)
     out = [np.array(f, dtype=np.float64) for f in factors]
@@ -378,7 +380,7 @@ def _lm(d: np.ndarray, factors, err: np.ndarray, max_iter: int):
         predicted = sum((s * (mu_b * s - g)).sum(axis=(1, 2)) for s, g in zip(step, grad))
         rho = np.square(nl) * gain / np.where(ok, predicted, 1.0)
         shrunk = mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-        done = (e - e_new < LM_RTOL * e) | (e_new <= ALS_TOL)
+        done = (e - e_new < LM_RTOL * e) | (e_new <= EXACT_TOL)
         if ok.all():  # most iterations: nothing to merge, and kr is that of F's first two factors
             F, e, mu, nu = trial, e_new, shrunk, np.full(len(e), 2.0)
         else:

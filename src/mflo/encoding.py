@@ -161,13 +161,13 @@ def lcu_postselect_oracle(branches, metric: np.ndarray | None = None) -> float:
     if any(v.size != dim for v in vecs):
         raise ValueError("branch states have inconsistent dimensions")
     V = np.stack(vecs)
-    gram = V @ V.T if metric is None else V @ (np.asarray(metric, dtype=np.float64) @ V.T)
-    norms = np.sqrt(np.diag(gram))
+    # P = |sum_j (w_j / n_j) psi_j|^2 / (B |w|^2): no B x B Gram of the branches
+    MV = V if metric is None else V @ np.asarray(metric, dtype=np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", V, MV))
     if np.any(norms <= 0.0):
         raise ValueError("branch state with zero norm cannot be prepared")
-    gram = gram / np.outer(norms, norms)
-    B = w.size
-    return float(w @ (gram @ w)) / (B * float(w @ w))
+    c = w / norms
+    return float((c @ V) @ (c @ MV)) / (w.size * float(w @ w))
 
 
 TWO_CENTER_COLUMNS = ("theta", "probability", "bonding_approx", "antibonding_approx")

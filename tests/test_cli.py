@@ -759,8 +759,16 @@ def _rename_ground(report):
     (_rename_ground, "/mos/nope: not an MO of the report's job"),
     (lambda report: report["job"]["lorentzian"].update(alpha_pen=-1),
      "/job/lorentzian/alpha_pen: expected a value >= 0, got -1"),
+    (lambda report: report["mos"]["ground"].pop("canonical"),
+     "/mos/ground: 'canonical' is a required property"),
+    (lambda report: report["mos"]["ground"]["canonical"]["1"].update(u=[[1.0]]),
+     "/mos/ground/canonical/1/u: expected object, got [[1.0]]"),
+    (lambda report: report["mos"]["ground"]["canonical"]["1"].update(
+        u={ax: [[1.0], [1.0]] for ax in "xyz"}),
+     "MO 'ground', rank 1: u['x'] is not 1 rows of 1 numbers, one per lambda"),
 ], ids=["list", "job-without-schema", "entry-without-core", "core-shape", "bad-width",
-        "mo-not-in-job", "job-fails-schema"])
+        "mo-not-in-job", "job-fails-schema", "entry-without-canonical", "canonical-u-list",
+        "canonical-rows-per-lambda"])
 def test_a_file_that_is_not_a_report_is_refused(single_report, tmp_path, capsys, command, edit,
                                                  error):
     # one reader serves both commands: a one-line run error that names the

@@ -85,7 +85,7 @@ def _oracle_als_run(d, factors, max_sweeps):
     factors = [f.copy() for f in factors]
     norm_d = float(np.linalg.norm(d))
     err = float(np.linalg.norm(d - _reconstruct(factors))) / norm_d
-    if err <= cpd.ALS_TOL:
+    if err <= cpd.EXACT_TOL:
         return factors, err, set()
     err_prev = err
     for _ in range(max_sweeps):
@@ -96,12 +96,30 @@ def _oracle_als_run(d, factors, max_sweeps):
             ridge = cpd.RIDGE_SCALE * float(np.trace(gram))
             factors[mode] = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
         err = float(np.linalg.norm(d - _reconstruct(factors))) / norm_d
-        if abs(err_prev - err) < cpd.ALS_TOL:
+        if abs(err_prev - err) < cpd.ALS_TOL or err <= cpd.EXACT_TOL:
             break
         err_prev = err
     ridged = any(np.linalg.eigvalsh(g)[0] <= cpd.RIDGE_SCALE * np.trace(g)
                  for g in _mode_grams(factors))
     return factors, err, {"gram-ridge"} if ridged else set()
+
+
+def _near_exact_pair(seed):
+    """Two stacked 3x3x3 cores with rank-2 starts: a rank-2 core started near
+    its factors, and a random core that no rank-2 form fits."""
+    rng = np.random.default_rng(seed)
+    true = [rng.normal(size=(2, 3)) for _ in range(3)]
+    d = np.stack([_reconstruct(true), rng.normal(size=(3, 3, 3))])
+    start = [np.stack([t + 1e-2 * rng.normal(size=t.shape), rng.normal(size=t.shape)])
+             for t in true]
+    return d, start
+
+
+def _first_exact(errors):
+    """The first budget whose error is exact, where the change test alone would go on."""
+    k = next(k for k, e in enumerate(errors) if e <= cpd.EXACT_TOL)
+    assert errors[k - 1] > cpd.EXACT_TOL and errors[k - 1] - errors[k] > 1e3 * cpd.ALS_TOL
+    return k
 
 
 def _als_restarts(d, R, opt):
@@ -145,7 +163,7 @@ class TestCpDecompose:
         z = rng.normal(size=(2, 3))
         d = np.einsum("ra,rb,rc->abc", x, y, z)
         res = cpd._cp_stack([d], [2], CpdOptions(n_restarts=4, seed=0))[2][0]
-        assert res.rec_error < 1e-10
+        assert res.rec_error <= cpd.EXACT_TOL and res.converged
         np.testing.assert_allclose(_reconstruct(res.v), d, atol=1e-9)
 
     def test_unique_weights_recovered(self):
@@ -245,6 +263,15 @@ class TestStackedAls:
         for m in range(3):
             np.testing.assert_array_equal(v[m][0], true[m])
         assert np.all(sweeps[1:] > 0)
+
+    def test_pair_stops_on_the_sweep_it_turns_exact(self):
+        d, start = _near_exact_pair(1)
+        # a budget of k sweeps returns the state after k sweeps of one trajectory
+        k = _first_exact([cpd._als(d[:1], [f[:1] for f in start], n)[1][0] for n in range(20)])
+        alone = cpd._als(d[:1], [f[:1] for f in start], k)
+        v, err, sweeps, converged = cpd._als(d, start, 300)
+        assert (sweeps[0], converged[0], err[0]) == (k, True, alone[1][0])
+        assert sweeps[1] > k
 
     @pytest.mark.parametrize("max_sweeps", [1, 4, 300])
     def test_error_is_direct_residual_of_returned_factors(self, max_sweeps):
@@ -443,15 +470,39 @@ class TestLevenbergMarquardt:
             assert any(k.all() for k in kept.T)
             assert any(k.any() and not k.all() for k in kept.T)
 
-    def test_stalled_error_ends_lm_without_overflow(self):
-        # rank 5 stalls at a relative error of 1.2e-12, above ALS_TOL, where
-        # every step is rejected and the damping would grow without bound
+    def test_pair_stops_on_the_iteration_it_turns_exact(self):
+        d, start = _near_exact_pair(1)
+        err = cpd._residual(d, start, cpd._norms(d))
+        lone = [f[:1] for f in start]
+        k = _first_exact([cpd._lm(d[:1], lone, err[:1], n)[1][0] for n in range(10)])
+        alone = cpd._lm(d[:1], lone, err[:1], k)
+        _, got, iters, converged = cpd._lm(d, start, err, 100)
+        assert (iters[0], converged[0], got[0]) == (k, True, alone[1][0])
+        assert iters[1] > k
+
+    def test_stalled_error_ends_lm_without_overflow(self, monkeypatch):
+        # with no exactness stop, rank 5 stalls at a relative error of 8e-14,
+        # where every step is rejected and the damping would grow without bound
+        monkeypatch.setattr(cpd, "EXACT_TOL", 0.0)
+        runs, lm = [], cpd._lm
+
+        def recorded(*args):
+            runs.append((args, lm(*args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(cpd, "_lm", recorded)
         tucker = _tucker(np.random.default_rng(1028).normal(size=(3, 3, 3)), _spec((3, 3, 3)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ladder = decompose_cores([tucker], range(1, 7), CpdOptions(n_restarts=2, seed=28))
         five = ladder[5][0]
         assert five.converged and five.sweeps < cpd.WARMUP_SWEEPS + cpd.LM_MAX_ITER
+        # its last LM step was rejected, so the step floor, the only stop on a
+        # rejected step, ended the run
+        (d, factors, err, _), (_, got, iters, converged) = next(
+            run for run in runs if run[0][1][0].shape[1] == 5)
+        assert converged[0] and got[0] > 0.0
+        assert lm(d, factors, err, iters[0] - 1)[1][0] == got[0]
 
     @pytest.mark.parametrize("max_sweeps", [31, 45])
     def test_max_sweeps_caps_als_sweeps_plus_lm_iterations(self, max_sweeps, monkeypatch):

@@ -1,6 +1,7 @@
 """Gate-count closed forms, post-selection probabilities, and LCU oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,23 @@ class TestLcuOracle:
     def test_single_branch_always_certain(self):
         got = lcu_postselect_oracle([(2.5, np.array([0.1, 0.2, 0.3]))])
         assert got == pytest.approx(1.0, rel=1e-14)
+
+    def test_no_branch_gram(self):
+        # the cp-exactness branch set of a 6x4x4 layout at R_b = 16: B = 1536
+        # branches of 96 coefficients, whose B x B Gram alone would take 19 MB
+        spec = LorentzianBasisSpec(
+            n=7, widths=tuple(np.full(n, 3.0) for n in (6, 4, 4)),
+            centers=tuple(np.linspace(20, 108, n).astype(int) for n in (6, 4, 4)))
+        w = np.random.default_rng(5).normal(size=16 * spec.n_prod)
+        branches = list(zip(w, np.tile(np.eye(spec.n_prod), (16, 1))))
+        S = overlap_3d(spec)
+        tracemalloc.start()
+        try:
+            lcu_postselect_oracle(branches, metric=S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError, match="at least one"):
