@@ -286,4 +286,6 @@ def build_ideal_state(
     require_grid(cell.n_qe, max_qubits)
     norm_factor = mo_norm_factor(mo, cell)
     w, tables = primitive_tables(mo, cell)
-    return cp_full(w, tables).ravel() * (norm_factor * math.sqrt(cell.dV))
+    state = cp_full(w, tables).ravel()
+    state *= norm_factor * math.sqrt(cell.dV)
+    return state

@@ -492,7 +492,11 @@ def read_report(path) -> tuple[dict, dict[str, TuckerState]]:
             if name not in job["molecule"]["mos"]:
                 raise JobError(f"/mos/{name}", "not an MO of the report's job")
         tuckers = {}
+        ranks = job.get("cpd", {}).get("ranks", [])
         for name, entry in report["mos"].items():
+            if set(entry["canonical"]) != {str(rank) for rank in ranks}:
+                raise JobError(f"/mos/{name}/canonical", f"ranks {list(entry['canonical'])} are "
+                               f"not the job's cpd.ranks {ranks}")
             tuckers[name] = _tucker_from_payload(name, entry, job["cell"]["n_qe"])
             for rank, c in entry["canonical"].items():
                 for ax, n in zip(AXES, tuckers[name].spec.n_l):
@@ -840,8 +844,7 @@ def _check_two_center_oracle() -> str:
         table = two_center_analysis(5, a, 6, 10, thetas)
         la, lb = lf_state(5, a, 6), lf_state(5, a, 10)
         for theta, prob in zip(table[:, 0], table[:, 1]):
-            oracle = lcu_postselect_oracle(
-                [(math.cos(theta), la), (math.sin(theta), lb)])
+            oracle = lcu_postselect_oracle([math.cos(theta), math.sin(theta)], [la, lb])
             worst = max(worst, abs(oracle - prob))
     if worst > 1e-12:
         raise AssertionError(f"oracle mismatch {worst:.3e}")
@@ -904,8 +907,8 @@ def _check_tucker_oracle(report: dict, tuckers: dict) -> str:
     worst = 0.0
     for name, entry in report["mos"].items():
         tucker = tuckers[name]
-        branches = [(w, e) for w, e in zip(tucker.core.ravel(), np.eye(tucker.spec.n_prod))]
-        oracle = lcu_postselect_oracle(branches, metric=overlap_3d(tucker.spec))
+        oracle = lcu_postselect_oracle(tucker.core.ravel(), np.eye(tucker.spec.n_prod),
+                                       metric=overlap_3d(tucker.spec))
         worst = max(worst, abs(oracle - entry["success_probability_tucker"]))
     if worst > 1e-8:
         raise AssertionError(f"probability oracle residual {worst:.3e}")
@@ -940,10 +943,8 @@ def _check_cp_exactness(tuckers: dict) -> str:
     if deviation >= 1e-10:
         raise AssertionError(f"deviation {deviation:.3e} at R_b={bound}")
     prob = success_prob_canonical(canon)
-    lam_flat = np.einsum("r,ra,rb,rc->rabc", canon.lambdas,
-                         canon.u[0], canon.u[1], canon.u[2]).reshape(canon.R * n_prod)
-    states = np.tile(np.eye(n_prod), (canon.R, 1))
-    oracle = lcu_postselect_oracle(list(zip(lam_flat, states)), metric=overlap_3d(tucker.spec))
+    weights = np.einsum("r,ra,rb,rc->rabc", canon.lambdas, *canon.u).reshape(canon.R, n_prod)
+    oracle = lcu_postselect_oracle(weights, np.eye(n_prod), metric=overlap_3d(tucker.spec))
     if abs(oracle - prob) > 1e-10:
         raise AssertionError(f"canonical probability vs oracle {abs(oracle - prob):.3e}")
     return (f"R_b=min(n_x n_y, n_x n_z, n_y n_z)={bound}: deviation {deviation:.1e} < 1e-10 "

@@ -14,7 +14,9 @@ amplitude-encoding map that leaves weight w_j / |w| on the all-zero flag give
     P = (sum_{jj'} w_j w_j' <psi_j|psi_j'>) / (B |w|^2).
 
 ``lcu_postselect_oracle`` evaluates exactly that expression and is the
-source of truth the closed forms are tested against.
+source of truth the closed forms are tested against.  A leading axis of its
+weights repeats its branch states: the canonical form's R n_prod branches
+are (R, n_prod) weights over the n_prod LF products, each held once.
 """
 
 from __future__ import annotations
@@ -142,32 +144,30 @@ def success_prob_canonical(canon: CanonicalState) -> float:
     return canon.canon_norm2 / (canon.R * canon.spec.n_prod * float(np.sum(lam_t * lam_t)))
 
 
-def lcu_postselect_oracle(branches, metric: np.ndarray | None = None) -> float:
+def lcu_postselect_oracle(weights, states, metric: np.ndarray | None = None) -> float:
     """Linear-algebra simulation of the post-selected branch superposition.
 
-    ``branches`` is a sequence of (weight, state) pairs; states are either
-    raw statevectors (metric None, Euclidean inner product) or coefficient
-    vectors over a basis with Gram matrix ``metric``.  Each branch state is
-    normalized as its preparation would produce it; the returned value is
-    the squared norm of the all-zero-flagged component.
+    ``states`` holds one branch state per row: raw statevectors (metric
+    None, Euclidean inner product) or coefficient vectors over a basis with
+    Gram matrix ``metric``.  The last axis of ``weights`` runs over those
+    rows and leading axes repeat them, so B = ``weights.size``.  Each branch
+    state is normalized as its preparation would produce it; the returned
+    value is the squared norm of the all-zero-flagged component.
     """
-    if len(branches) < 1:
-        raise ValueError("need at least one branch")
-    w = np.asarray([b[0] for b in branches], dtype=np.float64)
-    if float(w @ w) == 0.0:
-        raise ValueError("all branch weights are zero")
-    vecs = [np.asarray(b[1], dtype=np.float64).ravel() for b in branches]
-    dim = vecs[0].size
-    if any(v.size != dim for v in vecs):
-        raise ValueError("branch states have inconsistent dimensions")
-    V = np.stack(vecs)
+    w = np.asarray(weights, dtype=np.float64)
+    V = np.asarray(states, dtype=np.float64)
+    if V.ndim != 2 or w.shape[-1:] != V.shape[:1]:
+        raise ValueError(f"weights {w.shape} do not run over the rows of states {V.shape}")
+    w2 = float(w.ravel() @ w.ravel())
+    if w2 == 0.0:
+        raise ValueError("need at least one nonzero branch weight")
     # P = |sum_j (w_j / n_j) psi_j|^2 / (B |w|^2): no B x B Gram of the branches
     MV = V if metric is None else V @ np.asarray(metric, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", V, MV))
     if np.any(norms <= 0.0):
         raise ValueError("branch state with zero norm cannot be prepared")
-    c = w / norms
-    return float((c @ V) @ (c @ MV)) / (w.size * float(w @ w))
+    c = (w / norms).reshape(-1, norms.size).sum(axis=0)
+    return float((c @ V) @ (c @ MV)) / (w.size * w2)
 
 
 TWO_CENTER_COLUMNS = ("theta", "probability", "bonding_approx", "antibonding_approx")

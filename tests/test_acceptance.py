@@ -114,8 +114,7 @@ def test_criterion_3_two_branch_oracle_equivalence():
             lb = lf_state(n, a, k_b)
             overlap = float(la @ lb)
             for theta in thetas:
-                sim = lcu_postselect_oracle(
-                    [(math.cos(theta), la), (math.sin(theta), lb)])
+                sim = lcu_postselect_oracle([math.cos(theta), math.sin(theta)], [la, lb])
                 closed = 0.5 + 0.5 * math.sin(2.0 * theta) * overlap
                 assert abs(sim - closed) <= 1e-12
 

@@ -1,6 +1,7 @@
 """Gaussian AOs, grid sampling, and ideal-state construction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,20 @@ class TestBuildIdealState:
         assert state.shape == (4096,)
         assert float(np.linalg.norm(state)) == pytest.approx(1.0, abs=1e-12)
         assert float(state @ state) == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_grid_state_at_n_qe_7(self):
+        # the 2^21 amplitudes (16.8 MB) are scaled where they are built: the
+        # peak stays under 1.25 states, not the two of an out-of-place scale
+        cell = _cell(n_qe=7)
+        mo = MolecularOrbital(ao_list=(gaussian_ao(STO3G_EXP, STO3G_COEF, (0, 0, 0),
+                                                   [4.0, 4.0, 4.0]),), coefficients=[1.0])
+        tracemalloc.start()
+        try:
+            build_ideal_state(mo, cell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * 2 ** 21
 
     def test_norm_factor_near_one_when_resolved(self):
         # fine grid, compact orbital, large box: discrete sum tracks the integral

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -43,6 +44,7 @@ H2 = JOBS / "h2_like.json"
 H2_N12 = JOBS / "h2_n12.json"
 BOX_4x3x3 = JOBS / "h2_box_4x3x3.json"
 BOX_6x4x4 = JOBS / "h2_box_6x4x4.json"
+BOX_8x8x8 = JOBS / "h2_box_8x8x8.json"
 
 
 def _broken_job(tmp_path, mutate):
@@ -440,6 +442,8 @@ class TestExports:
     def test_canonical_export_needs_a_decomposition(self, single_report, tmp_path, capsys):
         _, path = single_report
         bare = json.loads(path.read_text())
+        # a job without ranks: its report holds no canonical entries
+        del bare["job"]["cpd"]["ranks"]
         for entry in bare["mos"].values():
             entry["canonical"] = {}
         bare_path = tmp_path / "bare.report.json"
@@ -766,9 +770,15 @@ def _rename_ground(report):
     (lambda report: report["mos"]["ground"]["canonical"]["1"].update(
         u={ax: [[1.0], [1.0]] for ax in "xyz"}),
      "MO 'ground', rank 1: u['x'] is not 1 rows of 1 numbers, one per lambda"),
+    (lambda report: report["mos"]["ground"]["canonical"].update(
+        x1=report["mos"]["ground"]["canonical"]["1"]),
+     "/mos/ground/canonical: ranks ['1', 'x1'] are not the job's cpd.ranks [1]"),
+    (lambda report: report["mos"]["ground"]["canonical"].update(
+        {"3": report["mos"]["ground"]["canonical"]["1"]}),
+     "/mos/ground/canonical: ranks ['1', '3'] are not the job's cpd.ranks [1]"),
 ], ids=["list", "job-without-schema", "entry-without-core", "core-shape", "bad-width",
         "mo-not-in-job", "job-fails-schema", "entry-without-canonical", "canonical-u-list",
-        "canonical-rows-per-lambda"])
+        "canonical-rows-per-lambda", "canonical-key-not-a-rank", "canonical-rank-not-in-job"])
 def test_a_file_that_is_not_a_report_is_refused(single_report, tmp_path, capsys, command, edit,
                                                  error):
     # one reader serves both commands: a one-line run error that names the
@@ -959,10 +969,12 @@ class TestMain:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cp_exactness_check_runs_cp(tmp_path, bench_jobs, monkeypatch):
+@pytest.mark.parametrize("job, R_b", [(("fit-box", 1), 16), (BOX_8x8x8, 64)],
+                         ids=["fit-box-1", "8x8x8"])
+def test_cp_exactness_check_runs_cp(tmp_path, bench_jobs, monkeypatch, job, R_b):
     # the fitted state carries its closed form; the check must not take it
-    report, tuckers = read_report(
-        run_fit(bench_jobs("fit-box", 1)["h2_box"], out_path=tmp_path / "r.json")[1])
+    path = bench_jobs(*job)["h2_box"] if isinstance(job, tuple) else job
+    report, tuckers = read_report(run_fit(path, out_path=tmp_path / "r.json")[1])
     assert all(e["canonical"]["4"]["flags"][0] == "structural" for e in report["mos"].values())
     found = []
 
@@ -972,12 +984,19 @@ def test_cp_exactness_check_runs_cp(tmp_path, bench_jobs, monkeypatch):
         return out
 
     monkeypatch.setattr(mflo.cli, "decompose_cores", recording)
-    detail = mflo.cli._check_cp_exactness(tuckers)
+    tracemalloc.start()
+    try:
+        detail = mflo.cli._check_cp_exactness(tuckers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     [canon] = found
     assert canon.sweeps > 0 and "structural" not in canon.flags
     assert f"after {canon.sweeps} CP sweeps" in detail
-    # the 6x4x4 layout's tensor-rank bound, not n_prod = 96
-    assert detail.startswith("R_b=min(n_x n_y, n_x n_z, n_y n_z)=16: ")
+    # the layout's tensor-rank bound, not n_prod (96 at 6x4x4, 512 at 8x8x8)
+    assert detail.startswith(f"R_b=min(n_x n_y, n_x n_z, n_y n_z)={R_b}: ")
+    # the oracle holds each LF product once, not R_b copies of it
+    assert peak <= 20e6
 
 
 def test_run_verify_skips_grid_checks_past_the_guard(capsys):

@@ -145,9 +145,8 @@ class TestTuckerSuccess:
         core = rng.normal(size=(2, 2, 2))
         tucker = _tucker(core, spec)
         S = overlap_3d(spec)
-        branches = [(w, row) for w, row in zip(core.ravel(), np.eye(8))]
         assert success_prob_tucker(tucker) == pytest.approx(
-            lcu_postselect_oracle(branches, metric=S), abs=1e-12)
+            lcu_postselect_oracle(core.ravel(), np.eye(8), metric=S), abs=1e-12)
 
     def test_normalized_core_reduces_to_inverse_norm(self):
         spec = _spec()
@@ -180,16 +179,16 @@ class TestCanonicalSuccess:
     ])
     def test_matches_flat_branch_oracle(self, n_l, R, seed):
         # every (rank, product-label) pair is one LCU branch whose weight is
-        # the separable coefficient; the oracle needs no closed form at all
+        # the separable coefficient, over the n_prod products held once; the
+        # oracle needs no closed form at all
         spec = _spec(n_l)
         rng = np.random.default_rng(seed)
         tucker = _tucker(rng.normal(size=n_l), spec)
         canon = decompose_cores([tucker], [R], CpdOptions(n_restarts=4, seed=0))[R][0]
         S = overlap_3d(spec)
         n_prod = spec.n_prod
-        w = np.einsum("r,ra,rb,rc->rabc", canon.lambdas, *canon.u).reshape(-1)
-        states = np.tile(np.eye(n_prod), (canon.R, 1))
-        oracle = lcu_postselect_oracle(list(zip(w, states)), metric=S)
+        w = np.einsum("r,ra,rb,rc->rabc", canon.lambdas, *canon.u).reshape(canon.R, n_prod)
+        oracle = lcu_postselect_oracle(w, np.eye(n_prod), metric=S)
         assert success_prob_canonical(canon) == pytest.approx(oracle, abs=1e-10)
 
     def test_rank_one_equals_tucker_for_single_axis_layouts(self):
@@ -218,20 +217,20 @@ class TestLcuOracle:
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
         for theta in np.linspace(-1.2, 1.2, 7):
-            got = lcu_postselect_oracle([(math.cos(theta), e1), (math.sin(theta), e2)])
+            got = lcu_postselect_oracle([math.cos(theta), math.sin(theta)], [e1, e2])
             assert got == pytest.approx(0.5, abs=1e-14)
 
     def test_identical_branches_at_equal_weight(self):
         s = np.array([0.3, 0.4])
-        got = lcu_postselect_oracle([(1.0, s), (1.0, s)])
+        got = lcu_postselect_oracle([1.0, 1.0], [s, s])
         assert got == pytest.approx(1.0, rel=1e-14)
 
     def test_branch_normalization_is_internal(self):
         # rescaling any branch state must not change the outcome
         s1 = np.array([1.0, 2.0, 0.5])
         s2 = np.array([0.2, -1.0, 0.8])
-        a = lcu_postselect_oracle([(0.7, s1), (0.3, s2)])
-        b = lcu_postselect_oracle([(0.7, 5.0 * s1), (0.3, 0.1 * s2)])
+        a = lcu_postselect_oracle([0.7, 0.3], [s1, s2])
+        b = lcu_postselect_oracle([0.7, 0.3], [5.0 * s1, 0.1 * s2])
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_metric_route_equals_embedded_route(self):
@@ -240,29 +239,31 @@ class TestLcuOracle:
         spec = _spec((2, 1, 1))
         S = overlap_3d(spec)
         V = np.linalg.cholesky(S).T
-        coeffs = [np.array([0.9, -0.1]), np.array([0.2, 0.7])]
+        coeffs = np.array([[0.9, -0.1], [0.2, 0.7]])
         weights = [0.8, -0.6]
-        with_metric = lcu_postselect_oracle(list(zip(weights, coeffs)), metric=S)
-        embedded = lcu_postselect_oracle(
-            [(w, V @ c) for w, c in zip(weights, coeffs)])
+        with_metric = lcu_postselect_oracle(weights, coeffs, metric=S)
+        embedded = lcu_postselect_oracle(weights, coeffs @ V.T)
         assert with_metric == pytest.approx(embedded, rel=1e-13)
 
     def test_single_branch_always_certain(self):
-        got = lcu_postselect_oracle([(2.5, np.array([0.1, 0.2, 0.3]))])
+        got = lcu_postselect_oracle([2.5], [[0.1, 0.2, 0.3]])
         assert got == pytest.approx(1.0, rel=1e-14)
 
-    def test_no_branch_gram(self):
-        # the cp-exactness branch set of a 6x4x4 layout at R_b = 16: B = 1536
-        # branches of 96 coefficients, whose B x B Gram alone would take 19 MB
+    @pytest.mark.parametrize("n_l, R_b", [((6, 4, 4), 16), ((8, 8, 8), 64)],
+                             ids=["6x4x4", "8x8x8"])
+    def test_no_branch_gram(self, n_l, R_b):
+        # the cp-exactness branch set at the tensor-rank bound: R_b n_prod
+        # branches (1536 of 96 coefficients at 6x4x4, whose B x B Gram alone
+        # would take 19 MB), as (R_b, n_prod) weights over the products once
         spec = LorentzianBasisSpec(
-            n=7, widths=tuple(np.full(n, 3.0) for n in (6, 4, 4)),
-            centers=tuple(np.linspace(20, 108, n).astype(int) for n in (6, 4, 4)))
-        w = np.random.default_rng(5).normal(size=16 * spec.n_prod)
-        branches = list(zip(w, np.tile(np.eye(spec.n_prod), (16, 1))))
+            n=7, widths=tuple(np.full(n, 3.0) for n in n_l),
+            centers=tuple(np.linspace(20, 108, n).astype(int) for n in n_l))
+        w = np.random.default_rng(5).normal(size=(R_b, spec.n_prod))
+        states = np.eye(spec.n_prod)
         S = overlap_3d(spec)
         tracemalloc.start()
         try:
-            lcu_postselect_oracle(branches, metric=S)
+            lcu_postselect_oracle(w, states, metric=S)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -270,13 +271,14 @@ class TestLcuOracle:
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError, match="at least one"):
-            lcu_postselect_oracle([])
+            lcu_postselect_oracle(np.zeros(0), np.zeros((0, 2)))
         with pytest.raises(ValueError, match="zero"):
-            lcu_postselect_oracle([(0.0, np.ones(2)), (0.0, np.ones(2))])
+            lcu_postselect_oracle([0.0, 0.0], np.ones((2, 2)))
         with pytest.raises(ValueError, match="norm"):
-            lcu_postselect_oracle([(1.0, np.zeros(2))])
-        with pytest.raises(ValueError, match="dimensions"):
-            lcu_postselect_oracle([(1.0, np.ones(2)), (1.0, np.ones(3))])
+            lcu_postselect_oracle([1.0], np.zeros((1, 2)))
+        # the weights' last axis must run over the rows of the states
+        with pytest.raises(ValueError, match="rows of states"):
+            lcu_postselect_oracle([1.0, 1.0, 1.0], np.ones((2, 3)))
 
 
 class TestTwoCenter:
@@ -287,8 +289,7 @@ class TestTwoCenter:
         la = lf_state(n, a, 10)
         lb = lf_state(n, a, 22)
         for theta, prob, _, _ in table:
-            oracle = lcu_postselect_oracle(
-                [(math.cos(theta), la), (math.sin(theta), lb)])
+            oracle = lcu_postselect_oracle([math.cos(theta), math.sin(theta)], [la, lb])
             assert prob == pytest.approx(oracle, abs=1e-12)
 
     def test_complementary_angles_sum_to_one(self):
@@ -344,7 +345,7 @@ class TestOracleProperties:
         states = rng.normal(size=(w.size, 5))
         if np.any(np.linalg.norm(states, axis=1) < 1e-6):
             return
-        p = lcu_postselect_oracle(list(zip(w, states)))
+        p = lcu_postselect_oracle(w, states)
         assert -1e-12 <= p <= 1.0 + 1e-12
 
     @given(n_l=st.tuples(*[st.integers(min_value=1, max_value=64)] * 3))
