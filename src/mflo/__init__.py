@@ -28,7 +28,6 @@ from .basis import (
     gaussian_ao,
     mo_norm_factor,
     renormalized,
-    sample_ao_1d,
 )
 from .fitting import (
     ConditioningError,
@@ -100,7 +99,6 @@ __all__ = [
     "qft_cx_informational",
     "rank_ancillae",
     "renormalized",
-    "sample_ao_1d",
     "success_prob_canonical",
     "success_prob_tucker",
     "tucker_success_from_core",

@@ -10,9 +10,11 @@ normalizes, recording the dimensionless constant that absorbs discretization
 and truncation error.
 
 Every primitive p = (mu, s) is a product of three one-axis sample vectors
-h_v[p] with weight w_p = c_mu b_{mu s}, so that constant is separable:
+H_v[p, k] = h(k dx_v - tau~_v; gamma_s, m_v), tau~ the center relative to
+r_orig and 0^0 = 1, which ``primitive_tables`` builds for all primitives in
+one broadcast per axis.  With w_p = c_mu b_{mu s}, the constant is separable:
 
-    sum_grid phi^2 = sum_pq w_p w_q prod_v (h_v[p] . h_v[q]),
+    sum_grid phi^2 = sum_pq w_p w_q prod_v (H_v[p] . H_v[q]),
 
 a P x P sum over primitive pairs that never forms the N^3 grid
 (``mo_norm_factor``).  Only ``build_ideal_state`` materializes the grid, as
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentzian import _axis_index
 from .tensor import cp_full
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "SimulationCell",
     "ao_self_overlap",
     "renormalized",
-    "sample_ao_1d",
     "primitive_tables",
     "mo_norm_factor",
     "require_grid",
@@ -213,39 +213,28 @@ class SimulationCell:
         return float(np.prod(self.dx))
 
 
-def sample_ao_1d(ao: ContractedGaussianAO, axis, s: int, cell: SimulationCell) -> np.ndarray:
-    """One-axis primitive samples h(k dx - tau~; gamma_s, m) over the grid.
-
-    tau~ is the AO center relative to the cell origin.  The 0^0 = 1
-    convention keeps s-type orbitals finite on their own center.
-    """
-    v = _axis_index(axis)
-    if not (0 <= s < ao.n_g):
-        raise ValueError(f"primitive index {s} out of range [0, {ao.n_g})")
-    tau_rel = ao.center[v] - cell.origin[v]
-    xi = np.arange(cell.N_qe) * cell.dx[v] - tau_rel
-    m = ao.powers[v]
-    gauss = np.exp(-ao.exponents[s] * xi * xi)
-    if m == 0:
-        return gauss
-    return xi**m * gauss
-
-
 def primitive_tables(mo: MolecularOrbital, cell: SimulationCell):
     """Primitive weights w_p and per-axis sample tables H_v[p, k].
 
     Primitives (mu, s) are flattened in AO-major order to one axis p with
     w_p = c_mu * b_{mu s}, so phi(r_orig + k dx) = sum_p w_p H_x[p, k_x]
-    H_y[p, k_y] H_z[p, k_z].
+    H_y[p, k_y] H_z[p, k_z].  One broadcast per axis gives every row
+    H_v[p] = xi^m exp(-gamma_p xi^2) at xi = k dx_v - tau~_v, with 0^0 = 1.
+    Each xi^m is a scalar integer power, which keeps the bits of ``xi ** m``.
     """
-    weights = []
-    tables = [[], [], []]
-    for ao, c in zip(mo.ao_list, mo.coefficients):
-        for s in range(ao.n_g):
-            weights.append(c * ao.coefficients[s])
-            for v in range(3):
-                tables[v].append(sample_ao_1d(ao, v, s, cell))
-    return np.asarray(weights), tuple(np.stack(t) for t in tables)
+    prims = [(c * b, g, ao.center - cell.origin, ao.powers)
+             for ao, c in zip(mo.ao_list, mo.coefficients)
+             for b, g in zip(ao.coefficients, ao.exponents)]
+    weights, gamma, tau_rel, powers = (np.array(col) for col in zip(*prims))
+    tables = []
+    for v in range(3):
+        xi = np.arange(cell.N_qe) * cell.dx[v] - tau_rel[:, v, None]
+        h = np.exp(-gamma[:, None] * xi * xi)
+        for m in set(powers[:, v].tolist()) - {0}:
+            rows = powers[:, v] == m
+            h[rows] *= xi[rows] ** m
+        tables.append(h)
+    return weights, tuple(tables)
 
 
 def mo_norm_factor(mo: MolecularOrbital, cell: SimulationCell) -> float:

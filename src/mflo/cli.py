@@ -622,9 +622,14 @@ def run_fit(job_path, out_path=None) -> tuple[dict, Path]:
 
 
 def _write_report(report: dict, path: Path) -> None:
+    _write_text(_dumps(report), path)
+
+
+def _write_text(text: str, path) -> None:
+    """Write ``text`` and a newline to ``path``, creating missing parent directories."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_dumps(report) + "\n")
+    path.write_text(text + "\n")
 
 
 def _rebuild_state(report: dict, which: str, mo: str, rank: int | None, max_qubits: int) -> np.ndarray:
@@ -709,15 +714,25 @@ def read_state_export(path) -> tuple[np.ndarray, dict]:
     if head.splitlines()[:1] != [CSV_HEADER.encode()]:
         raise ValueError(f"{path}: expected the {MAGIC!r} binary magic or the CSV header "
                          f"{CSV_HEADER!r}")
+    mismatch = ValueError(f"{path}: an amplitude row does not match {CSV_HEADER!r} "
+                          "at its position, k_z fastest")
     try:
         with warnings.catch_warnings():  # a file without rows fails the row count below
             warnings.simplefilter("ignore", UserWarning)
             vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3, ndmin=1)
+            # a second pass reads the indices and needs exactly four fields a row;
+            # the amplitude kept as one byte holds it to 7 bytes a row
+            k = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
+                           dtype=[("k", "i2", 3), ("amplitude", "S1")])["k"]
     except ValueError:
-        raise ValueError(f"{path}: an amplitude row does not match {CSV_HEADER!r}") from None
+        raise mismatch from None
     n_qe = (vals.size.bit_length() - 1) // 3
     if n_qe < 1 or vals.size != 1 << (3 * n_qe):
         raise ValueError(f"{path}: expected 8^n_qe amplitude rows, found {vals.size}")
+    N = 1 << n_qe
+    k = k.reshape(N, N, N, 3)
+    if not all((k[..., v] == index).all() for v, index in enumerate(np.ogrid[:N, :N, :N])):
+        raise mismatch
     return vals, {"format": "csv", "n_qe": n_qe}
 
 
@@ -1112,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out) -> None:
     """Write ``text`` and a newline to the file ``out``, or print it when ``out`` is unset."""
     if out:
-        Path(out).write_text(text + "\n")
+        _write_text(text, out)
         print(f"written to {out}")
     else:
         print(text)

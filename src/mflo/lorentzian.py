@@ -51,14 +51,6 @@ AXES = ("x", "y", "z")
 BOUNDARY_MARGIN = 3  # grid points at each edge that ``boundary_mass`` sums over
 
 
-def _axis_index(axis) -> int:
-    if axis in (0, 1, 2):
-        return int(axis)
-    if axis in AXES:
-        return AXES.index(axis)
-    raise ValueError(f"axis must be one of 0,1,2 or 'x','y','z', got {axis!r}")
-
-
 def _check_width(a: float) -> float:
     a = float(a)
     if not math.isfinite(a) or a <= 0.0:

@@ -14,10 +14,10 @@ from mflo.basis import (
     build_ideal_state,
     gaussian_ao,
     mo_norm_factor,
+    primitive_tables,
     renormalized,
-    sample_ao_1d,
 )
-from mflo import DegenerateInputError, ResourceLimitError
+from mflo import DegenerateInputError, ResourceLimitError, basis
 
 STO3G_EXP = [3.42525091, 0.62391373, 0.1688554]
 STO3G_COEF = [0.15432897, 0.53532814, 0.44463454]
@@ -142,13 +142,20 @@ class TestSimulationCell:
             _cell(origin=origin)
 
 
+def _rows(ao, cell, v):
+    """The axis-v sample table of the MO that is ``ao`` alone, one row per primitive."""
+    return primitive_tables(MolecularOrbital(ao_list=[ao], coefficients=[1.0]), cell)[1][v]
+
+
 @pytest.mark.filterwarnings("ignore:AO squared norm")
 class TestSampleAO1D:
+    """One-axis samples of an AO, read from the rows of ``primitive_tables``."""
+
     def test_values_match_pointwise_formula(self):
         cell = _cell(n_qe=3, edges=(8.0, 8.0, 8.0))
         ao = gaussian_ao([0.9, 0.3], [0.8, 0.4], (2, 0, 1), [3.0, 4.0, 4.0],
                          renormalize=False)
-        vals = sample_ao_1d(ao, "x", 1, cell)
+        vals = _rows(ao, cell, 0)[1]
         assert vals.shape == (8,)
         for k in range(8):
             xi = k * 1.0 - 3.0
@@ -158,7 +165,7 @@ class TestSampleAO1D:
         # 0^0 = 1: the s-type factor has no node at its own center
         cell = _cell(n_qe=3)
         ao = _s_ao(center=(2.0, 4.0, 4.0))
-        vals = sample_ao_1d(ao, 0, 0, cell)
+        vals = _rows(ao, cell, 0)[0]
         assert vals[2] == pytest.approx(1.0)
 
     def test_odd_power_has_node_at_center(self):
@@ -166,14 +173,29 @@ class TestSampleAO1D:
         with pytest.warns(UserWarning):
             ao = ContractedGaussianAO(exponents=[0.5], coefficients=[1.0],
                                       powers=(1, 0, 0), center=[2.0, 4.0, 4.0])
-        vals = sample_ao_1d(ao, "x", 0, cell)
+        vals = _rows(ao, cell, 0)[0]
         assert vals[2] == 0.0
         assert vals[3] == -vals[1]  # antisymmetric around the center
 
-    @pytest.mark.parametrize("s", [-1, 1])
-    def test_primitive_index_checked(self, s):
-        with pytest.raises(ValueError, match=r"primitive index .* out of range \[0, 1\)"):
-            sample_ao_1d(_s_ao(), "x", s, _cell())
+    def test_tables_are_the_per_primitive_formula_bit_for_bit(self):
+        # two AOs of 2 and 3 primitives with powers 0-3, off-origin cell: rows
+        # run AO-major with w_p = c_mu b_{mu s}, and each row is the
+        # one-primitive formula with xi ** m a scalar integer power
+        cell = _cell(n_qe=5, edges=(8.0, 7.0, 9.0), origin=(-0.7, 0.4, -1.1))
+        aos = [gaussian_ao([1.3, 0.4], [0.6, 0.5], (0, 1, 3), [2.1, 3.3, 4.6]),
+               gaussian_ao([2.2, 0.7, 0.2], [0.3, 0.5, 0.4], (2, 3, 0), [4.4, 2.9, 3.8])]
+        mo = MolecularOrbital(ao_list=aos, coefficients=[0.8, -0.6])
+        w, tables = primitive_tables(mo, cell)
+        prims = [(c, ao, s) for ao, c in zip(aos, mo.coefficients) for s in range(ao.n_g)]
+        assert w.tolist() == [c * ao.coefficients[s] for c, ao, s in prims]
+        for v, H in enumerate(tables):
+            assert H.shape == (5, 32)
+            for p, (_, ao, s) in enumerate(prims):
+                xi = np.arange(32) * cell.dx[v] - (ao.center[v] - cell.origin[v])
+                g, m = ao.exponents[s], ao.powers[v]
+                assert H[p].tobytes() == (xi ** m * np.exp(-g * xi * xi)).tobytes(), (v, p)
+        # the tables are the one sampler of the primitives
+        assert not hasattr(basis, "sample_ao_1d")
 
 
 def naive_grid_state(mo, cell):

@@ -468,6 +468,21 @@ class TestExports:
         with pytest.raises(ValueError, match="joined.csv: an amplitude row"):
             read_state_export(joined)
 
+    @pytest.mark.parametrize("edit", [
+        lambda rows: [row + ",7" for row in rows],
+        lambda rows: ["9,9,9," + row.rsplit(",", 1)[1] for row in rows],
+        lambda rows: [rows[i] for i in np.random.default_rng(0).permutation(len(rows))],
+    ], ids=["fifth-field", "indices-all-9-9-9", "shuffled"])
+    def test_csv_row_off_its_grid_position_rejected(self, single_report, tmp_path, edit):
+        report, _ = single_report
+        header, *rows = export_state(report, "ideal", "csv",
+                                     out_path=tmp_path / "s.csv").read_text().splitlines()
+        edited = tmp_path / "edited.csv"
+        edited.write_text("\n".join([header, *edit(rows)]) + "\n")
+        with pytest.raises(ValueError, match=r"edited.csv: an amplitude row does not match "
+                                             r"'k_x,k_y,k_z,amplitude' at its position"):
+            read_state_export(edited)
+
     def test_csv_without_header_rejected(self, single_report, tmp_path):
         report, _ = single_report
         lines = export_state(report, "ideal", "csv",
@@ -935,6 +950,16 @@ class TestMain:
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (EXIT_FAIL, b"")
+
+    @pytest.mark.parametrize("argv", [
+        ["gate-count", "--n-l", "3,3,3", "--n-qe", "7", "--rank", "3"],
+        ["two-center", "--n", "5", "--a", "0.5", "--center-a", "12", "--center-b", "20"],
+    ], ids=["gate-count", "two-center"])
+    def test_out_creates_missing_directories(self, tmp_path, capsys, argv):
+        out = tmp_path / "new" / "out.txt"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == f"written to {out}\n"
+        assert out.read_text().count("\n") > 1
 
     def test_two_center_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

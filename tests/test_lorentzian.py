@@ -13,7 +13,6 @@ from mflo.lorentzian import (
     lf_profile,
     lf_profile_da,
     lf_state,
-    _axis_index,
 )
 
 WIDTHS = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -227,10 +226,6 @@ class TestBasisSpec:
         np.testing.assert_array_equal(V[0], lf_state(4, 0.5, 3))
         np.testing.assert_array_equal(V[1], lf_state(4, 1.5, 9))
 
-    def test_axis_aliases_agree(self):
-        # basis.sample_ao_1d takes an axis by index or by name
-        assert [_axis_index(v) for v in (0, "x", 2, "z")] == [0, 0, 2, 2]
-
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             _spec(widths=((0.5, 0.5), (1.0,), (2.0,)), centers=((3, 3), (8,), (8,)))
@@ -254,11 +249,6 @@ class TestBasisSpec:
     def test_empty_direction_rejected(self):
         with pytest.raises(ValueError, match="direction x: need at least one LF"):
             _spec(widths=((), (1.0,), (2.0,)), centers=((), (8,), (8,)))
-
-    @pytest.mark.parametrize("axis", ["w", 3, -1, None])
-    def test_unknown_axis_rejected(self, axis):
-        with pytest.raises(ValueError, match="axis must be one of"):
-            _axis_index(axis)
 
     @pytest.mark.parametrize("count", [3, 5])
     def test_with_widths_count_checked(self, count):
